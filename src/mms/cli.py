@@ -121,17 +121,23 @@ def cmd_construct(args) -> int:
 
 def cmd_baranyai(args) -> int:
     if args.validate:
-        data = json.loads(Path(args.validate).read_text())
-        partition = BaranyaiPartition(
-            n=data["n"], k=data["k"],
-            classes=tuple(
-                ParallelClass(tuple(KSubset(tuple(b)) for b in cls))
-                for cls in data["classes"]
-            ),
-        )
-        verdict = validate_partition(partition)
+        try:
+            data = json.loads(Path(args.validate).read_text())
+            verdict = validate_partition(BaranyaiPartition(
+                n=data["n"], k=data["k"],
+                classes=tuple(
+                    ParallelClass(tuple(KSubset(tuple(b)) for b in cls))
+                    for cls in data["classes"]
+                ),
+            ))
+        except (ValueError, KeyError, TypeError) as exc:
+            print(f"error: malformed partition file {args.validate}: {exc!r}", file=sys.stderr)
+            return 3
         sys.stdout.write(_dump_json({"valid": verdict.ok, "diagnostic": verdict.diagnostic}))
         return 0 if verdict.ok else 1
+    if args.n is None or args.k is None:
+        print("error: --n and --k are required unless --validate is given", file=sys.stderr)
+        return 2
     seed = _resolve_seed(args)
     partition = baranyai_partition(args.n, args.k, seed)
     obj = {
@@ -150,10 +156,7 @@ def cmd_witness(args) -> int:
     config = _load_config(args.config)
     seed = _resolve_seed(args)
     extract = extract_thm1 if args.theorem == 1 else extract_thm2
-    report = extract(
-        config, args.k, mode=args.mode, sample_size=args.sample,
-        seed=seed, workers=args.workers,
-    )
+    report = extract(config, args.k, mode=args.mode, sample_size=args.sample, seed=seed)
     obj = {
         "n": config.n,
         "k": args.k,
@@ -162,6 +165,7 @@ def cmd_witness(args) -> int:
         "guaranteed_count": str(report.guaranteed_count),
         "witnesses_count": str(report.witnesses.count),
         "certified": report.certified,
+        "provenance": dict(report.provenance),
         "mode": report.mode,
         "sample_size": report.sample_size,
         "below_guarantee": report.below_guarantee,
@@ -252,16 +256,20 @@ def cmd_check(args) -> int:
         return _run_suite(args)
     params = _parse_params(args.params or [])
     name = args.inequality
-    if name == "unimodal_gap_lb":
-        report = unimodal_gap_lb(params["p"], params["q"], int(params["m"]))
-    elif name == "thm1_threshold":
-        report = thm1_threshold_check(int(params["n"]), int(params["k"]))
-    elif name == "thm2_stage":
-        report = thm2_stage_check(int(params["n"]), int(params["k"]), int(params["p"]))
-    elif name == "stage_count":
-        report = stage_count_beats_target(int(params["n"]), int(params["k"]), int(params["p"]))
-    else:
-        print(f"error: unknown inequality {name!r}", file=sys.stderr)
+    try:
+        if name == "unimodal_gap_lb":
+            report = unimodal_gap_lb(params["p"], params["q"], int(params["m"]))
+        elif name == "thm1_threshold":
+            report = thm1_threshold_check(int(params["n"]), int(params["k"]))
+        elif name == "thm2_stage":
+            report = thm2_stage_check(int(params["n"]), int(params["k"]), int(params["p"]))
+        elif name == "stage_count":
+            report = stage_count_beats_target(int(params["n"]), int(params["k"]), int(params["p"]))
+        else:
+            print(f"error: unknown inequality {name!r}", file=sys.stderr)
+            return 2
+    except KeyError as exc:
+        print(f"error: {name} needs --params {exc.args[0]}=VALUE", file=sys.stderr)
         return 2
     _emit(args, _bound_report_json(report), f"check_{name}.json")
     return 0 if report.holds else 1
@@ -309,7 +317,7 @@ def cmd_fbounds(args) -> int:
 def cmd_reproduce(args) -> int:
     seed = _resolve_seed(args)
     start = time.time()
-    checks = run_reproduction(seed=seed, workers=args.workers)
+    checks = run_reproduction(seed=seed)
     all_pass = all(c.status == "pass" for c in checks)
     report = {
         "seed": seed,

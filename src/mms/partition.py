@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 import random
-import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -112,28 +111,8 @@ def _inductive_partition(n: int, k: int, rng: random.Random) -> list[list[tuple[
                 rem[best] -= 1
                 taken_by.setdefault(best, []).append(ci)
 
-        def augment(ci: int, seen: set[tuple[int, ...]]) -> bool:
-            # Kuhn-style alternating search; each type visited at most once,
-            # so recursion depth is bounded by the number of distinct types.
-            for t in types_per_class[ci]:
-                if t in seen:
-                    continue
-                seen.add(t)
-                if rem.get(t, 0) > 0:
-                    rem[t] -= 1
-                    assign[ci] = t
-                    taken_by.setdefault(t, []).append(ci)
-                    return True
-                for holder in taken_by.get(t, ()):
-                    if augment(holder, seen):
-                        taken_by[t].remove(holder)
-                        assign[ci] = t
-                        taken_by[t].append(ci)
-                        return True
-            return False
-
         for ci in pending:
-            if not augment(ci, set()):
+            if not _augment(ci, types_per_class, rem, assign, taken_by):
                 raise AssertionError(
                     f"assignment infeasible at ground size {new} -- invariant broken")
         for ci in range(num_classes):
@@ -141,6 +120,52 @@ def _inductive_partition(n: int, k: int, rng: random.Random) -> list[list[tuple[
             parts = classes[ci]
             parts[parts.index(t)] = tuple(sorted(t + (new,)))
     return classes
+
+
+def _augment(
+    start: int,
+    types_per_class: list[list[tuple[int, ...]]],
+    rem: dict[tuple[int, ...], int],
+    assign: list[tuple[int, ...] | None],
+    taken_by: dict[tuple[int, ...], list[int]],
+) -> bool:
+    """Kuhn-style alternating search from class `start`, on an explicit stack.
+
+    Each frame is [class, iterator over its types, type being tried,
+    iterator over that type's holders]. Every type is visited at most once.
+    A class that finds a type with spare demand takes it; each class below
+    it on the stack then takes the type its child held.
+    """
+    seen: set[tuple[int, ...]] = set()
+    stack = [[start, iter(types_per_class[start]), None, iter(())]]
+    while stack:
+        frame = stack[-1]
+        holder = next(frame[3], None)
+        if holder is not None:
+            stack.append([holder, iter(types_per_class[holder]), None, iter(())])
+            continue
+        t = next((t for t in frame[1] if t not in seen), None)
+        if t is None:
+            stack.pop()
+            continue
+        seen.add(t)
+        if rem.get(t, 0) == 0:
+            frame[2] = t
+            frame[3] = iter(taken_by.get(t, ()))
+            continue
+        rem[t] -= 1
+        child = frame[0]
+        assign[child] = t
+        taken_by.setdefault(t, []).append(child)
+        stack.pop()
+        while stack:
+            ci, _, held, _ = stack.pop()
+            taken_by[held].remove(child)
+            assign[ci] = held
+            taken_by[held].append(ci)
+            child = ci
+        return True
+    return False
 
 
 @lru_cache(maxsize=64)
@@ -159,8 +184,6 @@ def baranyai_partition(n: int, k: int, seed: int = 0) -> BaranyaiPartition:
     elif k == 2:
         raw = _circle_pairs(n)
     else:
-        # augmenting-path depth is bounded by the number of part types
-        sys.setrecursionlimit(max(sys.getrecursionlimit(), 20_000))
         rng = random.Random(seed)
         raw = _inductive_partition(n, k, rng)
     classes = tuple(
@@ -213,7 +236,9 @@ def partition_lower_bound_witnesses(
     Within each class the maximum-sum block is chosen (ties broken by
     lexicographically smallest index sequence), and its non-negativity is
     re-checked exactly: a class partitions [n], so its block sums add up to
-    the total sum >= 0, forcing the maximum to be >= 0.
+    the total sum >= 0, forcing the maximum to be >= 0. `seed` picks the
+    partition; the extraction routes leave it at 0, so that every
+    configuration of the same (n, k) shares one cached build.
     """
     n = config.n
     if n % k != 0:

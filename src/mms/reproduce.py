@@ -42,7 +42,7 @@ def _check(checks: list[Check], check_id: str, lhs, rhs, ok: bool) -> None:
     checks.append(Check(check_id, "pass" if ok else "fail", str(lhs), str(rhs)))
 
 
-def run_reproduction(seed: int = 0, workers: int = 1) -> list[Check]:
+def run_reproduction(seed: int = 0) -> list[Check]:
     checks: list[Check] = []
 
     count, _ = count_nonneg_ksums(star_config(8, 3).config, 3)
@@ -84,14 +84,14 @@ def run_reproduction(seed: int = 0, workers: int = 1) -> list[Check]:
     _check(checks, "baranyai_partitions_valid", "(4,2),(6,3),(9,3)",
            "C(n-1,k-1) valid classes", ok)
 
-    fam = partition_lower_bound_witnesses(star_config(8, 2).config, 2, seed)
+    fam = partition_lower_bound_witnesses(star_config(8, 2).config, 2)
     ok = fam.count == 7 and all(1 in w for w in fam.members)
     _check(checks, "partition_witnesses_star_8_2", fam.count, 7, ok)
 
     ok = True
     for n, k in ((4, 2), (6, 2), (8, 2), (6, 3), (9, 3), (8, 4), (10, 5)):
         target = binomial(n - 1, k - 1)
-        lower = partition_lower_bound_witnesses(star_config(n, k).config, k, seed).count
+        lower = partition_lower_bound_witnesses(star_config(n, k).config, k).count
         upper, _ = count_nonneg_ksums(star_config(n, k).config, k)
         ok = ok and lower == target == upper
     _check(checks, "multiple_of_k_equality", "partition lower = star upper",
@@ -100,7 +100,7 @@ def run_reproduction(seed: int = 0, workers: int = 1) -> list[Check]:
     values = [exact_A(n, 2).A_value for n in (4, 5, 6, 7)]
     _check(checks, "exact_solver_small_k2", values, [3, 3, 5, 6], values == [3, 3, 5, 6])
 
-    rep = extract_thm1(star_config(40, 2).config, 2, seed=seed, workers=workers)
+    rep = extract_thm1(star_config(40, 2).config, 2, seed=seed)
     ok = rep.branch == "central_at_top" and rep.witnesses.count == 39 and rep.certified
     _check(checks, "thm1_star_40_2", rep.witnesses.count, 39, ok)
 
@@ -117,14 +117,14 @@ def run_reproduction(seed: int = 0, workers: int = 1) -> list[Check]:
     _check(checks, "thm2_stage_sweep_5200_3", holding, 5200 // 6,
            holding == 5200 // 6)
 
-    rep = extract_thm2(star_config(5200, 3).config, 3, seed=seed, workers=workers)
+    rep = extract_thm2(star_config(5200, 3).config, 3, seed=seed)
     target = binomial(5199, 2)
     ok = (rep.branch == "central_at_stage_i" and rep.guaranteed_count == target
           and rep.certified and rep.sample_size >= 1000)
     _check(checks, "thm2_star_5200_3", rep.guaranteed_count, target, ok)
 
     half = Configuration.from_values([1] * 2600 + [-1] * 2600)
-    rep = extract_thm2(half, 3, seed=seed, workers=workers)
+    rep = extract_thm2(half, 3, seed=seed)
     ok = (rep.branch == "two_range_family" and rep.guaranteed_count >= target
           and rep.certified)
     _check(checks, "thm2_two_range_5200_3", rep.guaranteed_count, target, ok)

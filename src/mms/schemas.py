@@ -61,6 +61,10 @@ WITNESS_REPORT = {
         "guaranteed_count": _COUNT,
         "witnesses_count": _COUNT,
         "certified": {"type": "boolean"},
+        "provenance": {
+            "type": "object",
+            "additionalProperties": {"enum": ["resummed", "worst_member", "theorem"]},
+        },
         "mode": {"enum": ["explicit", "counted"]},
         "sample_size": {"type": "integer"},
         "below_guarantee": {"type": "boolean"},

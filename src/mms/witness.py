@@ -2,10 +2,13 @@
 non-negative k-subsets with guaranteed cardinalities.
 
 Both extraction routes share the same discipline: every branch condition is
-re-checked in exact arithmetic before any witness is emitted, every explicit
-witness is re-summed exactly, and counted families are certified through a
-seeded uniform sample plus an exact check of their minimum-sum member. A
-violated check raises instead of emitting unsound output.
+re-checked in exact arithmetic before any witness is emitted, and every
+emitted family is a `RangeFamily` whose minimum-sum member is checked
+exactly. Explicit families are also re-summed member by member; counted ones
+are spot-checked on a seeded uniform sample. The one exception is the
+partition part of the first route above the partition size limit, which is
+counted on the theorem alone; each report lists how every sub-family was
+certified. A violated check raises instead of emitting unsound output.
 
 `log` means the natural logarithm throughout; the k(4e ln k)^k threshold
 arises from k^(k/ln k) = e^k, which only holds base-e.
@@ -15,9 +18,9 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from .bounds import thm2_threshold_exceeded
 from .intervals import RatInterval, decide_less, ln_interval
@@ -61,12 +64,17 @@ class WitnessReport:
     witnesses: SubsetFamily
     guaranteed_count: int
     trace: tuple[StageTrace, ...]
-    certified: bool
+    provenance: tuple[tuple[str, str], ...]  # (sub-family, how it was certified)
     mode: str                              # "explicit" | "counted"
     sample_size: int                       # members re-checked in counted mode
     below_guarantee: bool                  # count < C(n-1, k-1)
     meets_threshold_target: bool | None    # None when below the theorem threshold
     notes: tuple[str, ...] = ()
+
+    @property
+    def certified(self) -> bool:
+        """True unless some sub-family rests on the theorem alone."""
+        return all(how != "theorem" for _, how in self.provenance)
 
 
 def eq2_bound(config: Configuration, j: int) -> Fraction:
@@ -91,51 +99,91 @@ def eq2_bound(config: Configuration, j: int) -> Fraction:
     return bound
 
 
-def _certify_explicit(
-    config: Configuration, members: frozenset[KSubset], workers: int = 1
-) -> None:
-    """Exact re-evaluation of every member; raises on any negative sum."""
-    scaled = config.scaled
+@dataclass(frozen=True)
+class RangeFamily:
+    """The k-subsets that pick r indices from [lo, hi] for every part (lo, hi, r).
 
-    def bad(chunk) -> KSubset | None:
-        for s in chunk:
-            if sum(scaled[i - 1] for i in s.indices) < 0:
-                return s
-        return None
+    Parts are 1-based, disjoint and increasing, with 1 <= r; the fixed index 1
+    is the part (1, 1, 1). Concatenating one combination per part therefore
+    gives a sorted index tuple, and on a non-increasing configuration the
+    member taking the largest indices of every part has the smallest sum.
+    """
 
-    items = list(members)
-    if workers > 1 and len(items) > 256:
-        size = (len(items) + workers - 1) // workers
-        chunks = [items[i:i + size] for i in range(0, len(items), size)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            failures = [f for f in pool.map(bad, chunks) if f is not None]
-        first = min(failures, key=lambda s: s.indices) if failures else None
-    else:
-        first = bad(items)
-    if first is not None:
-        raise WitnessSoundnessError(f"witness {first.indices} has negative sum")
+    parts: tuple[tuple[int, int, int], ...]
+
+    @property
+    def count(self) -> int:
+        return math.prod(binomial(hi - lo + 1, r) for lo, hi, r in self.parts)
+
+    def members(self):
+        """Every member as a sorted index tuple: each combination of the
+        first part followed by each entry of a precomputed list of the
+        remaining parts' combinations."""
+        (lo, hi, r), *rest = self.parts
+        tails: list[tuple[int, ...]] = [()]
+        for t_lo, t_hi, t_r in reversed(rest):
+            tails = [c + t for c in itertools.combinations(range(t_lo, t_hi + 1), t_r)
+                     for t in tails]
+        for head in itertools.combinations(range(lo, hi + 1), r):
+            for tail in tails:
+                yield head + tail
+
+    def draw(self, rng: random.Random) -> tuple[int, ...]:
+        """A uniformly random member."""
+        return tuple(
+            i for lo, hi, r in self.parts for i in sorted(rng.sample(range(lo, hi + 1), r)))
+
+    def worst_sum(self, config: Configuration) -> int:
+        """Scaled sum of the smallest-sum member (requires count > 0)."""
+        return sum(config.scaled_range_sum(hi - r + 1, hi) for _, hi, r in self.parts)
 
 
-def _certify_sample(
+def _resummed(config: Configuration, index_tuples):
+    """Yield a KSubset per index tuple once its exact sum is re-checked >= 0."""
+    at = (0, *config.scaled).__getitem__
+    for ix in index_tuples:
+        if sum(map(at, ix)) < 0:
+            raise WitnessSoundnessError(f"witness {ix} has negative sum")
+        yield KSubset(ix)
+
+
+def _certify(
     config: Configuration,
-    draw,                    # rng -> KSubset
-    rng: random.Random,
+    k: int,
+    family: RangeFamily,
+    mode: str,
+    rng: random.Random | None,
     sample_size: int,
-) -> int:
-    scaled = config.scaled
-    for _ in range(sample_size):
-        s = draw(rng)
-        if sum(scaled[i - 1] for i in s.indices) < 0:
-            raise WitnessSoundnessError(f"sampled witness {s.indices} has negative sum")
-    return sample_size
+) -> tuple[SubsetFamily, int]:
+    """Certify every member of `family` non-negative; return it with the
+    number of sampled members.
+
+    The worst member is checked exactly, which alone proves the family on a
+    sorted configuration. Families up to EXPLICIT_LIMIT are enumerated (unless
+    `mode` is "counted") and every member is re-summed as it is enumerated;
+    larger ones are counted, with `sample_size` uniform members re-summed.
+    """
+    n, count = config.n, family.count
+    if mode == "explicit" and count > EXPLICIT_LIMIT:
+        raise ValueError(f"explicit family of {count} exceeds limit {EXPLICIT_LIMIT}")
+    if count == 0:
+        return SubsetFamily.explicit(n, k, ()), 0
+    if family.worst_sum(config) < 0:
+        raise WitnessSoundnessError(f"worst member of the family {family.parts} is negative")
+    if mode == "counted" or count > EXPLICIT_LIMIT:
+        draws = (family.draw(rng) for _ in range(sample_size))
+        return SubsetFamily.counted(n, k, count), len(list(_resummed(config, draws)))
+    witnesses = SubsetFamily.explicit(n, k, _resummed(config, family.members()))
+    if witnesses.count != count:
+        raise AssertionError(f"enumerated {witnesses.count} members, expected {count}")
+    return witnesses, 0
 
 
-def _prefixed_combinations(prefix: tuple[int, ...], pool: range, r: int):
-    for combo in itertools.combinations(pool, r):
-        yield KSubset(tuple(sorted(prefix + combo)))
+def _how(witnesses: SubsetFamily) -> str:
+    return "resummed" if witnesses.is_explicit else "worst_member"
 
 
-def _report_common(
+def _report(
     config: Configuration,
     k: int,
     threshold_met: bool,
@@ -151,9 +199,22 @@ def _report_common(
         meets = True
     return WitnessReport(
         witnesses=witnesses,
+        mode="explicit" if witnesses.is_explicit else "counted",
         below_guarantee=witnesses.count < target,
         meets_threshold_target=meets,
         **kw,
+    )
+
+
+def _family_report(
+    config, k, threshold_met, branch, family, mode, rng, sample_size, trace, notes=()
+) -> WitnessReport:
+    """Certify the one range family of `branch` and report it."""
+    witnesses, sampled = _certify(config, k, family, mode, rng, sample_size)
+    return _report(
+        config, k, threshold_met, witnesses,
+        branch=branch, guaranteed_count=family.count, trace=trace,
+        provenance=((branch, _how(witnesses)),), sample_size=sampled, notes=notes,
     )
 
 
@@ -165,7 +226,6 @@ def extract_thm1(
     mode: str = "auto",
     sample_size: int = DEFAULT_SAMPLE_SIZE,
     seed: int = 0,
-    workers: int = 1,
 ) -> WitnessReport:
     """Three-branch certified extraction.
 
@@ -176,7 +236,8 @@ def extract_thm1(
         verified negative, so the trimmed sum stays >= 0); take one witness
         per parallel class of the trimmed instance, plus {x_1} with any k-1
         of the floor(n/k) largest remaining values. The families are disjoint
-        (index 1 membership differs).
+        (index 1 membership differs). Above PARTITION_SIZE_LIMIT the partition
+        part is counted on the strength of the theorem alone.
     """
     n = config.n
     total = config.total_sum()
@@ -189,42 +250,22 @@ def extract_thm1(
     rng = random.Random(seed)
     scaled = config.scaled
     threshold_met = n >= 3 * k ** (k + 1) + k**3
-    central_sum = scaled[0] + config.scaled_range_sum(n - k + 2, n)
+    top = RangeFamily(((1, 1, 1), (2, n, k - 1)))
+    central = top.worst_sum(config) >= 0
     trace = (StageTrace(
         stage_index=1, surviving_top=1, removed_bottom=0,
-        central=central_sum >= 0, stage_set_size=n),)
-
-    if central_sum >= 0:
-        count = binomial(n - 1, k - 1)
-        family, mode_used, sampled = _materialize(
-            config, n, k, count, mode, sample_size, rng, workers,
-            enumerate_members=lambda: _prefixed_combinations((1,), range(2, n + 1), k - 1),
-            draw=lambda r: KSubset(tuple(sorted((1,) + tuple(r.sample(range(2, n + 1), k - 1))))),
-        )
-        return _report_common(
-            config, k, threshold_met, family,
-            branch="central_at_top", guaranteed_count=count, trace=trace,
-            certified=True, mode=mode_used, sample_size=sampled,
-        )
+        central=central, stage_set_size=n),)
+    if central:
+        return _family_report(config, k, threshold_met, "central_at_top", top,
+                              mode, rng, sample_size, trace)
 
     neg_count = sum(1 for v in scaled if v < 0)
     if neg_count < 2 * k:
-        nonneg = n - neg_count
-        count = binomial(nonneg, k)
-        family, mode_used, sampled = _materialize(
-            config, n, k, count, mode, sample_size, rng, workers,
-            enumerate_members=lambda: (
-                KSubset(c) for c in itertools.combinations(range(1, nonneg + 1), k)),
-            draw=lambda r: KSubset(tuple(sorted(r.sample(range(1, nonneg + 1), k)))),
-        )
-        return _report_common(
-            config, k, threshold_met, family,
-            branch="few_negatives", guaranteed_count=count, trace=trace,
-            certified=True, mode=mode_used, sample_size=sampled,
-        )
+        return _family_report(config, k, threshold_met, "few_negatives",
+                              RangeFamily(((1, n - neg_count, k),)),
+                              mode, rng, sample_size, trace)
 
     # branch (c): trim to the largest multiple of k exceeding n - 2k
-    notes: list[str] = []
     r = n % k
     m = n - k - r
     extra_positions = range(m + 2, m + 2 + r)  # removed after x_1 and the k-1 smallest
@@ -240,94 +281,65 @@ def extract_thm1(
 
     part_count = binomial(m - 1, k - 1)
     part_members: frozenset[KSubset] | None = None
+    notes: tuple[str, ...] = ()
     if binomial(m, k) <= PARTITION_SIZE_LIMIT:
-        inner = partition_lower_bound_witnesses(trimmed, k, seed)
+        # re-summed exactly inside; trimmed position i is position i + 1 here
+        inner = partition_lower_bound_witnesses(trimmed, k)
         part_members = frozenset(
             KSubset(tuple(i + 1 for i in s.indices)) for s in inner.members)
         if len(part_members) != part_count:
             raise AssertionError("partition witness count mismatch")
     else:
-        notes.append(
-            "partition family counted by the multiple-of-k bound "
-            "(instance above the partition size limit)")
+        notes = ("partition family counted by the multiple-of-k bound "
+                 "(instance above the partition size limit)",)
 
     z = n // k  # |Z|, justified by eq2_bound at j = floor(n/k)
     eq2_bound(config, z)
-    zone_count = binomial(z, k - 1)
-    if zone_count > 0:
-        worst = scaled[0] + config.scaled_range_sum(z - k + 3, z + 1)
-        if worst < 0:
-            raise AssertionError("top-zone worst member negative despite the averaging bound")
-
-    guaranteed = part_count + zone_count
-    want_explicit = (
-        mode == "explicit"
-        or (mode == "auto" and guaranteed <= EXPLICIT_LIMIT and part_members is not None)
-    )
-    if want_explicit and part_members is None:
+    zone = RangeFamily(((1, 1, 1), (2, z + 1, k - 1)))
+    guaranteed = part_count + zone.count
+    if mode == "explicit" and part_members is None:
         raise ValueError(
             "explicit mode impossible: partition instance above the size limit")
-    if want_explicit and guaranteed > EXPLICIT_LIMIT:
+    if mode == "explicit" and guaranteed > EXPLICIT_LIMIT:
         raise ValueError(f"explicit family of {guaranteed} exceeds limit {EXPLICIT_LIMIT}")
+    explicit = part_members is not None and mode != "counted" and guaranteed <= EXPLICIT_LIMIT
 
-    sampled = 0
-    if want_explicit:
-        zone = frozenset(_prefixed_combinations((1,), range(2, z + 2), k - 1))
-        members = part_members | zone
+    zone_witnesses, sampled = _certify(
+        config, k, zone, "explicit" if explicit else "counted", rng, sample_size)
+    if explicit:
+        members = part_members | zone_witnesses.members
         if len(members) != guaranteed:
             raise AssertionError("trim and top-zone families are not disjoint")
-        _certify_explicit(config, members, workers)
         family = SubsetFamily.explicit(n, k, members)
-        mode_used = "explicit"
     else:
-        if part_members is not None:
-            _certify_explicit(config, part_members, workers)
-        if zone_count > 0:
-            sampled = _certify_sample(
-                config,
-                lambda r: KSubset(tuple(sorted((1,) + tuple(r.sample(range(2, z + 2), k - 1))))),
-                rng, sample_size,
-            )
         family = SubsetFamily.counted(n, k, guaranteed)
-        mode_used = "counted"
-
-    return _report_common(
+    provenance = (
+        ("partition", "theorem" if part_members is None else "resummed"),
+        ("top_zone", _how(zone_witnesses)),
+    )
+    return _report(
         config, k, threshold_met, family,
         branch="trim_and_partition_plus_top_zone", guaranteed_count=guaranteed,
-        trace=trace, certified=True, mode=mode_used, sample_size=sampled,
-        notes=tuple(notes),
+        trace=trace, provenance=provenance, sample_size=sampled, notes=notes,
     )
-
-
-def _materialize(
-    config, n, k, count, mode, sample_size, rng, workers, enumerate_members, draw
-):
-    """Build an explicit family or a counted one with sample certification."""
-    if mode == "explicit" and count > EXPLICIT_LIMIT:
-        raise ValueError(f"explicit family of {count} exceeds limit {EXPLICIT_LIMIT}")
-    if count == 0:
-        return SubsetFamily.explicit(n, k, ()), "explicit", 0
-    if mode != "counted" and count <= EXPLICIT_LIMIT:
-        members = frozenset(enumerate_members())
-        if len(members) != count:
-            raise AssertionError(f"enumerated {len(members)} members, expected {count}")
-        _certify_explicit(config, members, workers)
-        return SubsetFamily.explicit(n, k, members), "explicit", 0
-    sampled = _certify_sample(config, draw, rng, sample_size)
-    return SubsetFamily.counted(n, k, count), "counted", sampled
 
 
 # --- second extraction route (threshold k (4e ln k)^k) ----------------------
+
+def _constant(x: int, terms: int) -> int:
+    return x
+
+
+def _ln_multiple(k: int, c: int, terms: int) -> RatInterval:
+    """Enclosure of c ln k at series length `terms`."""
+    return ln_interval(k, terms).scale(c)
+
 
 def _smallest_multiplier_exceeding(k: int) -> int:
     """Least integer m with m ln k > k (= ceil(k / ln k); never a tie)."""
     m = 1
     while m < k:
-        exceeds = decide_less(
-            lambda t: RatInterval.point(k),
-            lambda t, m=m: ln_interval(k, t).scale(m),
-        )
-        if exceeds:
+        if decide_less(partial(_constant, k), partial(_ln_multiple, k, m)):
             return m
         m += 1
     return k
@@ -339,10 +351,7 @@ def _floor_n_over_2ln(n: int, k: int) -> int:
 
     def below(c: int) -> bool:
         # is 2 c ln k < n ?
-        return decide_less(
-            lambda t, c=c: ln_interval(k, t).scale(2 * c),
-            lambda t: RatInterval.point(n),
-        )
+        return decide_less(partial(_ln_multiple, k, 2 * c), partial(_constant, n))
 
     while j > 0 and not below(j):
         j -= 1
@@ -362,13 +371,18 @@ def two_range_parameters(n: int, k: int) -> tuple[int, int]:
     return a, _floor_n_over_2ln(n, k)
 
 
+def _stage_family(n: int, k: int, stage: int) -> RangeFamily:
+    """One of x_1..x_stage plus k-1 of the rest of the stage working set."""
+    bottom = n - (stage - 1) * (k - 1)
+    return RangeFamily(((1, stage, 1), (stage + 1, bottom, k - 1)))
+
+
 def extract_thm2(
     config: Configuration,
     k: int,
     mode: str = "auto",
     sample_size: int = DEFAULT_SAMPLE_SIZE,
     seed: int = 0,
-    workers: int = 1,
 ) -> WitnessReport:
     """Iterated-centrality extraction with the two-range fallback.
 
@@ -392,43 +406,22 @@ def extract_thm2(
     if mode not in ("auto", "explicit", "counted"):
         raise ValueError(f"unknown mode {mode!r}")
     rng = random.Random(seed)
-    scaled = config.scaled
     threshold_met = thm2_threshold_exceeded(n, k)
     big_t = n // (2 * k)
     trace: list[StageTrace] = []
 
     for i in range(1, big_t + 1):
         bottom = n - (i - 1) * (k - 1)
-        size = bottom - i + 1
         if config.scaled_range_sum(i, bottom) < 0:
             raise AssertionError(f"working set sum negative at stage {i} -- bug")
-        central_sum = scaled[i - 1] + config.scaled_range_sum(bottom - k + 2, bottom)
-        central = central_sum >= 0
+        family = _stage_family(n, k, i)
+        central = family.worst_sum(config) >= 0
         trace.append(StageTrace(
             stage_index=i, surviving_top=i, removed_bottom=(i - 1) * (k - 1),
-            central=central, stage_set_size=size))
-        if not central:
-            continue
-        count = i * binomial(size - 1, k - 1)
-        inner = range(i + 1, bottom + 1)
-
-        def members():
-            for j_top in range(1, i + 1):
-                yield from _prefixed_combinations((j_top,), inner, k - 1)
-
-        def draw(r: random.Random) -> KSubset:
-            j_top = r.randint(1, i)
-            rest = r.sample(inner, k - 1)
-            return KSubset(tuple(sorted((j_top, *rest))))
-
-        family, mode_used, sampled = _materialize(
-            config, n, k, count, mode, sample_size, rng, workers, members, draw)
-        return _report_common(
-            config, k, threshold_met, family,
-            branch="central_at_stage_i", guaranteed_count=count,
-            trace=tuple(trace), certified=True, mode=mode_used,
-            sample_size=sampled,
-        )
+            central=central, stage_set_size=bottom - i + 1))
+        if central:
+            return _family_report(config, k, threshold_met, "central_at_stage_i",
+                                  family, mode, rng, sample_size, tuple(trace))
 
     # no central stage: two-range family inside X_T
     a, j = two_range_parameters(n, k)
@@ -437,41 +430,12 @@ def extract_thm2(
         raise RangeInfeasibleError(
             f"medium range (T, T+j] = ({big_t}, {big_t + j}] exceeds the "
             f"surviving working set (last index {bottom_t})")
-    count = binomial(big_t, a) * binomial(j, k - a)
-    if count > 0:
-        worst = config.scaled_range_sum(big_t - a + 1, big_t)
-        if a < k:
-            worst += config.scaled_range_sum(big_t + j - (k - a) + 1, big_t + j)
-        if worst < 0:
-            raise WitnessSoundnessError(
-                "two-range worst member negative -- impossible when the stage "
-                "sums are non-negative")
-
-    top = range(1, big_t + 1)
-    medium = range(big_t + 1, big_t + j + 1)
-
-    def members():
-        for hi in itertools.combinations(top, a):
-            if a == k:
-                yield KSubset(hi)
-                continue
-            for lo in itertools.combinations(medium, k - a):
-                yield KSubset(hi + lo)
-
-    def draw(r: random.Random) -> KSubset:
-        hi = r.sample(top, a)
-        lo = r.sample(medium, k - a) if a < k else []
-        return KSubset(tuple(sorted(hi + lo)))
-
-    family, mode_used, sampled = _materialize(
-        config, n, k, count, mode, sample_size, rng, workers, members, draw)
-    return _report_common(
-        config, k, threshold_met, family,
-        branch="two_range_family", guaranteed_count=count,
-        trace=tuple(trace), certified=True, mode=mode_used,
-        sample_size=sampled,
-        notes=(f"a={a}, j={j}",),
-    )
+    parts = ((1, big_t, a),)
+    if a < k:
+        parts += ((big_t + 1, big_t + j, k - a),)
+    return _family_report(config, k, threshold_met, "two_range_family",
+                          RangeFamily(parts), mode, rng, sample_size,
+                          tuple(trace), notes=(f"a={a}, j={j}",))
 
 
 def substitution_family(config: Configuration, stage: int, k: int) -> SubsetFamily:
@@ -485,23 +449,12 @@ def substitution_family(config: Configuration, stage: int, k: int) -> SubsetFami
     n = config.n
     if stage < 1:
         raise ValueError(f"stage must be >= 1, got {stage}")
-    bottom = n - (stage - 1) * (k - 1)
-    if bottom - stage + 1 < k:
+    if n - (stage - 1) * (k - 1) - stage + 1 < k:
         raise ValueError(f"stage {stage} working set smaller than k")
-    scaled = config.scaled
-    central_sum = scaled[stage - 1] + config.scaled_range_sum(bottom - k + 2, bottom)
-    if central_sum < 0:
+    family = _stage_family(n, k, stage)
+    worst = family.worst_sum(config)
+    if worst < 0:
         raise NonCentralStageError(
-            f"stage {stage} maximum is not central (worst sum {central_sum} < 0)")
-    count = stage * binomial(bottom - stage, k - 1)
-    if count > EXPLICIT_LIMIT:
-        raise ValueError(f"explicit family of {count} exceeds limit {EXPLICIT_LIMIT}")
-    members = frozenset(
-        s
-        for j_top in range(1, stage + 1)
-        for s in _prefixed_combinations((j_top,), range(stage + 1, bottom + 1), k - 1)
-    )
-    if len(members) != count:
-        raise AssertionError("substitution family size mismatch")
-    _certify_explicit(config, members)
-    return SubsetFamily.explicit(n, k, members)
+            f"stage {stage} maximum is not central (worst sum {worst} < 0)")
+    witnesses, _ = _certify(config, k, family, "explicit", None, 0)
+    return witnesses

@@ -4,6 +4,7 @@ import sys
 from pathlib import Path
 
 import jsonschema
+import pytest
 
 from mms import schemas
 from mms.cli import main
@@ -101,6 +102,19 @@ def test_witness_theorem2(tmp_path, capsys):
     assert obj["branch"] == "central_at_stage_i"
 
 
+def test_witness_reports_theorem_only_partition(tmp_path, capsys):
+    cfg = tmp_path / "half.cfg"
+    cfg.write_text("1\n" * 2600 + "-1\n" * 2600)
+    code, out = run_cli(
+        ["witness", "--theorem", "1", "--config", str(cfg), "--k", "3",
+         "--mode", "counted"], capsys)
+    assert code == 0
+    obj = json.loads(out)
+    jsonschema.validate(obj, schemas.WITNESS_REPORT)
+    assert obj["provenance"] == {"partition": "theorem", "top_zone": "worst_member"}
+    assert obj["certified"] is False
+
+
 def test_check_inequality_and_suite(capsys):
     code, out = run_cli(
         ["check", "--inequality", "unimodal_gap_lb",
@@ -147,6 +161,21 @@ def test_usage_error_exit_2():
 def test_invalid_parameters_exit_2(capsys):
     code = main(["baranyai", "--n", "7", "--k", "2"])
     assert code == 2
+
+
+@pytest.mark.parametrize("file_text,args,code", [
+    ('{"n": 6, "k": 3}', ["baranyai", "--validate", "{file}"], 3),
+    ('{"n": 6, "k": 3, "classes": [[[1, 2', ["baranyai", "--validate", "{file}"], 3),
+    (None, ["baranyai", "--n", "9"], 2),
+    (None, ["check", "--inequality", "thm1_threshold", "--params", "n=10"], 2),
+], ids=["validate_without_classes", "validate_bad_json", "baranyai_without_k",
+        "check_missing_param"])
+def test_malformed_input_exit_codes(tmp_path, capsys, file_text, args, code):
+    path = tmp_path / "input.json"
+    if file_text is not None:
+        path.write_text(file_text)
+    assert main([a.format(file=path) for a in args]) == code
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_seed_resolution_env(tmp_path, capsys, monkeypatch):

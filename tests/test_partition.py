@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -57,6 +58,17 @@ def test_deterministic_given_seed():
     assert a == b
     c = baranyai_partition.__wrapped__(9, 3, seed=43)
     assert validate_partition(c)
+
+
+def test_build_leaves_recursion_limit_unchanged():
+    original = sys.getrecursionlimit()
+    sys.setrecursionlimit(1500)
+    try:
+        baranyai_partition.cache_clear()
+        assert validate_partition(baranyai_partition(12, 3))
+        assert sys.getrecursionlimit() == 1500
+    finally:
+        sys.setrecursionlimit(original)
 
 
 def test_rejects_bad_parameters():

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -5,8 +6,10 @@ import pytest
 
 from mms.constructions import star_config
 from mms.numerics import Configuration, binomial, count_nonneg_ksums, ksum
+from mms.partition import partition_lower_bound_witnesses
 from mms.witness import (
     NonCentralStageError,
+    RangeFamily,
     eq2_bound,
     extract_thm1,
     extract_thm2,
@@ -51,6 +54,82 @@ def test_eq2_bound_holds_randomly():
         assert config.value(1) >= eq2_bound(config, j)
 
 
+# --- range families ---------------------------------------------------------
+
+def random_parts(rng, n):
+    parts, lo = [], 1
+    while lo <= n and len(parts) < 3:
+        hi = rng.randint(lo, min(n, lo + 5))
+        parts.append((lo, hi, rng.randint(1, hi - lo + 1)))
+        lo = hi + 1 + rng.randint(0, 2)
+    return tuple(parts)
+
+
+def test_range_family_matches_brute_force():
+    rng = random.Random(7)
+    for _ in range(300):
+        n = rng.randint(1, 14)
+        config = random_configuration(rng, n)
+        fam = RangeFamily(random_parts(rng, n))
+        k = sum(r for _, _, r in fam.parts)
+        brute = [
+            c for c in itertools.combinations(range(1, n + 1), k)
+            if all(sum(lo <= i <= hi for i in c) == r for lo, hi, r in fam.parts)]
+        members = list(fam.members())
+        assert members == brute  # same members, each sorted, in lexicographic order
+        assert len(members) == fam.count
+        for _ in range(5):
+            assert fam.draw(rng) in brute
+        sums = [sum(config.scaled[i - 1] for i in c) for c in brute]
+        assert fam.worst_sum(config) == min(sums)
+
+
+def reference_members(config, k, rep):
+    """Each branch's explicit family rebuilt by filtering all k-subsets."""
+    n = config.n
+    every = list(itertools.combinations(range(1, n + 1), k))
+    if rep.branch == "central_at_top":
+        return {c for c in every if c[0] == 1}
+    if rep.branch == "few_negatives":
+        nonneg = sum(1 for v in config.values if v >= 0)
+        return {c for c in every if c[-1] <= nonneg}
+    if rep.branch == "central_at_stage_i":
+        i = rep.trace[-1].stage_index
+        bottom = n - (i - 1) * (k - 1)
+        return {c for c in every if c[0] <= i < c[1] and c[-1] <= bottom}
+    if rep.branch == "two_range_family":
+        a, j = two_range_parameters(n, k)
+        t = n // (2 * k)
+        return {c for c in every
+                if c[a - 1] <= t and (a == k or t < c[a]) and c[-1] <= t + j}
+    assert rep.branch == "trim_and_partition_plus_top_zone"
+    m = n - k - n % k
+    inner = partition_lower_bound_witnesses(Configuration(config.values[1:m + 1]), k)
+    z = n // k
+    return ({c for c in every if c[0] == 1 and c[-1] <= z + 1}
+            | {tuple(i + 1 for i in w.indices) for w in inner.members})
+
+
+def test_explicit_branch_families_match_brute_force():
+    # the (k, n) draws of acceptance criterion 04, from seed 0
+    rng = random.Random(0)
+    branches = set()
+    for k in (2, 3, 4):
+        for _ in range(40):
+            n = rng.randint(2 * k + 1, 40)
+            config = random_configuration(rng, n)
+            reports = [extract_thm1(config, k)]
+            if n >= 4 * k:
+                reports.append(extract_thm2(config, k))
+            for rep in reports:
+                if not rep.witnesses.is_explicit:  # partition above the size limit
+                    continue
+                got = {s.indices for s in rep.witnesses.members}
+                assert got == reference_members(config, k, rep), rep.branch
+                branches.add(rep.branch)
+    assert len(branches) == 5
+
+
 # --- first route ---------------------------------------------------------------
 
 def test_thm1_star_central():
@@ -86,6 +165,7 @@ def test_thm1_trim_branch_k2():
     assert rep.guaranteed_count == 37 + 20 == rep.witnesses.count
     assert rep.guaranteed_count >= binomial(36, 1) + binomial(20, 1)  # paper-level form
     assert rep.certified and rep.meets_threshold_target is True
+    assert dict(rep.provenance) == {"partition": "resummed", "top_zone": "resummed"}
     recheck_family(config, rep.witnesses)
     with_1 = {s for s in rep.witnesses.members if 1 in s}
     without_1 = rep.witnesses.members - with_1
@@ -109,6 +189,15 @@ def test_thm1_counted_mode():
     assert rep.mode == "counted"
     assert rep.witnesses.count == binomial(5199, 2)
     assert rep.sample_size == 1000 and rep.certified
+    assert rep.provenance == (("central_at_top", "worst_member"),)
+
+
+def test_thm1_partition_above_size_limit_rests_on_theorem():
+    config = Configuration.from_values([1] * 2600 + [-1] * 2600)
+    rep = extract_thm1(config, 3, mode="counted")
+    assert rep.branch == "trim_and_partition_plus_top_zone"
+    assert dict(rep.provenance) == {"partition": "theorem", "top_zone": "worst_member"}
+    assert rep.certified is False
 
 
 def test_thm1_rejections():
@@ -160,6 +249,7 @@ def test_thm2_two_range_half_split():
     assert rep.guaranteed_count == binomial(866, 3)
     assert rep.guaranteed_count >= binomial(5199, 2)
     assert rep.certified and rep.meets_threshold_target is True
+    assert rep.provenance == (("two_range_family", "worst_member"),)
 
 
 def test_thm2_two_range_explicit_small():
