@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -34,7 +35,7 @@ from .numerics import (
 )
 from .partition import BaranyaiPartition, ParallelClass, baranyai_partition, validate_partition
 from .reproduce import run_reproduction
-from .solver import exact_A, search_upper_bound, verify_conjecture_range
+from .solver import DEFAULT_NODE_BUDGET, exact_A, search_upper_bound, verify_conjecture_range
 from .witness import extract_thm1, extract_thm2
 
 
@@ -251,20 +252,28 @@ def _parse_params(pairs: list[str]) -> dict[str, Fraction]:
     return out
 
 
+def _integer_param(params: dict[str, Fraction], key: str) -> int:
+    value = params[key]
+    if value.denominator != 1:
+        raise ValueError(f"--params {key} must be an integer, got {_rat_str(value)}")
+    return value.numerator
+
+
 def cmd_check(args) -> int:
     if args.suite:
         return _run_suite(args)
     params = _parse_params(args.params or [])
     name = args.inequality
+    integer = functools.partial(_integer_param, params)
     try:
         if name == "unimodal_gap_lb":
-            report = unimodal_gap_lb(params["p"], params["q"], int(params["m"]))
+            report = unimodal_gap_lb(params["p"], params["q"], integer("m"))
         elif name == "thm1_threshold":
-            report = thm1_threshold_check(int(params["n"]), int(params["k"]))
+            report = thm1_threshold_check(integer("n"), integer("k"))
         elif name == "thm2_stage":
-            report = thm2_stage_check(int(params["n"]), int(params["k"]), int(params["p"]))
+            report = thm2_stage_check(integer("n"), integer("k"), integer("p"))
         elif name == "stage_count":
-            report = stage_count_beats_target(int(params["n"]), int(params["k"]), int(params["p"]))
+            report = stage_count_beats_target(integer("n"), integer("k"), integer("p"))
         else:
             print(f"error: unknown inequality {name!r}", file=sys.stderr)
             return 2
@@ -376,10 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=None,
                         help="RNG seed (default: MMS_SEED env or 0)")
-    common.add_argument("--workers", type=int, default=1)
-    common.add_argument("--budget", type=int, default=1_000_000)
     common.add_argument("--out", type=str, default=None, help="output directory")
-    common.add_argument("--format", choices=("json", "csv"), default="json")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("construct", parents=[common],
@@ -408,6 +414,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", parents=[common], help="exact A(n,k) at desk scale")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
+    p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET,
+                   help="search nodes before falling back to an upper bound")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("sweep", parents=[common],
@@ -415,7 +423,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n-lo", type=int, required=True)
     p.add_argument("--n-hi", type=int, required=True)
-    p.set_defaults(func=cmd_sweep, format="csv")
+    p.add_argument("--format", choices=("json", "csv"), default="csv")
+    p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("check", parents=[common],
                        help="verify one inequality or a whole chain")
@@ -441,6 +450,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reproduce", parents=[common],
                        help="re-derive every headline value and write report/paper.json")
+    p.add_argument("--workers", type=int, default=1,
+                   help="recorded in the manifest; the report does not depend on it")
     p.set_defaults(func=cmd_reproduce)
 
     return parser

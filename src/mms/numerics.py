@@ -11,14 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-#: Default cap on n * C(n,k) for explicit subset enumeration.
-DEFAULT_ENUMERATION_BUDGET = 10**7
-
 RationalLike = Fraction | int | str
-
-
-class BudgetExceededError(RuntimeError):
-    """Explicit enumeration would exceed the configured budget."""
 
 
 class ConfigParseError(ValueError):
@@ -210,32 +203,38 @@ class SubsetFamily:
         return subset in self.members
 
 
-def count_nonneg_ksums(
-    config: Configuration,
-    k: int,
-    budget: int = DEFAULT_ENUMERATION_BUDGET,
-) -> tuple[int, SubsetFamily]:
-    """Count (and enumerate) the k-subsets with non-negative sum.
-
-    Ties (sum exactly zero) count as non-negative. Raises BudgetExceededError
-    when n * C(n,k) exceeds `budget`; callers needing larger instances should
-    use counted witness modes instead.
-    """
-    n = config.n
+def count_nonneg_scaled(values, k: int) -> int:
+    """Number of k-subsets (by position) of the non-increasing ints `values`
+    with a non-negative sum. A subset taking a_i of the m_i equal values of
+    run i stands for prod C(m_i, a_i) of them. Each recursion level takes at
+    least one value, so the depth is at most k."""
+    n = len(values)
     if not 1 <= k <= n:
         raise ValueError(f"k={k} out of range [1, {n}]")
-    work = n * binomial(n, k)
-    if work > budget:
-        raise BudgetExceededError(
-            f"n*C(n,k) = {work} exceeds enumeration budget {budget}")
-    scaled = config.scaled
-    members = [
-        KSubset(tuple(i + 1 for i in combo))
-        for combo in itertools.combinations(range(n), k)
-        if sum(scaled[i] for i in combo) >= 0
-    ]
-    family = SubsetFamily.explicit(n, k, members)
-    return family.count, family
+    prefix = tuple(itertools.accumulate(values, initial=0))
+    starts = [i for i in range(n) if i == 0 or values[i] != values[i - 1]]
+    runs = [(values[a], a, b - a) for a, b in zip(starts, starts[1:] + [n])]
+
+    def completions(j: int, r: int, s: int) -> int:
+        """Ways to add r values from runs j, j+1, ... to the partial sum s."""
+        if s + prefix[n] - prefix[n - r] >= 0:  # even the r smallest keep s >= 0
+            return math.comb(n - runs[j][1], r)
+        total = 0
+        for i in range(j, len(runs)):
+            value, start, m = runs[i]
+            if start + r > n or s + prefix[start + r] - prefix[start] < 0:
+                break  # later runs are smaller still
+            total += math.comb(m, r)  # all r from this run: s + r*value >= 0
+            for a in range(max(1, r - (n - start - m)), min(m + 1, r)):
+                total += math.comb(m, a) * completions(i + 1, r - a, s + a * value)
+        return total
+
+    return completions(0, k, 0)
+
+
+def count_nonneg_ksums(config: Configuration, k: int) -> int:
+    """Number of k-subsets with non-negative sum; ties (sum zero) count."""
+    return count_nonneg_scaled(config.scaled, k)
 
 
 # --- configuration text format ------------------------------------------

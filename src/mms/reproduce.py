@@ -45,10 +45,10 @@ def _check(checks: list[Check], check_id: str, lhs, rhs, ok: bool) -> None:
 def run_reproduction(seed: int = 0) -> list[Check]:
     checks: list[Check] = []
 
-    count, _ = count_nonneg_ksums(star_config(8, 3).config, 3)
+    count = count_nonneg_ksums(star_config(8, 3).config, 3)
     _check(checks, "star_count_8_3", count, 21, count == 21)
 
-    count, _ = count_nonneg_ksums(mirror_config(8, 3).config, 3)
+    count = count_nonneg_ksums(mirror_config(8, 3).config, 3)
     _check(checks, "mirror_count_8_3", count, binomial(7, 3), count == binomial(7, 3))
 
     agree = all(
@@ -56,14 +56,14 @@ def run_reproduction(seed: int = 0) -> list[Check]:
     _check(checks, "mirror_equals_star_at_2k", "k=2..8", "C(2k-1,k)=C(2k-1,k-1)", agree)
 
     ce3 = mms_counterexample(3)
-    count, _ = count_nonneg_ksums(ce3.config, 3)
+    count = count_nonneg_ksums(ce3.config, 3)
     _check(checks, "counterexample_count_k3", count, ce3.predicted_count,
            count == ce3.predicted_count == 35)
     _check(checks, "counterexample_below_target_k3", count, binomial(9, 2),
            count < binomial(9, 2))
 
     ce2 = mms_counterexample(2)
-    count, _ = count_nonneg_ksums(ce2.config, 2)
+    count = count_nonneg_ksums(ce2.config, 2)
     _check(checks, "counterexample_k2_not_below", count, binomial(6, 1),
            count >= binomial(6, 1))
 
@@ -92,7 +92,7 @@ def run_reproduction(seed: int = 0) -> list[Check]:
     for n, k in ((4, 2), (6, 2), (8, 2), (6, 3), (9, 3), (8, 4), (10, 5)):
         target = binomial(n - 1, k - 1)
         lower = partition_lower_bound_witnesses(star_config(n, k).config, k).count
-        upper, _ = count_nonneg_ksums(star_config(n, k).config, k)
+        upper = count_nonneg_ksums(star_config(n, k).config, k)
         ok = ok and lower == target == upper
     _check(checks, "multiple_of_k_equality", "partition lower = star upper",
            "C(n-1,k-1) at 7 instances", ok)

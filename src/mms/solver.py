@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .constructions import mms_counterexample, star_config
+from .constructions import NamedConstruction, mms_counterexample, star_config
 from .lp import LinRow, check_farkas, check_point, solve_feasibility
 from .numerics import (
     Configuration,
@@ -25,6 +25,7 @@ from .numerics import (
     SubsetFamily,
     binomial,
     count_nonneg_ksums,
+    count_nonneg_scaled,
 )
 
 #: Default cap on C(n,k) for the exact solver.
@@ -182,14 +183,25 @@ def _as_filter(members: frozenset[tuple[int, ...]], n: int, k: int) -> FilterFam
     )
 
 
+def _best_construction(n: int, k: int) -> NamedConstruction:
+    star = star_config(n, k)
+    ce = mms_counterexample(k) if n == 3 * k + 1 and k > 2 else star
+    return min(star, ce, key=lambda c: c.predicted_count)
+
+
+def averaging_lower_bound(n: int, k: int) -> int:
+    """A(n,k) >= C(m-1,k-1) for m = n - (n mod k), as the top m values sum to >= 0."""
+    return binomial(n - n % k - 1, k - 1)
+
+
 def exact_A(n: int, k: int, budget: int = DEFAULT_NODE_BUDGET) -> SolverResult:
     """Minimum up-closure size over LP-feasible filters = A(n,k), exactly.
 
     Filters containing the top subset {1..k} (non-negative whenever the total
     sum is) are enumerated in increasing size; the first feasible one is
-    optimal. When k | n, sizes below the partition lower bound C(n-1,k-1) are
-    expanded but not LP-tested. If the node budget runs out the best known
-    construction is returned flagged `upper_bound_only`.
+    optimal. Sizes below `averaging_lower_bound(n, k)` are expanded but not
+    LP-tested. If the node budget runs out the best known construction is
+    returned flagged `upper_bound_only`.
     """
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got n={n}, k={k}")
@@ -197,7 +209,7 @@ def exact_A(n: int, k: int, budget: int = DEFAULT_NODE_BUDGET) -> SolverResult:
         raise ValueError(
             f"C({n},{k}) = {binomial(n, k)} exceeds exact solver cap {EXACT_SOLVER_CAP}")
     top = tuple(range(1, k + 1))
-    lower_cut = binomial(n - 1, k - 1) if n % k == 0 else 1
+    lower_cut = averaging_lower_bound(n, k)
     start = frozenset([top])
     heap: list[tuple[int, tuple, frozenset]] = [(1, (top,), start)]
     visited = {start}
@@ -208,9 +220,9 @@ def exact_A(n: int, k: int, budget: int = DEFAULT_NODE_BUDGET) -> SolverResult:
         if size >= lower_cut:
             cert = _lp_feasible_raw(members, n, k)
             if cert.kind == "feasible":
+                # The LP keeps the filter non-negative: equal sizes prove equality.
                 config = cert.witness_config
-                count, family = count_nonneg_ksums(config, k)
-                if count != size or {s.indices for s in family.members} != members:
+                if count_nonneg_ksums(config, k) != size:
                     raise AssertionError(
                         "witness configuration does not realize the filter exactly")
                 return SolverResult(
@@ -225,15 +237,14 @@ def exact_A(n: int, k: int, budget: int = DEFAULT_NODE_BUDGET) -> SolverResult:
                 visited.add(grown)
                 heapq.heappush(heap, (size + 1, tuple(sorted(grown)), grown))
     # Budget exhausted: fall back to the best constructive upper bound.
-    best = star_config(n, k)
-    if n == 3 * k + 1 and k > 2:
-        alt = mms_counterexample(k)
-        if alt.predicted_count < best.predicted_count:
-            best = alt
-    count, family = count_nonneg_ksums(best.config, k)
-    members = frozenset(s.indices for s in family.members)
+    best = _best_construction(n, k)
+    scaled = best.config.scaled
+    members = frozenset(c for c in itertools.combinations(range(1, n + 1), k)
+                        if sum(scaled[i - 1] for i in c) >= 0)
+    if count_nonneg_ksums(best.config, k) != len(members):
+        raise AssertionError("counter disagrees with the enumerated member set")
     return SolverResult(
-        n=n, k=k, A_value=count,
+        n=n, k=k, A_value=len(members),
         optimal_family=_as_filter(members, n, k),
         optimal_config=best.config,
         nodes_explored=nodes,
@@ -242,12 +253,6 @@ def exact_A(n: int, k: int, budget: int = DEFAULT_NODE_BUDGET) -> SolverResult:
 
 
 # --- heuristic upper-bound search -----------------------------------------
-
-def _count_fast(values: list[int], n: int, k: int) -> int:
-    vals = sorted(values, reverse=True)
-    return sum(
-        1 for combo in itertools.combinations(vals, k) if sum(combo) >= 0)
-
 
 def search_upper_bound(
     n: int,
@@ -274,7 +279,7 @@ def search_upper_bound(
                     if hi * m + lo * (n - m) < 0:
                         break  # sum decreases with m here; the rest are negative
                     values = [hi] * m + [lo] * (n - m)
-                    c = _count_fast(values, n, k)
+                    c = count_nonneg_scaled(values, k)
                     if c < best_count:
                         best_count, best_values = c, values
         bound3 = min(value_bound or 6, 6)
@@ -286,7 +291,7 @@ def search_upper_bound(
                     if hi * m1 + mid * m2 + lo * m3 < 0:
                         continue
                     values = [hi] * m1 + [mid] * m2 + [lo] * m3
-                    c = _count_fast(values, n, k)
+                    c = count_nonneg_scaled(values, k)
                     if c < best_count:
                         best_count, best_values = c, values
     else:
@@ -303,15 +308,14 @@ def search_upper_bound(
             cand[pos] = max(-bound, min(bound, cand[pos]))
             if sum(cand) < 0:
                 continue
-            c = _count_fast(cand, n, k)
+            c = count_nonneg_scaled(sorted(cand, reverse=True), k)
             if c <= cur_count or rng.random() < pow(2.0, -(c - cur_count) / max(temperature, 1e-9)):
                 cur, cur_count = cand, c
                 if c < best_count:
                     best_count, best_values = c, list(cand)
     config = Configuration.from_values(best_values)
-    verified, _ = count_nonneg_ksums(config, k)
-    if verified != best_count:
-        raise AssertionError("fast counter disagrees with exact recount")
+    if count_nonneg_ksums(config, k) != best_count:
+        raise AssertionError("candidate count disagrees with the recount")
     return best_count, config
 
 
@@ -338,20 +342,16 @@ def verify_conjecture_range(
 ) -> list[SweepRow]:
     """Per-n verdict against the target C(n-1, k-1).
 
-    Equality is proven either by the exact solver or by the pair
-    (partition lower bound, star upper bound) when k | n; a counterexample
-    verdict carries a configuration whose exact count beats the target.
+    Equality is proven by the exact solver, or by `averaging_lower_bound`
+    meeting the star count when k | n; a counterexample verdict carries a
+    configuration whose exact count beats the target.
     """
     out = []
     for n in range(max(n_lo, k), n_hi + 1):
         target = binomial(n - 1, k - 1)
-        upper = target
-        witness = star_config(n, k).config
-        if n == 3 * k + 1 and k > 2:
-            ce = mms_counterexample(k)
-            if ce.predicted_count < upper:
-                upper, witness = ce.predicted_count, ce.config
-        lower = binomial(n - 1, k - 1) if n % k == 0 else 1
+        best = _best_construction(n, k)
+        upper, witness = best.predicted_count, best.config
+        lower = averaging_lower_bound(n, k)
         a_value = None
         if upper < target:
             verdict = "counterexample"

@@ -6,10 +6,11 @@ stages, half-splits defeat it at every stage.
 """
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
-from mms.numerics import Configuration
+from mms.numerics import Configuration, KSubset
 
 PATTERNS = ("uniform", "rational", "heavy_tail", "near_star", "half_split")
 
@@ -44,3 +45,11 @@ def nonneg_sum_configs(seed: int, count: int, n_range, pattern: str | None = Non
     for _ in range(count):
         n = rng.randint(*n_range)
         yield random_configuration(rng, n, pattern)
+
+
+def nonneg_members(config: Configuration, k: int) -> frozenset[KSubset]:
+    """Brute force: every k-subset of [n] whose exact Fraction sum is >= 0."""
+    return frozenset(
+        KSubset(tuple(i + 1 for i in combo))
+        for combo in itertools.combinations(range(config.n), k)
+        if sum((config.values[i] for i in combo), Fraction(0)) >= 0)

@@ -50,7 +50,7 @@ def test_criterion_01_multiple_of_k_equality():
         target = binomial(n - 1, k - 1)
         star = star_config(n, k)
         lower = partition_lower_bound_witnesses(star.config, k).count
-        upper, _ = count_nonneg_ksums(star.config, k)
+        upper = count_nonneg_ksums(star.config, k)
         assert lower == target == upper, (n, k, lower, upper, target)
     announce(1, True, f"A(n,k) = C(n-1,k-1) via partition+star at {len(pairs)} instances")
 
@@ -65,10 +65,10 @@ def test_criterion_02_exact_solver_spot_values():
 def test_criterion_03_counterexample_family():
     for k in (3, 4, 5):
         ce = mms_counterexample(k)
-        count, _ = count_nonneg_ksums(ce.config, k)
+        count = count_nonneg_ksums(ce.config, k)
         assert count == binomial(3 * k - 2, k) == ce.predicted_count
         assert count < binomial(3 * k, k - 1), k
-    count2, _ = count_nonneg_ksums(mms_counterexample(2).config, 2)
+    count2 = count_nonneg_ksums(mms_counterexample(2).config, 2)
     assert count2 >= binomial(6, 1)
     announce(3, True,
              "counterexample counts C(3k-2,k) < C(3k,k-1) for k=3,4,5; >= target at k=2")

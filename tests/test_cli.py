@@ -8,7 +8,7 @@ import pytest
 
 from mms import schemas
 from mms.cli import main
-from mms.numerics import parse_config_text
+from mms.numerics import binomial, parse_config_text
 
 
 def run_cli(args, capsys):
@@ -168,14 +168,73 @@ def test_invalid_parameters_exit_2(capsys):
     ('{"n": 6, "k": 3, "classes": [[[1, 2', ["baranyai", "--validate", "{file}"], 3),
     (None, ["baranyai", "--n", "9"], 2),
     (None, ["check", "--inequality", "thm1_threshold", "--params", "n=10"], 2),
+    (None, ["check", "--inequality", "thm1_threshold", "--params", "n=270.5", "k=3"], 2),
+    (None, ["check", "--inequality", "stage_count", "--params", "n=30", "k=3", "p=1/2"], 2),
+    (None, ["check", "--inequality", "unimodal_gap_lb", "--params", "p=10", "q=1", "m=2.5"], 2),
 ], ids=["validate_without_classes", "validate_bad_json", "baranyai_without_k",
-        "check_missing_param"])
+        "check_missing_param", "check_fractional_n", "check_fractional_p",
+        "check_fractional_m"])
 def test_malformed_input_exit_codes(tmp_path, capsys, file_text, args, code):
     path = tmp_path / "input.json"
     if file_text is not None:
         path.write_text(file_text)
     assert main([a.format(file=path) for a in args]) == code
     assert capsys.readouterr().err.startswith("error:")
+
+
+#: A valid invocation of every subcommand, and the one flag of the three
+#: single-subcommand flags that it owns (None: it owns none of them).
+SUBCOMMAND_ARGS = {
+    "construct": (["construct", "--name", "star", "--n", "9", "--k", "3"], None),
+    "baranyai": (["baranyai", "--n", "6", "--k", "3"], None),
+    "witness": (["witness", "--theorem", "1", "--config", "x.cfg", "--k", "3"], None),
+    "solve": (["solve", "--n", "5", "--k", "2"], "--budget"),
+    "sweep": (["sweep", "--k", "2", "--n-lo", "4", "--n-hi", "5"], "--format"),
+    "check": (["check", "--suite", "thm1", "--n", "270", "--k", "3"], None),
+    "fbounds": (["fbounds", "--k", "3"], None),
+    "search": (["search", "--n", "5", "--k", "2"], None),
+    "reproduce": (["reproduce"], "--workers"),
+}
+FLAG_VALUES = {"--budget": "3", "--format": "json", "--workers": "4"}
+
+
+@pytest.mark.parametrize("command,flag", [
+    (command, flag)
+    for command, (_, owned) in SUBCOMMAND_ARGS.items()
+    for flag in FLAG_VALUES if flag != owned
+])
+def test_flags_of_other_subcommands_are_usage_errors(command, flag, capsys):
+    args = SUBCOMMAND_ARGS[command][0] + [flag, FLAG_VALUES[flag]]
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_subcommand_flags_still_work(capsys):
+    code, out = run_cli(["solve", "--n", "8", "--k", "2", "--budget", "3"], capsys)
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["upper_bound_only"] is True and obj["A"] == "7"
+    code, out = run_cli(
+        ["sweep", "--k", "2", "--n-lo", "4", "--n-hi", "5", "--format", "json"], capsys)
+    assert code == 0
+    assert [row["verdict"] for row in json.loads(out)] == ["equality", "counterexample"]
+
+
+def test_sweep_lower_column_is_the_averaging_bound(capsys):
+    code, out = run_cli(
+        ["sweep", "--k", "3", "--n-lo", "4", "--n-hi", "16", "--format", "json"], capsys)
+    assert code == 0
+    rows = {int(row["n"]): row for row in json.loads(out)}
+    for n, row in rows.items():
+        m = n - n % 3
+        assert int(row["lower"]) >= binomial(m - 1, 2)
+    # Rows neither decided exactly nor by k | n report the bound itself.
+    for n in (10, 11, 13, 14, 16):
+        m = n - n % 3
+        assert rows[n]["lower"] == str(binomial(m - 1, 2)), n
+    assert [rows[n]["verdict"] for n in (11, 13, 14, 16)] == ["undecided"] * 4
 
 
 def test_seed_resolution_env(tmp_path, capsys, monkeypatch):

@@ -14,14 +14,14 @@ def test_star_examples():
     assert star_config(5, 5).predicted_count == 1
     assert star_config(10, 2).predicted_count == 9
     # brute-force confirmation of the derived value
-    count, _ = count_nonneg_ksums(star_config(10, 2).config, 2)
+    count = count_nonneg_ksums(star_config(10, 2).config, 2)
     assert count == 9
 
 
 def test_mirror_examples():
     assert mirror_config(8, 3).predicted_count == binomial(7, 3) == 35
     assert mirror_config(6, 2).predicted_count == 10
-    count, _ = count_nonneg_ksums(mirror_config(6, 2).config, 2)
+    count = count_nonneg_ksums(mirror_config(6, 2).config, 2)
     assert count == 10
     for k in range(2, 9):
         assert mirror_config(2 * k, k).predicted_count == binomial(2 * k - 1, k - 1)
@@ -64,12 +64,12 @@ def test_predictions_match_enumeration():
     for k in range(2, 6):
         for n in range(k, 17):
             star = star_config(n, k)
-            count, _ = count_nonneg_ksums(star.config, k)
+            count = count_nonneg_ksums(star.config, k)
             assert count == star.predicted_count, ("star", n, k)
             if n > k:
                 mirror = mirror_config(n, k)
-                count, _ = count_nonneg_ksums(mirror.config, k)
+                count = count_nonneg_ksums(mirror.config, k)
                 assert count == mirror.predicted_count, ("mirror", n, k)
         ce = mms_counterexample(k)
-        count, _ = count_nonneg_ksums(ce.config, k)
+        count = count_nonneg_ksums(ce.config, k)
         assert count == ce.predicted_count, ("counterexample", k)

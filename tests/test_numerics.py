@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mms.numerics import (
-    BudgetExceededError,
     ConfigParseError,
     Configuration,
     KSubset,
@@ -21,7 +21,7 @@ from mms.numerics import (
     parse_config_text,
 )
 
-from genconfig import random_configuration
+from genconfig import nonneg_members, random_configuration
 
 
 # --- binomial ---------------------------------------------------------------
@@ -124,8 +124,7 @@ def test_nonneg_family_is_upward_closed():
         n = rng.randint(4, 10)
         k = rng.randint(2, n - 1)
         config = random_configuration(rng, n)
-        _, family = count_nonneg_ksums(config, k)
-        members = {s.indices for s in family.members}
+        members = {s.indices for s in nonneg_members(config, k)}
         for combo in itertools.combinations(range(1, n + 1), k):
             for member in members:
                 if all(x <= y for x, y in zip(combo, member)):
@@ -135,11 +134,11 @@ def test_nonneg_family_is_upward_closed():
 def test_count_nonneg_examples():
     from mms.constructions import mms_counterexample, star_config
 
-    count, _ = count_nonneg_ksums(star_config(8, 3).config, 3)
+    count = count_nonneg_ksums(star_config(8, 3).config, 3)
     assert count == 21
-    count, _ = count_nonneg_ksums(Configuration.from_values([1] * 9), 4)
+    count = count_nonneg_ksums(Configuration.from_values([1] * 9), 4)
     assert count == binomial(9, 4)
-    count, _ = count_nonneg_ksums(mms_counterexample(3).config, 3)
+    count = count_nonneg_ksums(mms_counterexample(3).config, 3)
     assert count == 35
 
 
@@ -161,15 +160,48 @@ def test_count_agrees_with_naive_double_loop():
         k = rng.randint(1, n)
         config = Configuration.from_values(
             [rng.randint(-3, 3) for _ in range(n)])
-        count, family = count_nonneg_ksums(config, k)
-        assert count == naive_count(config, k)
-        assert count == family.count == len(family.members)
+        count = count_nonneg_ksums(config, k)
+        assert count == naive_count(config, k) == len(nonneg_members(config, k))
 
 
-def test_enumeration_budget():
-    config = Configuration.from_values([1] * 30)
-    with pytest.raises(BudgetExceededError):
-        count_nonneg_ksums(config, 15, budget=1000)
+value_strategy = st.one_of(
+    st.integers(-3, 3),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_count_matches_naive_count_property(data):
+    n = data.draw(st.integers(1, 14))
+    k = data.draw(st.integers(1, n))
+    shape = data.draw(st.sampled_from(("mixed", "few_values", "all_equal", "all_zero")))
+    if shape == "mixed":
+        values = data.draw(st.lists(value_strategy, min_size=n, max_size=n))
+    elif shape == "few_values":  # long runs of ties, zero among the choices
+        pool = data.draw(st.lists(value_strategy, min_size=1, max_size=3)) + [0]
+        values = data.draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    elif shape == "all_equal":
+        values = [data.draw(value_strategy)] * n
+    else:
+        values = [0] * n
+    config = Configuration.from_values(values)
+    assert count_nonneg_ksums(config, k) == naive_count(config, k)
+
+
+def test_count_distinct_values_at_default_recursion_limit():
+    limit = sys.getrecursionlimit()
+    values = random.Random(23).sample(range(-10**6, 10**6), 1500)
+    pairwise = sum(1 for a, b in itertools.combinations(values, 2) if a + b >= 0)
+    assert count_nonneg_ksums(Configuration.from_values(values), 2) == pairwise
+    assert sys.getrecursionlimit() == limit
+
+
+def test_count_rejects_k_out_of_range():
+    config = Configuration.from_values([1, -1, 0])
+    for k in (0, 4):
+        with pytest.raises(ValueError):
+            count_nonneg_ksums(config, k)
 
 
 # --- centrality ---------------------------------------------------------------

@@ -3,10 +3,12 @@ import random
 
 import pytest
 
+import mms.solver as solver_mod
 from mms.lp import fourier_motzkin_feasible
-from mms.numerics import KSubset, SubsetFamily, binomial, count_nonneg_ksums
+from mms.numerics import Configuration, KSubset, SubsetFamily, binomial, count_nonneg_ksums
 from mms.solver import (
     FilterFamily,
+    averaging_lower_bound,
     cover_dominated,
     cover_dominators,
     exact_A,
@@ -19,6 +21,8 @@ from mms.solver import (
     verify_certificate,
     _lp_feasible_raw,
 )
+
+from genconfig import nonneg_members
 
 
 def up_closure(seeds, n):
@@ -65,7 +69,7 @@ def test_lp_feasible_examples():
     # up-closure of {(2,3)}: feasible
     cert = _lp_feasible_raw(up_closure([(2, 3)], n), n, k)
     assert cert.kind == "feasible"
-    count, _ = count_nonneg_ksums(cert.witness_config, k)
+    count = count_nonneg_ksums(cert.witness_config, k)
     assert count == 3
 
 
@@ -108,7 +112,7 @@ def test_exact_A_spot_values():
     assert exact_A(4, 2).A_value == 3
     res = exact_A(5, 2)
     assert res.A_value == 3
-    count, _ = count_nonneg_ksums(res.optimal_config, 2)
+    count = count_nonneg_ksums(res.optimal_config, 2)
     assert count == 3
     assert exact_A(6, 2).A_value == 5
     assert exact_A(7, 2).A_value == 6
@@ -116,9 +120,8 @@ def test_exact_A_spot_values():
 
 def test_exact_A_result_invariants():
     res = exact_A(6, 2)
-    count, family = count_nonneg_ksums(res.optimal_config, 2)
-    assert count == res.A_value
-    assert family.members == res.optimal_family.implied_members.members
+    assert count_nonneg_ksums(res.optimal_config, 2) == res.A_value
+    assert nonneg_members(res.optimal_config, 2) == res.optimal_family.implied_members.members
     assert not res.upper_bound_only
     assert res.nodes_explored >= 1
     assert res.A_value >= 1
@@ -133,8 +136,33 @@ def test_exact_A_budget_flag():
     res = exact_A(8, 2, budget=3)
     assert res.upper_bound_only
     assert res.A_value == 7  # star construction upper bound
-    count, _ = count_nonneg_ksums(res.optimal_config, 2)
+    count = count_nonneg_ksums(res.optimal_config, 2)
     assert count == res.A_value
+    assert nonneg_members(res.optimal_config, 2) == res.optimal_family.implied_members.members
+
+
+def test_averaging_lower_bound_cuts_lp_calls(monkeypatch):
+    calls = []
+    honest = solver_mod.solve_feasibility
+
+    def counted(rows):
+        calls.append(len(rows))
+        return honest(rows)
+
+    monkeypatch.setattr(solver_mod, "solve_feasibility", counted)
+    res = exact_A(7, 3)
+    assert (res.A_value, res.nodes_explored) == (10, 53)
+    # Filters smaller than C(5,2) = 10 are expanded without an LP call.
+    assert averaging_lower_bound(7, 3) == 10
+    assert len(calls) == 12
+
+
+def test_averaging_lower_bound_below_every_exact_value():
+    for (n, k), a_value in {
+        (4, 2): 3, (5, 2): 3, (6, 2): 5, (7, 2): 6, (5, 3): 3, (7, 3): 10,
+        (6, 4): 5, (7, 4): 10, (7, 5): 6,
+    }.items():
+        assert averaging_lower_bound(n, k) <= exact_A(n, k).A_value == a_value
 
 
 def test_exact_A_rejects_ranges():
@@ -156,6 +184,27 @@ def test_search_upper_bound_examples():
     assert count == 3
 
 
+#: (count, values) of the enumerating counter that the run-length one
+#: replaced, on the (n, k, strategy) instances of the decide workload.
+SEARCH_REFERENCE = {
+    (11, 3, "grid"): (45, [10] + [-1] * 10),
+    (11, 3, "anneal"): (45, [10] + [-1] * 10),
+    (13, 3, "grid"): (66, [12] + [-1] * 12),
+    (13, 3, "anneal"): (66, [12] + [-1] * 12),
+    (14, 3, "grid"): (78, [13] + [-1] * 13),
+    (14, 3, "anneal"): (78, [13] + [-1] * 13),
+    (13, 4, "grid"): (210, [3] * 10 + [-10] * 3),
+    (13, 4, "anneal"): (220, [12] + [-1] * 12),
+}
+
+
+@pytest.mark.parametrize("n,k,strategy", sorted(SEARCH_REFERENCE))
+def test_search_matches_reference(n, k, strategy):
+    count, values = SEARCH_REFERENCE[n, k, strategy]
+    assert search_upper_bound(n, k, strategy, 0) == (
+        count, Configuration.from_values(values))
+
+
 def test_search_deterministic_given_seed():
     a = search_upper_bound(8, 3, "anneal", 5)
     b = search_upper_bound(8, 3, "anneal", 5)
@@ -169,7 +218,7 @@ def test_verify_conjecture_range_k2():
     assert all(v == "equality" for n, v in verdicts.items() if n != 5)
     row5 = next(r for r in rows if r.n == 5)
     assert row5.a_value == 3 and row5.witness_config is not None
-    count, _ = count_nonneg_ksums(row5.witness_config, 2)
+    count = count_nonneg_ksums(row5.witness_config, 2)
     assert count == 3 < binomial(4, 1)
 
 
@@ -187,5 +236,5 @@ def test_verify_conjecture_range_k3():
     assert by_n[9].lower == by_n[9].upper == binomial(8, 2) == 28
     assert by_n[10].verdict == "counterexample"
     assert by_n[10].upper == 35
-    count, _ = count_nonneg_ksums(by_n[10].witness_config, 3)
+    count = count_nonneg_ksums(by_n[10].witness_config, 3)
     assert count == 35
