@@ -36,11 +36,8 @@ from .partition import (
     validate_partition,
 )
 from .solver import (
-    FeasibilityCertificate,
-    FilterFamily,
     SolverResult,
     exact_A,
-    lp_feasible,
     search_upper_bound,
     verify_conjecture_range,
 )
@@ -57,8 +54,6 @@ __all__ = [
     "BaranyaiPartition",
     "BoundReport",
     "Configuration",
-    "FeasibilityCertificate",
-    "FilterFamily",
     "KSubset",
     "NamedConstruction",
     "ParallelClass",
@@ -79,7 +74,6 @@ __all__ = [
     "gale_dominates",
     "is_central",
     "ksum",
-    "lp_feasible",
     "mirror_config",
     "mms_counterexample",
     "partition_lower_bound_witnesses",

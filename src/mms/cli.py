@@ -193,7 +193,7 @@ def cmd_witness(args) -> int:
                 writer.writerow(s.indices)
         obj["witnesses_path"] = str(csv_path)
     _emit(args, obj, f"witness_thm{args.theorem}_n{config.n}_k{args.k}.json")
-    return 0
+    return 0 if report.certified else 1
 
 
 def cmd_solve(args) -> int:
@@ -205,7 +205,7 @@ def cmd_solve(args) -> int:
         "upper_bound_only": result.upper_bound_only,
         "nodes": result.nodes_explored,
         "optimal_config": [_rat_str(v) for v in result.optimal_config.values],
-        "minimal_elements": [list(s.indices) for s in result.optimal_family.minimal_elements],
+        "minimal_elements": [list(m) for m in result.minimal_elements],
     }
     _emit(args, obj, f"solve_n{args.n}_k{args.k}.json")
     return 0
@@ -248,7 +248,10 @@ def _parse_params(pairs: list[str]) -> dict[str, Fraction]:
         if "=" not in pair:
             raise ValueError(f"expected key=value, got {pair!r}")
         key, _, value = pair.partition("=")
-        out[key.strip()] = Fraction(value.strip())
+        try:
+            out[key.strip()] = Fraction(value.strip())
+        except ZeroDivisionError:
+            raise ValueError(f"--params {pair!r} has a zero denominator") from None
     return out
 
 

@@ -116,7 +116,7 @@ class Configuration:
         against zero may be done on these ints.
         """
         denom = math.lcm(*(v.denominator for v in self.values))
-        return tuple(int(v * denom) for v in self.values)
+        return tuple(v.numerator * (denom // v.denominator) for v in self.values)
 
     @cached_property
     def scaled_prefix(self) -> tuple[int, ...]:

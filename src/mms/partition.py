@@ -243,9 +243,8 @@ def partition_lower_bound_witnesses(
     n = config.n
     if n % k != 0:
         raise ValueError(f"need k | n, got n={n}, k={k}")
-    total = config.total_sum()
-    if total < 0:
-        raise ValueError(f"total sum must be non-negative, got {total}")
+    if config.scaled_prefix[-1] < 0:
+        raise ValueError(f"total sum must be non-negative, got {config.total_sum()}")
     partition = baranyai_partition(n, k, seed)
     scaled = config.scaled
     witnesses = []

@@ -18,11 +18,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .constructions import NamedConstruction, mms_counterexample, star_config
-from .lp import LinRow, check_farkas, check_point, solve_feasibility
+from .lp import LinRow, solve_feasibility
 from .numerics import (
     Configuration,
-    KSubset,
-    SubsetFamily,
     binomial,
     count_nonneg_ksums,
     count_nonneg_scaled,
@@ -34,32 +32,11 @@ DEFAULT_NODE_BUDGET = 1_000_000
 
 
 @dataclass(frozen=True)
-class FilterFamily:
-    """An up-set in the dominance order, given by its generating antichain."""
-
-    n: int
-    k: int
-    minimal_elements: tuple[KSubset, ...]
-    implied_members: SubsetFamily
-
-    @property
-    def size(self) -> int:
-        return self.implied_members.count
-
-
-@dataclass(frozen=True)
-class FeasibilityCertificate:
-    kind: str  # "feasible" | "infeasible"
-    witness_config: Configuration | None = None
-    farkas_multipliers: tuple[Fraction, ...] | None = None
-
-
-@dataclass(frozen=True)
 class SolverResult:
     n: int
     k: int
     A_value: int
-    optimal_family: FilterFamily
+    minimal_elements: tuple[tuple[int, ...], ...]
     optimal_config: Configuration
     nodes_explored: int
     upper_bound_only: bool = False
@@ -141,48 +118,6 @@ def filter_system(
     return rows
 
 
-def lp_feasible(filter_family: FilterFamily) -> FeasibilityCertificate:
-    """Decide whether any sorted configuration realizes the filter exactly."""
-    members = frozenset(s.indices for s in filter_family.implied_members.members)
-    return _lp_feasible_raw(members, filter_family.n, filter_family.k)
-
-
-def _lp_feasible_raw(
-    members: frozenset[tuple[int, ...]], n: int, k: int
-) -> FeasibilityCertificate:
-    minimal = minimal_elements_of(members, n)
-    nonmax = maximal_nonmembers_of(members, n, k)
-    rows = filter_system(minimal, nonmax, n)
-    res = solve_feasibility(rows)
-    if res.feasible:
-        config = Configuration(tuple(res.point))
-        return FeasibilityCertificate(kind="feasible", witness_config=config)
-    return FeasibilityCertificate(kind="infeasible", farkas_multipliers=res.farkas)
-
-
-def verify_certificate(
-    cert: FeasibilityCertificate,
-    members: frozenset[tuple[int, ...]],
-    n: int,
-    k: int,
-) -> bool:
-    """Re-check a certificate against the (rebuilt) canonical system."""
-    rows = filter_system(
-        minimal_elements_of(members, n), maximal_nonmembers_of(members, n, k), n)
-    if cert.kind == "feasible":
-        return check_point(rows, cert.witness_config.values)
-    return check_farkas(rows, cert.farkas_multipliers)
-
-
-def _as_filter(members: frozenset[tuple[int, ...]], n: int, k: int) -> FilterFamily:
-    return FilterFamily(
-        n=n,
-        k=k,
-        minimal_elements=tuple(KSubset(m) for m in minimal_elements_of(members, n)),
-        implied_members=SubsetFamily.explicit(n, k, (KSubset(m) for m in members)),
-    )
-
-
 def _best_construction(n: int, k: int) -> NamedConstruction:
     star = star_config(n, k)
     ce = mms_counterexample(k) if n == 3 * k + 1 and k > 2 else star
@@ -217,21 +152,23 @@ def exact_A(n: int, k: int, budget: int = DEFAULT_NODE_BUDGET) -> SolverResult:
     while heap and nodes < budget:
         size, _, members = heapq.heappop(heap)
         nodes += 1
+        frontier = maximal_nonmembers_of(members, n, k)
         if size >= lower_cut:
-            cert = _lp_feasible_raw(members, n, k)
-            if cert.kind == "feasible":
+            minimal = minimal_elements_of(members, n)
+            res = solve_feasibility(filter_system(minimal, frontier, n))
+            if res.feasible:
                 # The LP keeps the filter non-negative: equal sizes prove equality.
-                config = cert.witness_config
+                config = Configuration(res.point)
                 if count_nonneg_ksums(config, k) != size:
                     raise AssertionError(
                         "witness configuration does not realize the filter exactly")
                 return SolverResult(
                     n=n, k=k, A_value=size,
-                    optimal_family=_as_filter(members, n, k),
+                    minimal_elements=tuple(minimal),
                     optimal_config=config,
                     nodes_explored=nodes,
                 )
-        for cand in maximal_nonmembers_of(members, n, k):
+        for cand in frontier:
             grown = members | {cand}
             if grown not in visited:
                 visited.add(grown)
@@ -245,7 +182,7 @@ def exact_A(n: int, k: int, budget: int = DEFAULT_NODE_BUDGET) -> SolverResult:
         raise AssertionError("counter disagrees with the enumerated member set")
     return SolverResult(
         n=n, k=k, A_value=len(members),
-        optimal_family=_as_filter(members, n, k),
+        minimal_elements=tuple(minimal_elements_of(members, n)),
         optimal_config=best.config,
         nodes_explored=nodes,
         upper_bound_only=True,
@@ -259,22 +196,21 @@ def search_upper_bound(
     k: int,
     strategy: str = "grid",
     seed: int = 0,
-    value_bound: int | None = None,
 ) -> tuple[int, Configuration]:
     """Heuristically minimize the non-negative k-sum count; exact per candidate.
 
     `grid` sweeps integer configurations with at most three distinct values
-    (two-value patterns over [-(n-1), n-1], three-value over a smaller box);
-    `anneal` runs seeded simulated annealing from the star pattern.
+    (two-value patterns over [-(n-1), n-1], three-value over [-6, 6]);
+    `anneal` runs seeded simulated annealing from the star pattern, with
+    values clamped to [-max(n, 8), max(n, 8)].
     """
     if strategy not in ("grid", "anneal"):
         raise ValueError(f"unknown strategy {strategy!r}")
     best_count = binomial(n - 1, k - 1)
     best_values = list(star_config(n, k).config.scaled)
     if strategy == "grid":
-        bound2 = value_bound or (n - 1)
-        for hi in range(bound2, -bound2 - 1, -1):
-            for lo in range(hi - 1, -bound2 - 1, -1):
+        for hi in range(n - 1, -n, -1):
+            for lo in range(hi - 1, -n, -1):
                 for m in range(n - 1, 0, -1):
                     if hi * m + lo * (n - m) < 0:
                         break  # sum decreases with m here; the rest are negative
@@ -282,9 +218,7 @@ def search_upper_bound(
                     c = count_nonneg_scaled(values, k)
                     if c < best_count:
                         best_count, best_values = c, values
-        bound3 = min(value_bound or 6, 6)
-        span = range(bound3, -bound3 - 1, -1)
-        for hi, mid, lo in itertools.combinations(span, 3):
+        for hi, mid, lo in itertools.combinations(range(6, -7, -1), 3):
             for m1 in range(1, n - 1):
                 for m2 in range(1, n - m1):
                     m3 = n - m1 - m2
@@ -296,7 +230,7 @@ def search_upper_bound(
                         best_count, best_values = c, values
     else:
         rng = random.Random(seed)
-        bound = value_bound or max(n, 8)
+        bound = max(n, 8)
         cur = list(best_values)
         cur_count = best_count
         temperature = 2.0
@@ -337,7 +271,6 @@ def verify_conjecture_range(
     n_lo: int,
     n_hi: int,
     k: int,
-    exact_cap: int = EXACT_SOLVER_CAP,
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> list[SweepRow]:
     """Per-n verdict against the target C(n-1, k-1).
@@ -360,7 +293,7 @@ def verify_conjecture_range(
             verdict = "equality"
             equals = True
             witness = None
-        elif binomial(n, k) <= exact_cap:
+        elif binomial(n, k) <= EXACT_SOLVER_CAP:
             res = exact_A(n, k, budget=node_budget)
             if res.upper_bound_only:
                 verdict = "undecided"

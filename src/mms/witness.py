@@ -84,15 +84,15 @@ def eq2_bound(config: Configuration, j: int) -> Fraction:
     before returning.
     """
     n = config.n
-    total = config.total_sum()
-    if total < 0:
-        raise ValueError(f"total sum must be non-negative, got {total}")
+    if config.scaled_prefix[-1] < 0:
+        raise ValueError(f"total sum must be non-negative, got {config.total_sum()}")
     if not 1 <= j <= n - 1:
         raise ValueError(f"j={j} out of range [1, {n - 1}]")
+    scaled = config.scaled
+    if j * scaled[0] + (n - j) * scaled[j] < config.scaled_prefix[-1]:
+        raise AssertionError("sorted-average inequality violated -- config not sorted?")
     x1 = config.value(1)
     xj1 = config.value(j + 1)
-    if j * x1 + (n - j) * xj1 < total:
-        raise AssertionError("sorted-average inequality violated -- config not sorted?")
     bound = -xj1 * Fraction(n - j, j)
     if x1 < bound:
         raise AssertionError("x_1 fell below its own averaging bound")
@@ -240,9 +240,8 @@ def extract_thm1(
         part is counted on the strength of the theorem alone.
     """
     n = config.n
-    total = config.total_sum()
-    if total < 0:
-        raise ValueError(f"total sum must be non-negative, got {total}")
+    if config.scaled_prefix[-1] < 0:
+        raise ValueError(f"total sum must be non-negative, got {config.total_sum()}")
     if n < 2 * k + 1:
         raise ValueError(f"need n >= 2k+1, got n={n}, k={k}")
     if mode not in ("auto", "explicit", "counted"):
@@ -277,13 +276,13 @@ def extract_thm1(
     trimmed_sum = config.scaled_range_sum(2, m + 1)
     if trimmed_sum < 0:
         raise AssertionError("trimmed configuration has negative sum -- aborting")
-    trimmed = Configuration(config.values[1:m + 1])
 
     part_count = binomial(m - 1, k - 1)
     part_members: frozenset[KSubset] | None = None
     notes: tuple[str, ...] = ()
     if binomial(m, k) <= PARTITION_SIZE_LIMIT:
         # re-summed exactly inside; trimmed position i is position i + 1 here
+        trimmed = Configuration(config.values[1:m + 1])
         inner = partition_lower_bound_witnesses(trimmed, k)
         part_members = frozenset(
             KSubset(tuple(i + 1 for i in s.indices)) for s in inner.members)
@@ -396,9 +395,8 @@ def extract_thm2(
     holds with this choice of a and j.
     """
     n = config.n
-    total = config.total_sum()
-    if total < 0:
-        raise ValueError(f"total sum must be non-negative, got {total}")
+    if config.scaled_prefix[-1] < 0:
+        raise ValueError(f"total sum must be non-negative, got {config.total_sum()}")
     if k < 2:
         raise ValueError(f"need k >= 2, got k={k}")
     if n < 4 * k:

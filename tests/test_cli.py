@@ -108,7 +108,7 @@ def test_witness_reports_theorem_only_partition(tmp_path, capsys):
     code, out = run_cli(
         ["witness", "--theorem", "1", "--config", str(cfg), "--k", "3",
          "--mode", "counted"], capsys)
-    assert code == 0
+    assert code == 1  # not certified: a check failure, with the report still printed
     obj = json.loads(out)
     jsonschema.validate(obj, schemas.WITNESS_REPORT)
     assert obj["provenance"] == {"partition": "theorem", "top_zone": "worst_member"}
@@ -171,9 +171,10 @@ def test_invalid_parameters_exit_2(capsys):
     (None, ["check", "--inequality", "thm1_threshold", "--params", "n=270.5", "k=3"], 2),
     (None, ["check", "--inequality", "stage_count", "--params", "n=30", "k=3", "p=1/2"], 2),
     (None, ["check", "--inequality", "unimodal_gap_lb", "--params", "p=10", "q=1", "m=2.5"], 2),
+    (None, ["check", "--inequality", "thm1_threshold", "--params", "n=1/0", "k=3"], 2),
 ], ids=["validate_without_classes", "validate_bad_json", "baranyai_without_k",
         "check_missing_param", "check_fractional_n", "check_fractional_p",
-        "check_fractional_m"])
+        "check_fractional_m", "check_zero_denominator"])
 def test_malformed_input_exit_codes(tmp_path, capsys, file_text, args, code):
     path = tmp_path / "input.json"
     if file_text is not None:

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import sys
 from fractions import Fraction
@@ -74,6 +75,19 @@ def test_configuration_sorts_and_sums():
     assert [str(v) for v in c.values] == ["3", "3", "3", "-4", "-4"]
     assert c.total_sum() == 1
     assert c.scaled == (3, 3, 3, -4, -4)
+
+
+@settings(max_examples=200)
+@given(st.lists(
+    st.one_of(
+        st.integers(-50, 50),
+        st.fractions(min_value=-100, max_value=100, max_denominator=60)),
+    min_size=1, max_size=12))
+def test_scaled_matches_multiplying_by_the_common_denominator(values):
+    c = Configuration.from_values(values)
+    denom = math.lcm(*(v.denominator for v in c.values))
+    assert c.scaled == tuple(int(v * denom) for v in c.values)
+    assert c.scaled_prefix[-1] == c.total_sum() * denom
 
 
 def test_ksum_examples():

@@ -125,6 +125,8 @@ def test_witnesses_rejections():
         partition_lower_bound_witnesses(Configuration.from_values([1] * 5), 2)
     with pytest.raises(ValueError):
         partition_lower_bound_witnesses(Configuration.from_values([1, -2]), 2)
+    with pytest.raises(ValueError):  # total -1/6
+        partition_lower_bound_witnesses(Configuration.from_values(["1/2", "-2/3"]), 2)
 
 
 def test_witness_family_properties_random_sweep():

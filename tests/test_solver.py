@@ -4,25 +4,25 @@ import random
 import pytest
 
 import mms.solver as solver_mod
-from mms.lp import fourier_motzkin_feasible
-from mms.numerics import Configuration, KSubset, SubsetFamily, binomial, count_nonneg_ksums
+from mms.lp import check_farkas, check_point, fourier_motzkin_feasible, solve_feasibility
+from mms.numerics import Configuration, binomial, count_nonneg_ksums
 from mms.solver import (
-    FilterFamily,
     averaging_lower_bound,
     cover_dominated,
     cover_dominators,
     exact_A,
     filter_system,
-    lp_feasible,
     maximal_nonmembers_of,
     minimal_elements_of,
     search_upper_bound,
     verify_conjecture_range,
-    verify_certificate,
-    _lp_feasible_raw,
 )
 
 from genconfig import nonneg_members
+
+
+def member_indices(config, k):
+    return frozenset(s.indices for s in nonneg_members(config, k))
 
 
 def up_closure(seeds, n):
@@ -55,36 +55,28 @@ def test_minimal_and_maximal_elements():
     assert maximal_nonmembers_of(members, n, k) == [(1, 4)]
 
 
+def filter_rows(members, n, k):
+    """The filter system of `members`, rebuilt from scratch."""
+    return filter_system(
+        minimal_elements_of(members, n), maximal_nonmembers_of(members, n, k), n)
+
+
 def test_lp_feasible_examples():
     n, k = 5, 2
     # the whole cube: trivially feasible with all ones
     all_members = frozenset(itertools.combinations(range(1, n + 1), k))
-    cert = _lp_feasible_raw(all_members, n, k)
-    assert cert.kind == "feasible"
-    assert all(v >= 0 for v in cert.witness_config.values)
+    res = solve_feasibility(filter_rows(all_members, n, k))
+    assert res.feasible
+    assert all(v >= 0 for v in res.point)
     # up-closure of {(1,2)} alone: infeasible
-    cert = _lp_feasible_raw(up_closure([(1, 2)], n), n, k)
-    assert cert.kind == "infeasible"
-    assert cert.farkas_multipliers is not None
+    res = solve_feasibility(filter_rows(up_closure([(1, 2)], n), n, k))
+    assert not res.feasible
+    assert res.farkas is not None
     # up-closure of {(2,3)}: feasible
-    cert = _lp_feasible_raw(up_closure([(2, 3)], n), n, k)
-    assert cert.kind == "feasible"
-    count = count_nonneg_ksums(cert.witness_config, k)
+    res = solve_feasibility(filter_rows(up_closure([(2, 3)], n), n, k))
+    assert res.feasible
+    count = count_nonneg_ksums(Configuration(res.point), k)
     assert count == 3
-
-
-def test_lp_feasible_public_wrapper():
-    n, k = 5, 2
-    members = up_closure([(2, 3)], n)
-    family = FilterFamily(
-        n=n, k=k,
-        minimal_elements=tuple(KSubset(m) for m in minimal_elements_of(members, n)),
-        implied_members=SubsetFamily.explicit(n, k, (KSubset(m) for m in members)),
-    )
-    assert family.size == 3
-    cert = lp_feasible(family)
-    assert cert.kind == "feasible"
-    assert verify_certificate(cert, members, n, k)
 
 
 def test_certificates_recheck_and_fm_crosscheck():
@@ -98,12 +90,13 @@ def test_certificates_recheck_and_fm_crosscheck():
             for _ in range(rng.randint(1, 3))
         ]
         members = up_closure(seeds, n) | up_closure([tuple(range(1, k + 1))], n)
-        cert = _lp_feasible_raw(members, n, k)
-        assert verify_certificate(cert, members, n, k)
-        rows = filter_system(
-            minimal_elements_of(members, n),
-            maximal_nonmembers_of(members, n, k), n)
-        assert fourier_motzkin_feasible(rows) == (cert.kind == "feasible")
+        res = solve_feasibility(filter_rows(members, n, k))
+        rows = filter_rows(members, n, k)
+        if res.feasible:
+            assert check_point(rows, res.point)
+        else:
+            assert check_farkas(rows, res.farkas)
+        assert fourier_motzkin_feasible(rows) == res.feasible
         checked += 1
     assert checked == 60
 
@@ -121,7 +114,8 @@ def test_exact_A_spot_values():
 def test_exact_A_result_invariants():
     res = exact_A(6, 2)
     assert count_nonneg_ksums(res.optimal_config, 2) == res.A_value
-    assert nonneg_members(res.optimal_config, 2) == res.optimal_family.implied_members.members
+    assert up_closure(res.minimal_elements, 6) == member_indices(res.optimal_config, 2)
+    assert list(res.minimal_elements) == sorted(res.minimal_elements)
     assert not res.upper_bound_only
     assert res.nodes_explored >= 1
     assert res.A_value >= 1
@@ -138,7 +132,7 @@ def test_exact_A_budget_flag():
     assert res.A_value == 7  # star construction upper bound
     count = count_nonneg_ksums(res.optimal_config, 2)
     assert count == res.A_value
-    assert nonneg_members(res.optimal_config, 2) == res.optimal_family.implied_members.members
+    assert up_closure(res.minimal_elements, 8) == member_indices(res.optimal_config, 2)
 
 
 def test_averaging_lower_bound_cuts_lp_calls(monkeypatch):
@@ -155,6 +149,28 @@ def test_averaging_lower_bound_cuts_lp_calls(monkeypatch):
     # Filters smaller than C(5,2) = 10 are expanded without an LP call.
     assert averaging_lower_bound(7, 3) == 10
     assert len(calls) == 12
+
+
+def test_exact_A_computes_each_frontier_once(monkeypatch):
+    frontier_calls, lp_calls = [], []
+    honest_frontier = solver_mod.maximal_nonmembers_of
+    honest_lp = solver_mod.solve_feasibility
+
+    def counted_frontier(members, n, k):
+        frontier_calls.append(len(members))
+        return honest_frontier(members, n, k)
+
+    def counted_lp(rows):
+        lp_calls.append(len(rows))
+        return honest_lp(rows)
+
+    monkeypatch.setattr(solver_mod, "maximal_nonmembers_of", counted_frontier)
+    monkeypatch.setattr(solver_mod, "solve_feasibility", counted_lp)
+    res = exact_A(7, 3)
+    assert res.nodes_explored == 53
+    # One frontier per node serves both its LP and its children.
+    assert len(frontier_calls) == res.nodes_explored
+    assert len(lp_calls) == 12
 
 
 def test_averaging_lower_bound_below_every_exact_value():

@@ -44,6 +44,8 @@ def test_eq2_rejections():
         eq2_bound(Configuration.from_values([1, -5]), 1)
     with pytest.raises(ValueError):
         eq2_bound(Configuration.from_values([1, 1]), 2)
+    with pytest.raises(ValueError):
+        eq2_bound(Configuration.from_values(["1/2", "-2/3"]), 1)  # total -1/6
 
 
 def test_eq2_bound_holds_randomly():
@@ -205,6 +207,8 @@ def test_thm1_rejections():
         extract_thm1(Configuration.from_values([1, -5, 1]), 2)  # negative sum
     with pytest.raises(ValueError):
         extract_thm1(Configuration.from_values([1, 1, 1, 1]), 2)  # n < 2k+1
+    with pytest.raises(ValueError):  # total -1/6
+        extract_thm1(Configuration.from_values(["1/2", "1/3"] + ["-1/3"] * 3), 2)
 
 
 def test_thm1_quantitative_guarantee_k2():
@@ -300,6 +304,8 @@ def test_thm2_rejections():
         extract_thm2(Configuration.from_values([1] * 11), 3)  # n < 4k
     with pytest.raises(ValueError):
         extract_thm2(Configuration.from_values([1, 1, -5] + [0] * 9), 3)
+    with pytest.raises(ValueError):  # total -1/6
+        extract_thm2(Configuration.from_values(["1/2", "1/3", "-1/2", "-1/2"] + [0] * 8), 3)
 
 
 def test_two_range_parameters_rigorous():
