@@ -29,8 +29,6 @@ from .numerics import (
     ksum,
 )
 from .partition import (
-    BaranyaiPartition,
-    ParallelClass,
     baranyai_partition,
     partition_lower_bound_witnesses,
     validate_partition,
@@ -51,12 +49,10 @@ from .witness import (
 )
 
 __all__ = [
-    "BaranyaiPartition",
     "BoundReport",
     "Configuration",
     "KSubset",
     "NamedConstruction",
-    "ParallelClass",
     "SolverResult",
     "StageTrace",
     "SubsetFamily",

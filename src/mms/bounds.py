@@ -135,6 +135,8 @@ def thm2_stage_check(n: int, k: int, p: int) -> BoundReport:
 
 def stage_count_beats_target(n: int, k: int, p: int) -> BoundReport:
     """Binomial form of the stage inequality: (p+1) C(n-kp-1, k-1) > C(n-1, k-1)."""
+    if k < 1 or p < 1 or n <= k * p:
+        raise ValueError(f"need k >= 1, p >= 1 and n > kp, got n={n}, k={k}, p={p}")
     lhs = (p + 1) * binomial(n - k * p - 1, k - 1)
     rhs = binomial(n - 1, k - 1)
     return BoundReport(
@@ -241,27 +243,3 @@ def propagate_equality(verified: set[int], k: int, n_max: int) -> PropagationRes
         coprime_witness=witness,
         coprime_bound=(k - 1) * witness if witness is not None else None,
     )
-
-
-@dataclass(frozen=True)
-class ThresholdReadings:
-    """The two off-by-one readings of the equality threshold over a window.
-
-    `f_geq`: least m in the window with equality at every observed n >= m.
-    `f_gt`: least m with equality at every observed n > m. Values are
-    relative to the observed window only.
-    """
-
-    f_geq: int | None
-    f_gt: int | None
-
-
-def f_threshold_readings(equality_by_n: dict[int, bool]) -> ThresholdReadings:
-    if not equality_by_n:
-        return ThresholdReadings(None, None)
-    failures = [n for n, ok in equality_by_n.items() if not ok]
-    lo = min(equality_by_n)
-    if not failures:
-        return ThresholdReadings(f_geq=lo, f_gt=lo - 1)
-    last_bad = max(failures)
-    return ThresholdReadings(f_geq=last_bad + 1, f_gt=last_bad)

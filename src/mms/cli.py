@@ -29,11 +29,10 @@ from .constructions import mirror_config, mms_counterexample, star_config
 from .numerics import (
     Configuration,
     ConfigParseError,
-    KSubset,
     format_config,
     parse_config_text,
 )
-from .partition import BaranyaiPartition, ParallelClass, baranyai_partition, validate_partition
+from .partition import baranyai_partition, validate_partition
 from .reproduce import run_reproduction
 from .solver import DEFAULT_NODE_BUDGET, exact_A, search_upper_bound, verify_conjecture_range
 from .witness import extract_thm1, extract_thm2
@@ -120,34 +119,35 @@ def cmd_construct(args) -> int:
     return 0
 
 
+def _read_block(block) -> tuple[int, ...]:
+    """A block of a partition file: a strictly increasing list of integers >= 1."""
+    if (not isinstance(block, list) or not block
+            or any(type(i) is not int for i in block)
+            or any(a >= b for a, b in zip([0] + block, block))):
+        raise ValueError(f"block {block!r} is not a strictly increasing list of integers >= 1")
+    return tuple(block)
+
+
 def cmd_baranyai(args) -> int:
     if args.validate:
         try:
             data = json.loads(Path(args.validate).read_text())
-            verdict = validate_partition(BaranyaiPartition(
-                n=data["n"], k=data["k"],
-                classes=tuple(
-                    ParallelClass(tuple(KSubset(tuple(b)) for b in cls))
-                    for cls in data["classes"]
-                ),
-            ))
+            diagnostic = validate_partition(data["n"], data["k"], tuple(
+                tuple(_read_block(b) for b in cls) for cls in data["classes"]))
         except (ValueError, KeyError, TypeError) as exc:
             print(f"error: malformed partition file {args.validate}: {exc!r}", file=sys.stderr)
             return 3
-        sys.stdout.write(_dump_json({"valid": verdict.ok, "diagnostic": verdict.diagnostic}))
-        return 0 if verdict.ok else 1
+        sys.stdout.write(_dump_json({"valid": diagnostic is None, "diagnostic": diagnostic}))
+        return 0 if diagnostic is None else 1
     if args.n is None or args.k is None:
         print("error: --n and --k are required unless --validate is given", file=sys.stderr)
         return 2
     seed = _resolve_seed(args)
-    partition = baranyai_partition(args.n, args.k, seed)
     obj = {
-        "n": partition.n,
-        "k": partition.k,
+        "n": args.n,
+        "k": args.k,
         "seed": seed,
-        "classes": [
-            [list(b.indices) for b in cls.blocks] for cls in partition.classes
-        ],
+        "classes": [[list(b) for b in cls] for cls in baranyai_partition(args.n, args.k, seed)],
     }
     _emit(args, obj, f"baranyai_n{args.n}_k{args.k}.json")
     return 0
@@ -298,6 +298,8 @@ def _run_suite(args) -> int:
         reports.append(unimodal_gap_lb(Fraction(n), Fraction(3 * k), k - 1))
         reports.append(unimodal_gap_lb(Fraction(n, k), Fraction(k), k - 1))
     else:
+        if k < 2:
+            raise ValueError(f"need k >= 2, got k={k}")
         for p in range(1, n // (2 * k) + 1):
             reports.append(thm2_stage_check(n, k, p))
         reports.append(stage_count_beats_target(n, k, 1))

@@ -4,8 +4,8 @@ The resulting partition has C(n-1, k-1) classes of n/k pairwise-disjoint
 k-sets each; picking one non-negative block per class certifies the lower
 bound A(n,k) >= C(n-1, k-1) on any configuration with non-negative total sum.
 
-Construction: round-robin circle method for k = 2; for k >= 3 the classic
-inductive argument on the ground-set size, realized with an integral
+Construction: round-robin circle method for k = 2; for every other k the
+classic inductive argument on the ground-set size, realized with an integral
 assignment step (greedy plus augmenting paths). The assignment always
 succeeds -- the fractional relaxation is exactly feasible and the constraint
 matrix is integral -- so no backtracking or restarts are needed. A seeded RNG
@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .numerics import Configuration, KSubset, SubsetFamily, binomial, ksum
@@ -26,29 +25,6 @@ PARTITION_SIZE_LIMIT = 10**4
 
 class PartitionSizeError(ValueError):
     """Instance exceeds the desk-scale partition limit."""
-
-
-@dataclass(frozen=True)
-class ParallelClass:
-    """n/k pairwise-disjoint k-sets covering [n]."""
-
-    blocks: tuple[KSubset, ...]
-
-
-@dataclass(frozen=True)
-class BaranyaiPartition:
-    n: int
-    k: int
-    classes: tuple[ParallelClass, ...]
-
-
-@dataclass(frozen=True)
-class PartitionValidation:
-    ok: bool
-    diagnostic: str | None = None
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 def _circle_pairs(n: int) -> list[list[tuple[int, int]]]:
@@ -169,63 +145,51 @@ def _augment(
 
 
 @lru_cache(maxsize=64)
-def baranyai_partition(n: int, k: int, seed: int = 0) -> BaranyaiPartition:
+def baranyai_partition(n: int, k: int, seed: int = 0) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """Partition [n]^(k) into C(n-1,k-1) parallel classes; requires k | n.
 
-    Deterministic given (n, k, seed); results are cached.
+    Each class is a sorted tuple of n/k sorted index tuples. Deterministic
+    given (n, k, seed); results are cached.
     """
     if k < 1 or n < 1 or n % k != 0:
         raise ValueError(f"need k | n with k, n >= 1, got n={n}, k={k}")
     if binomial(n, k) > PARTITION_SIZE_LIMIT:
         raise PartitionSizeError(
             f"C({n},{k}) = {binomial(n, k)} exceeds limit {PARTITION_SIZE_LIMIT}")
-    if k == n:
-        raw = [[tuple(range(1, n + 1))]]
-    elif k == 2:
-        raw = _circle_pairs(n)
-    else:
-        rng = random.Random(seed)
-        raw = _inductive_partition(n, k, rng)
-    classes = tuple(
-        ParallelClass(blocks=tuple(KSubset(b) for b in sorted(cls)))
-        for cls in raw
-    )
-    return BaranyaiPartition(n=n, k=k, classes=classes)
+    raw = _circle_pairs(n) if k == 2 else _inductive_partition(n, k, random.Random(seed))
+    return tuple(tuple(sorted(cls)) for cls in raw)
 
 
-def validate_partition(p: BaranyaiPartition) -> PartitionValidation:
+def validate_partition(n: int, k: int, classes) -> str | None:
     """Exhaustively re-check every structural invariant.
 
     Independent of how the partition was constructed; returns the first
-    violated condition as a diagnostic.
+    violated condition, or None when the partition is valid. Blocks must be
+    tuples; their shape (sorted, indices >= 1) is not checked here.
     """
-    n, k = p.n, p.k
     if k < 1 or n < 1 or n % k != 0:
-        return PartitionValidation(False, f"invalid parameters n={n}, k={k}")
+        return f"invalid parameters n={n}, k={k}"
     expected_classes = binomial(n - 1, k - 1)
-    if len(p.classes) != expected_classes:
-        return PartitionValidation(
-            False, f"expected {expected_classes} classes, found {len(p.classes)}")
+    if len(classes) != expected_classes:
+        return f"expected {expected_classes} classes, found {len(classes)}"
     seen: set[tuple[int, ...]] = set()
     ground = set(range(1, n + 1))
-    for ci, cls in enumerate(p.classes):
-        if len(cls.blocks) != n // k:
-            return PartitionValidation(
-                False, f"class {ci}: expected {n // k} blocks, found {len(cls.blocks)}")
+    for ci, cls in enumerate(classes):
+        if len(cls) != n // k:
+            return f"class {ci}: expected {n // k} blocks, found {len(cls)}"
         covered: list[int] = []
-        for b in cls.blocks:
-            if b.k != k:
-                return PartitionValidation(False, f"class {ci}: block {b.indices} has size {b.k}")
-            if b.indices in seen:
-                return PartitionValidation(False, f"duplicated block {b.indices}")
-            seen.add(b.indices)
-            covered.extend(b.indices)
+        for b in cls:
+            if len(b) != k:
+                return f"class {ci}: block {b} has size {len(b)}"
+            if b in seen:
+                return f"duplicated block {b}"
+            seen.add(b)
+            covered.extend(b)
         if set(covered) != ground or len(covered) != n:
-            return PartitionValidation(False, f"class {ci} does not partition [n]")
+            return f"class {ci} does not partition [n]"
     if len(seen) != binomial(n, k):
-        return PartitionValidation(
-            False, f"union covers {len(seen)} of {binomial(n, k)} k-sets")
-    return PartitionValidation(True)
+        return f"union covers {len(seen)} of {binomial(n, k)} k-sets"
+    return None
 
 
 def partition_lower_bound_witnesses(
@@ -245,25 +209,17 @@ def partition_lower_bound_witnesses(
         raise ValueError(f"need k | n, got n={n}, k={k}")
     if config.scaled_prefix[-1] < 0:
         raise ValueError(f"total sum must be non-negative, got {config.total_sum()}")
-    partition = baranyai_partition(n, k, seed)
     scaled = config.scaled
-    witnesses = []
-    for cls in partition.classes:
-        best = None
-        best_sum = None
-        for b in cls.blocks:
-            s = sum(scaled[i - 1] for i in b.indices)
-            if best_sum is None or s > best_sum or (s == best_sum and b.indices < best.indices):
-                best, best_sum = b, s
-        if best_sum < 0:
-            raise AssertionError(
-                f"class maximum-sum block {best.indices} is negative -- "
-                "impossible for a configuration with non-negative total sum")
-        witnesses.append(best)
-    family = SubsetFamily.explicit(n, k, witnesses)
+    # each class is sorted, and max keeps the first of equal keys: the
+    # lexicographically smallest block wins a tie
+    family = SubsetFamily.explicit(n, k, (
+        KSubset(max(cls, key=lambda b: sum(scaled[i - 1] for i in b)))
+        for cls in baranyai_partition(n, k, seed)))
     if family.count != binomial(n - 1, k - 1):
         raise AssertionError("collided witnesses across classes -- partition invalid")
     for w in family.members:
         if ksum(config, w) < 0:
-            raise AssertionError(f"witness {w.indices} re-evaluated negative")
+            raise AssertionError(
+                f"class maximum-sum block {w.indices} is negative -- "
+                "impossible for a configuration with non-negative total sum")
     return family

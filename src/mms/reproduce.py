@@ -79,8 +79,7 @@ def run_reproduction(seed: int = 0) -> list[Check]:
 
     ok = True
     for n, k in ((4, 2), (6, 3), (9, 3)):
-        p = baranyai_partition(n, k, seed)
-        ok = ok and bool(validate_partition(p)) and len(p.classes) == binomial(n - 1, k - 1)
+        ok = ok and validate_partition(n, k, baranyai_partition(n, k, seed)) is None
     _check(checks, "baranyai_partitions_valid", "(4,2),(6,3),(9,3)",
            "C(n-1,k-1) valid classes", ok)
 

@@ -218,6 +218,13 @@ def _family_report(
     )
 
 
+def _check_options(mode: str, sample_size: int) -> None:
+    if mode not in ("auto", "explicit", "counted"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if sample_size < 0:
+        raise ValueError(f"sample_size must be non-negative, got {sample_size}")
+
+
 # --- first extraction route (threshold 3 k^(k+1) + k^3) --------------------
 
 def extract_thm1(
@@ -242,10 +249,11 @@ def extract_thm1(
     n = config.n
     if config.scaled_prefix[-1] < 0:
         raise ValueError(f"total sum must be non-negative, got {config.total_sum()}")
+    if k < 1:
+        raise ValueError(f"need k >= 1, got k={k}")
     if n < 2 * k + 1:
         raise ValueError(f"need n >= 2k+1, got n={n}, k={k}")
-    if mode not in ("auto", "explicit", "counted"):
-        raise ValueError(f"unknown mode {mode!r}")
+    _check_options(mode, sample_size)
     rng = random.Random(seed)
     scaled = config.scaled
     threshold_met = n >= 3 * k ** (k + 1) + k**3
@@ -401,8 +409,7 @@ def extract_thm2(
         raise ValueError(f"need k >= 2, got k={k}")
     if n < 4 * k:
         raise ValueError(f"need n >= 4k, got n={n}, k={k}")
-    if mode not in ("auto", "explicit", "counted"):
-        raise ValueError(f"unknown mode {mode!r}")
+    _check_options(mode, sample_size)
     rng = random.Random(seed)
     threshold_met = thm2_threshold_exceeded(n, k)
     big_t = n // (2 * k)

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from mms.bounds import (
     f_bound_values,
-    f_threshold_readings,
     new_f_bound_interval,
     propagate_equality,
     stage_count_beats_target,
@@ -19,7 +18,7 @@ from mms.bounds import (
 )
 from mms.intervals import RatInterval, e_interval, ln_interval
 from mms.numerics import binomial
-from mms.solver import exact_A
+from mms.solver import exact_A, verify_conjecture_range
 
 
 # --- interval plumbing -------------------------------------------------------
@@ -252,9 +251,16 @@ def test_few_negatives_beats_target_above_3k2():
             assert binomial(n - 2 * k, k) > binomial(n - 1, k - 1), (n, k)
 
 
+def test_stage_count_rejects_out_of_range_parameters():
+    for n, k, p in ((3, 5, 1), (30, 3, -1), (30, 3, 0), (30, 0, 1)):
+        with pytest.raises(ValueError, match=f"n={n}, k={k}, p={p}"):
+            stage_count_beats_target(n, k, p)
+    assert not stage_count_beats_target(5, 3, 1).holds  # n = kp + 2: lhs 0
+
+
 def test_threshold_readings():
-    sweep = {n: exact_A(n, 2).A_value == binomial(n - 1, 1) for n in range(4, 11)}
-    readings = f_threshold_readings(sweep)
-    assert readings.f_geq == 6  # the classical f(2) = 6 under the >= reading
-    assert readings.f_gt == 5
-    assert f_threshold_readings({5: True, 6: True}).f_geq == 5
+    # the classical f(2) = 6: n = 5 is the last n below equality with C(n-1, 1)
+    rows = verify_conjecture_range(4, 10, 2)
+    assert {r.n: r.equals_target for r in rows} == {n: n != 5 for n in range(4, 11)}
+    for r in rows:
+        assert r.equals_target == (exact_A(r.n, 2).A_value == binomial(r.n - 1, 1))

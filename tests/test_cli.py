@@ -163,24 +163,54 @@ def test_invalid_parameters_exit_2(capsys):
     assert code == 2
 
 
+#: n = 9 values with total sum 0, for the witness cases.
+CONFIG_9 = "8\n" + "-1\n" * 8
+#: A 4-point partition file around the given classes.
+PARTITION_4_2 = '{{"n": 4, "k": 2, "classes": {}}}'
+
+
 @pytest.mark.parametrize("file_text,args,code", [
     ('{"n": 6, "k": 3}', ["baranyai", "--validate", "{file}"], 3),
     ('{"n": 6, "k": 3, "classes": [[[1, 2', ["baranyai", "--validate", "{file}"], 3),
+    (PARTITION_4_2.format("[[[1, 2], [3, 4]], [[1, 3], [4, 2]], [[1, 4], [2, 3]]]"),
+     ["baranyai", "--validate", "{file}"], 3),
+    ('{"n": 6, "k": 3, "classes": [[[6, 4, 1], [2, 3, 5]]]}',
+     ["baranyai", "--validate", "{file}"], 3),
+    (PARTITION_4_2.format("[[[0, 1], [2, 3]], [[1, 3], [2, 4]], [[1, 4], [2, 3]]]"),
+     ["baranyai", "--validate", "{file}"], 3),
+    (PARTITION_4_2.format("[[[1, 2], [3, 4]], [[1, 2], [3, 4]], [[1, 3], [2, 4]]]"),
+     ["baranyai", "--validate", "{file}"], 1),
     (None, ["baranyai", "--n", "9"], 2),
     (None, ["check", "--inequality", "thm1_threshold", "--params", "n=10"], 2),
     (None, ["check", "--inequality", "thm1_threshold", "--params", "n=270.5", "k=3"], 2),
     (None, ["check", "--inequality", "stage_count", "--params", "n=30", "k=3", "p=1/2"], 2),
     (None, ["check", "--inequality", "unimodal_gap_lb", "--params", "p=10", "q=1", "m=2.5"], 2),
     (None, ["check", "--inequality", "thm1_threshold", "--params", "n=1/0", "k=3"], 2),
-], ids=["validate_without_classes", "validate_bad_json", "baranyai_without_k",
-        "check_missing_param", "check_fractional_n", "check_fractional_p",
-        "check_fractional_m", "check_zero_denominator"])
+    (None, ["check", "--inequality", "stage_count", "--params", "n=3", "k=5", "p=1"], 2),
+    (None, ["check", "--inequality", "stage_count", "--params", "n=30", "k=3", "p=-1"], 2),
+    (None, ["check", "--suite", "thm2", "--n", "10", "--k", "0"], 2),
+    (CONFIG_9, ["witness", "--theorem", "1", "--config", "{file}", "--k", "0"], 2),
+    (CONFIG_9, ["witness", "--theorem", "1", "--config", "{file}", "--k", "2",
+                "--mode", "counted", "--sample", "-5"], 2),
+    (CONFIG_9, ["witness", "--theorem", "2", "--config", "{file}", "--k", "2",
+                "--mode", "counted", "--sample", "-5"], 2),
+], ids=["validate_without_classes", "validate_bad_json", "validate_unsorted_block_in_class",
+        "validate_unsorted_block", "validate_index_zero", "validate_duplicated_class",
+        "baranyai_without_k", "check_missing_param", "check_fractional_n",
+        "check_fractional_p", "check_fractional_m", "check_zero_denominator",
+        "check_stage_count_n_too_small", "check_stage_count_negative_p",
+        "check_suite_thm2_k0", "witness_thm1_k0", "witness_thm1_negative_sample",
+        "witness_thm2_negative_sample"])
 def test_malformed_input_exit_codes(tmp_path, capsys, file_text, args, code):
     path = tmp_path / "input.json"
     if file_text is not None:
         path.write_text(file_text)
     assert main([a.format(file=path) for a in args]) == code
-    assert capsys.readouterr().err.startswith("error:")
+    out, err = capsys.readouterr()
+    if code == 1:  # a well-formed partition file that fails validation
+        assert json.loads(out)["valid"] is False
+    else:
+        assert err.startswith("error:")
 
 
 #: A valid invocation of every subcommand, and the one flag of the three

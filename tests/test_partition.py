@@ -3,10 +3,8 @@ import sys
 
 import pytest
 
-from mms.numerics import Configuration, KSubset, binomial, ksum
+from mms.numerics import Configuration, binomial, ksum
 from mms.partition import (
-    BaranyaiPartition,
-    ParallelClass,
     PartitionSizeError,
     baranyai_partition,
     partition_lower_bound_witnesses,
@@ -16,22 +14,19 @@ from mms.partition import (
 from genconfig import random_configuration
 
 
-def independent_check(p: BaranyaiPartition) -> bool:
+def independent_check(n: int, k: int, classes) -> bool:
     """Validator written from scratch for the tests; must agree with the
     packaged one."""
     seen = set()
-    for cls in p.classes:
-        points = [i for b in cls.blocks for i in b.indices]
-        if sorted(points) != list(range(1, p.n + 1)):
+    for cls in classes:
+        points = [i for b in cls for i in b]
+        if sorted(points) != list(range(1, n + 1)):
             return False
-        for b in cls.blocks:
-            if len(b.indices) != p.k or b.indices in seen:
+        for b in cls:
+            if len(b) != k or b in seen:
                 return False
-            seen.add(b.indices)
-    return (
-        len(seen) == binomial(p.n, p.k)
-        and len(p.classes) == binomial(p.n - 1, p.k - 1)
-    )
+            seen.add(b)
+    return len(seen) == binomial(n, k) and len(classes) == binomial(n - 1, k - 1)
 
 
 INSTANCES = [(4, 2), (6, 2), (8, 2), (14, 2), (3, 3), (6, 3), (9, 3), (12, 3),
@@ -40,16 +35,18 @@ INSTANCES = [(4, 2), (6, 2), (8, 2), (14, 2), (3, 3), (6, 3), (9, 3), (12, 3),
 
 @pytest.mark.parametrize("n,k", INSTANCES)
 def test_partitions_valid(n, k):
-    p = baranyai_partition(n, k, seed=0)
-    assert len(p.classes) == binomial(n - 1, k - 1)
-    assert validate_partition(p)
-    assert independent_check(p)
+    classes = baranyai_partition(n, k, seed=0)
+    assert len(classes) == binomial(n - 1, k - 1)
+    assert validate_partition(n, k, classes) is None
+    assert independent_check(n, k, classes)
+    # each class is a sorted tuple of sorted index tuples
+    for cls in classes:
+        assert list(cls) == sorted(cls)
+        assert all(list(b) == sorted(b) for b in cls)
 
 
 def test_single_class_for_n_equals_k():
-    p = baranyai_partition(5, 5)
-    assert len(p.classes) == 1
-    assert p.classes[0].blocks[0].indices == (1, 2, 3, 4, 5)
+    assert baranyai_partition(5, 5) == (((1, 2, 3, 4, 5),),)
 
 
 def test_deterministic_given_seed():
@@ -57,7 +54,7 @@ def test_deterministic_given_seed():
     b = baranyai_partition.__wrapped__(9, 3, seed=42)
     assert a == b
     c = baranyai_partition.__wrapped__(9, 3, seed=43)
-    assert validate_partition(c)
+    assert validate_partition(9, 3, c) is None
 
 
 def test_build_leaves_recursion_limit_unchanged():
@@ -65,7 +62,7 @@ def test_build_leaves_recursion_limit_unchanged():
     sys.setrecursionlimit(1500)
     try:
         baranyai_partition.cache_clear()
-        assert validate_partition(baranyai_partition(12, 3))
+        assert validate_partition(12, 3, baranyai_partition(12, 3)) is None
         assert sys.getrecursionlimit() == 1500
     finally:
         sys.setrecursionlimit(original)
@@ -79,27 +76,16 @@ def test_rejects_bad_parameters():
 
 
 def test_validator_catches_injected_faults():
-    p = baranyai_partition(6, 3, seed=0)
-    # duplicated block
-    cls0 = p.classes[0]
-    dup = BaranyaiPartition(
-        n=6, k=3, classes=(cls0,) + p.classes[:-1])
-    v = validate_partition(dup)
-    assert not v and v.diagnostic
-    # missing class
-    short = BaranyaiPartition(n=6, k=3, classes=p.classes[:-1])
-    v = validate_partition(short)
-    assert not v and "classes" in v.diagnostic
-    # block of the wrong size
-    broken_cls = ParallelClass(blocks=(
-        KSubset((1, 2)), KSubset((3, 4, 5))))
-    v = validate_partition(BaranyaiPartition(n=6, k=3, classes=(broken_cls,) * 10))
-    assert not v
-    # non-covering class
-    overlap = ParallelClass(blocks=(KSubset((1, 2, 3)), KSubset((1, 5, 6))))
-    v = validate_partition(
-        BaranyaiPartition(n=6, k=3, classes=(overlap,) + p.classes[1:]))
-    assert not v
+    classes = baranyai_partition(6, 3, seed=0)
+    for broken, diagnostic in [
+        ((classes[0],) + classes[:-1], "duplicated"),
+        (classes[:-1], "classes"),
+        ((((1, 2), (3, 4, 5)),) * 10, "size"),
+        ((((1, 2, 3), (1, 5, 6)),) + classes[1:], "does not partition"),
+    ]:
+        v = validate_partition(6, 3, broken)
+        assert v is not None and diagnostic in v
+        assert not independent_check(6, 3, broken)
 
 
 def test_witnesses_star_example():
@@ -153,6 +139,5 @@ def test_max_sum_tie_break_deterministic():
     # smallest must win
     config = Configuration.from_values([0] * 6)
     fam = partition_lower_bound_witnesses(config, 3)
-    p = baranyai_partition(6, 3, 0)
-    expected = {min(cls.blocks, key=lambda b: b.indices).indices for cls in p.classes}
+    expected = {min(cls) for cls in baranyai_partition(6, 3, 0)}
     assert {w.indices for w in fam.members} == expected

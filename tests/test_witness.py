@@ -209,6 +209,12 @@ def test_thm1_rejections():
         extract_thm1(Configuration.from_values([1, 1, 1, 1]), 2)  # n < 2k+1
     with pytest.raises(ValueError):  # total -1/6
         extract_thm1(Configuration.from_values(["1/2", "1/3"] + ["-1/3"] * 3), 2)
+    five = Configuration.from_values([4, -1, -1, -1, -1])
+    for k in (0, -1):
+        with pytest.raises(ValueError, match="k >= 1"):
+            extract_thm1(five, k)
+    with pytest.raises(ValueError, match="sample_size"):
+        extract_thm1(five, 2, mode="counted", sample_size=-5)
 
 
 def test_thm1_quantitative_guarantee_k2():
@@ -306,6 +312,8 @@ def test_thm2_rejections():
         extract_thm2(Configuration.from_values([1, 1, -5] + [0] * 9), 3)
     with pytest.raises(ValueError):  # total -1/6
         extract_thm2(Configuration.from_values(["1/2", "1/3", "-1/2", "-1/2"] + [0] * 8), 3)
+    with pytest.raises(ValueError, match="sample_size"):
+        extract_thm2(Configuration.from_values([1] * 12), 3, mode="counted", sample_size=-1)
 
 
 def test_two_range_parameters_rigorous():
