@@ -1,6 +1,9 @@
 """Command-line entry point binding all modules.
 
 Exit codes: 0 ok, 1 check failure, 2 usage error, 3 malformed input file.
+An internal check that fails (an invalid LP certificate or witness recount,
+or an interval comparison left undecided) is a check failure: exit 1 with a
+one-line message.
 Counts and rationals that may exceed 64 bits are emitted as decimal strings.
 """
 from __future__ import annotations
@@ -26,6 +29,7 @@ from .bounds import (
     unimodal_gap_lb,
 )
 from .constructions import mirror_config, mms_counterexample, star_config
+from .intervals import UndecidedComparison
 from .numerics import (
     Configuration,
     ConfigParseError,
@@ -476,6 +480,9 @@ def main(argv=None) -> int:
     except (ValueError, NotImplementedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (AssertionError, UndecidedComparison) as exc:
+        print(f"error: internal check failed ({type(exc).__name__}): {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -1,11 +1,22 @@
-"""Exact rational linear feasibility with certificates.
+"""Exact rational linear feasibility over non-negative variables, with certificates.
 
-Systems are lists of rows `coeffs . x >= rhs` over free variables. The main
-solver is a Phase-I simplex with Bland's rule (guaranteed termination) run
-entirely in Fraction arithmetic; it returns either a satisfying point or
-Farkas multipliers y >= 0 with y^T A = 0 and y^T b > 0, i.e. an exact
-derivation of the contradiction 0 >= positive. A Fourier-Motzkin eliminator
-serves as an independent cross-check for small systems.
+Systems are lists of rows `coeffs . x >= rhs` over x >= 0. The solver is a
+Phase-I simplex with Bland's rule (guaranteed termination) run entirely in
+Fraction arithmetic. It returns either a point x >= 0 that satisfies every
+row, or Farkas multipliers y >= 0 with y^T A <= 0 and y^T b > 0: for any
+x >= 0 the combined row reads y^T A x <= 0 < y^T b, an exact derivation of a
+contradiction. Both are re-checked before the solver returns.
+
+`mms.solver` feeds it the relaxed filter system R(F), written in the
+non-negative differences of the sorted values (see `solver.filter_system`):
+integer data, n variables and one row per maximal non-member plus the total
+row, so only the non-member rows need an artificial variable. A system over
+free variables reaches the same solver through the split x = u - v; there
+y^T A <= 0 on both halves means y^T A = 0.
+
+A Fourier-Motzkin eliminator over free variables serves as an independent
+cross-check for small systems; appending the rows x_j >= 0 makes it decide
+the non-negative system.
 """
 from __future__ import annotations
 
@@ -32,65 +43,62 @@ class FeasResult:
 
 
 def check_point(rows: list[LinRow], point: tuple[Fraction, ...]) -> bool:
-    return all(
+    """The point is non-negative and satisfies every row."""
+    return all(x >= 0 for x in point) and all(
         sum(c * x for c, x in zip(r.coeffs, point)) >= r.rhs for r in rows
     )
 
 
 def check_farkas(rows: list[LinRow], mult: tuple[Fraction, ...]) -> bool:
-    """Multipliers must be >= 0, cancel every variable, and combine the
-    right-hand sides to something strictly positive."""
+    """Multipliers must be >= 0, combine every variable's coefficients to
+    something <= 0, and the right-hand sides to something strictly positive."""
     if len(mult) != len(rows) or any(y < 0 for y in mult):
         return False
     nvars = len(rows[0].coeffs)
     for j in range(nvars):
-        if sum(y * r.coeffs[j] for y, r in zip(mult, rows)) != 0:
+        if sum(y * r.coeffs[j] for y, r in zip(mult, rows)) > 0:
             return False
     return sum(y * r.rhs for y, r in zip(mult, rows)) > 0
 
 
 def solve_feasibility(rows: list[LinRow]) -> FeasResult:
-    """Decide `A x >= b` over free x, in exact rational arithmetic."""
+    """Decide `A x >= b` over x >= 0, in exact rational arithmetic."""
     if not rows:
         return FeasResult(True, point=())
     nvars = len(rows[0].coeffs)
     nrows = len(rows)
-    # Standard form: x = u - v (u, v >= 0), surplus s >= 0, one artificial
-    # per row. Rows with rhs <= 0 are negated so the right-hand side is
-    # non-negative and the artificial basis is primal-feasible.
+    # Row i reads coeffs . x - s_i = rhs with surplus s_i >= 0. A row with
+    # rhs <= 0 is negated; its surplus column is then +1 and starts in the
+    # basis. Only rows with rhs > 0 get an artificial. Columns:
+    # x | surplus | artificials, then the right-hand side.
     sigma = [ONE if r.rhs > 0 else -ONE for r in rows]
-    ncols = 2 * nvars + 2 * nrows  # u | v | s | artificials
-    art0 = 2 * nvars + nrows
+    art0 = ncols = nvars + nrows
+    start = []  # each row's starting basic column; it holds B^-1 throughout
+    for i in range(nrows):
+        if sigma[i] > 0:
+            start.append(ncols)
+            ncols += 1
+        else:
+            start.append(nvars + i)
     tableau: list[list[Fraction]] = []
     for i, r in enumerate(rows):
-        row = [ZERO] * (ncols + 1)
-        for j, c in enumerate(r.coeffs):
-            row[j] = sigma[i] * c
-            row[nvars + j] = -sigma[i] * c
-        row[2 * nvars + i] = -sigma[i]
-        row[art0 + i] = ONE
+        row = [sigma[i] * c for c in r.coeffs] + [ZERO] * (ncols - nvars + 1)
+        row[nvars + i] = -sigma[i]
+        row[start[i]] = ONE
         row[ncols] = sigma[i] * r.rhs
         tableau.append(row)
-    basis = [art0 + i for i in range(nrows)]
-    cost = [ZERO] * ncols
-    for i in range(nrows):
-        cost[art0 + i] = ONE
+    basis = list(start)
+    # Phase-I objective row: z_j = (c_B B^-1 A)_j - c_j, with cost 1 on the
+    # artificials; z[ncols] is the sum of the artificials.
+    art_rows = [i for i in range(nrows) if sigma[i] > 0]
+    z = [sum((tableau[i][j] for i in art_rows), ZERO) for j in range(ncols + 1)]
+    for j in range(art0, ncols):
+        z[j] -= ONE
 
-    def entering() -> int | None:
-        # Bland: smallest eligible column with negative reduced cost;
-        # artificials never re-enter. Only the rows with a basic artificial
-        # carry cost, so the reduced cost needs just those rows.
-        art_rows = [i for i in range(nrows) if basis[i] >= art0]
-        in_basis = set(basis)
-        for j in range(art0):
-            if j in in_basis:
-                continue
-            if sum(tableau[i][j] for i in art_rows) > 0:
-                return j
-        return None
-
-    while True:
-        enter = entering()
+    while z[ncols] > 0:
+        # Bland: smallest column with negative reduced cost; artificials
+        # never re-enter.
+        enter = next((j for j in range(art0) if z[j] > 0), None)
         if enter is None:
             break
         leave = None
@@ -105,37 +113,33 @@ def solve_feasibility(rows: list[LinRow]) -> FeasResult:
                     leave = i
         if leave is None:
             raise AssertionError("phase-I objective unbounded -- impossible")
-        piv = tableau[leave][enter]
-        tableau[leave] = [x / piv for x in tableau[leave]]
-        for i in range(nrows):
-            if i != leave and tableau[i][enter] != 0:
-                f = tableau[i][enter]
-                tableau[i] = [x - f * y for x, y in zip(tableau[i], tableau[leave])]
+        prow = tableau[leave]
+        piv = prow[enter]
+        nonzero = [j for j, x in enumerate(prow) if x]
+        if piv != 1:
+            for j in nonzero:
+                prow[j] /= piv
+        for row in tableau + [z]:
+            f = row[enter]
+            if row is not prow and f:
+                for j in nonzero:
+                    row[j] -= f * prow[j]
         basis[leave] = enter
 
-    objective = sum(
-        tableau[i][ncols] for i in range(nrows) if basis[i] >= art0)
-    if objective == 0:
+    if z[ncols] == 0:
         point = [ZERO] * nvars
         for i, b in enumerate(basis):
             if b < nvars:
-                point[b] += tableau[i][ncols]
-            elif b < 2 * nvars:
-                point[b - nvars] -= tableau[i][ncols]
+                point[b] = tableau[i][ncols]
         pt = tuple(point)
         if not check_point(rows, pt):
             raise AssertionError("simplex produced an invalid feasible point")
         return FeasResult(True, point=pt)
 
-    # Dual values off the artificial columns (they started as the identity,
-    # so those columns now hold B^{-1}); multipliers map back through the
-    # row negations.
-    cb = [cost[b] for b in basis]
-    mult = []
-    for i in range(nrows):
-        y_i = sum(cb[r] * tableau[r][art0 + i] for r in range(nrows))
-        mult.append(sigma[i] * y_i)
-    fk = tuple(mult)
+    # Duals pi off the starting basic columns, where z holds pi_i minus the
+    # column's cost (1 for an artificial), mapped back through the row
+    # negations.
+    fk = tuple(z[c] + ONE if s > 0 else -z[c] for s, c in zip(sigma, start))
     if not check_farkas(rows, fk):
         raise AssertionError("simplex produced an invalid Farkas certificate")
     return FeasResult(False, farkas=fk)
@@ -145,7 +149,8 @@ FM_MAX_VARS = 8
 
 
 def fourier_motzkin_feasible(rows: list[LinRow]) -> bool:
-    """Independent feasibility verdict by variable elimination (<= 8 vars)."""
+    """Independent feasibility verdict over free x by variable elimination
+    (<= 8 vars)."""
     if not rows:
         return True
     nvars = len(rows[0].coeffs)

@@ -1,13 +1,15 @@
 """Exact computation of A(n,k) at desk scale, plus heuristic upper-bound search.
 
 A configuration's non-negative family is always an up-set (filter) in the
-dominance order that contains the top subset {1..k}; conversely a filter is
-attainable iff a linear system over the sorted values is feasible. Strict
-negativity of the non-members is encoded as `sum <= -1`: the system is
-positively homogeneous apart from that normalization, so any configuration
-with strictly negative non-member sums can be scaled to satisfy it, and the
-two formulations are equivalent. A(n,k) is therefore the smallest up-closure
-size among LP-feasible filters, found by best-first search.
+dominance order that contains the top subset {1..k}. A(n,k) is the smallest
+size of such a filter that some configuration realises exactly, found by
+best-first search in increasing size. Each candidate is decided by the
+relaxed system R(F) of `filter_system` (total >= 0, maximal non-members
+<= -1), which suffices because every smaller filter has already been
+rejected (see `exact_A`). Strict negativity of the non-members is encoded as
+`sum <= -1`: the system is positively homogeneous apart from that
+normalization, so any configuration with strictly negative non-member sums
+can be scaled to satisfy it, and the two formulations are equivalent.
 """
 from __future__ import annotations
 
@@ -27,7 +29,7 @@ from .numerics import (
 )
 
 #: Default cap on C(n,k) for the exact solver.
-EXACT_SOLVER_CAP = 120
+EXACT_SOLVER_CAP = 126
 DEFAULT_NODE_BUDGET = 1_000_000
 
 
@@ -88,34 +90,50 @@ def maximal_nonmembers_of(members: frozenset[tuple[int, ...]], n: int, k: int) -
     return out
 
 
+def child_frontier(
+    frontier: list[tuple[int, ...]],
+    cand: tuple[int, ...],
+    grown: frozenset[tuple[int, ...]],
+    n: int,
+) -> list[tuple[int, ...]]:
+    """`maximal_nonmembers_of(grown, n, k)` for grown = members | {cand}, from
+    the parent's frontier: the parent's maximal non-members other than
+    `cand`, plus each set covered by `cand` whose covers from above are now
+    all members (it is a non-member, as `cand` was)."""
+    kept = [b for b in frontier if b != cand]
+    new = [c for c in cover_dominated(cand, n)
+           if all(d in grown for d in cover_dominators(c))]
+    return sorted(kept + new)
+
+
 def filter_system(
-    minimal: list[tuple[int, ...]],
     max_nonmembers: list[tuple[int, ...]],
     n: int,
+    k: int,
 ) -> list[LinRow]:
-    """Rows (in canonical order) whose feasibility realizes the filter:
-    sortedness chain, total sum, minimal members >= 0, maximal non-members <= -1.
+    """The relaxed filter system R(F): total >= 0 and every maximal non-member
+    <= -1, over sorted values x_1 >= ... >= x_n with x_n <= 0.
+
+    The variables are d_i = x_i - x_{i+1} (i < n) and s = -x_n, all >= 0, so
+    x_i = d_i + ... + d_{n-1} - s. The total row is
+    sum_j j*d_j - n*s >= 0, and a maximal non-member b gives
+    k*s - sum_j |{i in b : i <= j}|*d_j >= 1. `values_of_differences` maps a
+    point back to x.
     """
-    rows = []
-    zero = Fraction(0)
-    one = Fraction(1)
-    for i in range(n - 1):
-        c = [zero] * n
-        c[i] = one
-        c[i + 1] = -one
-        rows.append(LinRow(tuple(c), zero))
-    rows.append(LinRow((one,) * n, zero))
-    for a in minimal:
-        c = [zero] * n
-        for i in a:
-            c[i - 1] = one
-        rows.append(LinRow(tuple(c), zero))
+    rows = [LinRow(tuple(Fraction(j) for j in range(1, n)) + (Fraction(-n),), Fraction(0))]
     for b in max_nonmembers:
-        c = [zero] * n
-        for i in b:
-            c[i - 1] = -one
-        rows.append(LinRow(tuple(c), one))
+        covered = itertools.accumulate(j in b for j in range(1, n))
+        rows.append(LinRow(tuple(Fraction(-c) for c in covered) + (Fraction(k),), Fraction(1)))
     return rows
+
+
+def values_of_differences(point: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
+    """x_n = -s and x_i = x_{i+1} + d_i, for a point (d_1, ..., d_{n-1}, s)."""
+    *diffs, s = point
+    values = [-s]
+    for d in reversed(diffs):
+        values.append(values[-1] + d)
+    return tuple(reversed(values))
 
 
 def _best_construction(n: int, k: int) -> NamedConstruction:
@@ -130,13 +148,30 @@ def averaging_lower_bound(n: int, k: int) -> int:
 
 
 def exact_A(n: int, k: int, budget: int = DEFAULT_NODE_BUDGET) -> SolverResult:
-    """Minimum up-closure size over LP-feasible filters = A(n,k), exactly.
+    """Minimum up-closure size over realisable filters = A(n,k), exactly.
 
     Filters containing the top subset {1..k} (non-negative whenever the total
-    sum is) are enumerated in increasing size; the first feasible one is
-    optimal. Sizes below `averaging_lower_bound(n, k)` are expanded but not
-    LP-tested. If the node budget runs out the best known construction is
-    returned flagged `upper_bound_only`.
+    sum is) are enumerated best-first in increasing size; the first one whose
+    relaxed system R(F) (`filter_system`) is feasible is optimal. Sizes below
+    `averaging_lower_bound(n, k)` are expanded but not LP-tested. Each
+    child's maximal non-members grow from its parent's (`child_frontier`),
+    so `maximal_nonmembers_of` runs once, at the root.
+
+    R(F) drops the minimal-member rows, so a point of it realises some
+    filter G subset of F that contains the top subset. Every smaller filter
+    was rejected earlier (below the cut, or with an infeasible R(G)), so
+    G = F; the recount of the witness checks this on every answer. The
+    sign s = -x_n >= 0 loses nothing: every filter but the full family has
+    the bottom k-set as a non-member, so x_n < 0, and the full family is
+    realised by zero. An infeasible R(F) comes with Farkas weights: scaled
+    by the total row's, they put weight at most n/k on maximal non-members
+    and cover every prefix {1..j} at least j times, a fractional cover in the
+    sense of Alon-Huang-Sudakov; for sorted x with x_n <= 0 and total >= 0
+    such a cover has a non-negative weighted sum, so some non-member is
+    non-negative.
+
+    If the node budget runs out the best known construction is returned
+    flagged `upper_bound_only`.
     """
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got n={n}, k={k}")
@@ -146,25 +181,24 @@ def exact_A(n: int, k: int, budget: int = DEFAULT_NODE_BUDGET) -> SolverResult:
     top = tuple(range(1, k + 1))
     lower_cut = averaging_lower_bound(n, k)
     start = frozenset([top])
-    heap: list[tuple[int, tuple, frozenset]] = [(1, (top,), start)]
+    heap: list[tuple[int, tuple, frozenset, list]] = [
+        (1, (top,), start, maximal_nonmembers_of(start, n, k))]
     visited = {start}
     nodes = 0
     while heap and nodes < budget:
-        size, _, members = heapq.heappop(heap)
+        size, _, members, frontier = heapq.heappop(heap)
         nodes += 1
-        frontier = maximal_nonmembers_of(members, n, k)
         if size >= lower_cut:
-            minimal = minimal_elements_of(members, n)
-            res = solve_feasibility(filter_system(minimal, frontier, n))
+            res = solve_feasibility(filter_system(frontier, n, k))
             if res.feasible:
-                # The LP keeps the filter non-negative: equal sizes prove equality.
-                config = Configuration(res.point)
+                # The point realises a filter inside F: equal sizes prove it is F.
+                config = Configuration(values_of_differences(res.point))
                 if count_nonneg_ksums(config, k) != size:
                     raise AssertionError(
                         "witness configuration does not realize the filter exactly")
                 return SolverResult(
                     n=n, k=k, A_value=size,
-                    minimal_elements=tuple(minimal),
+                    minimal_elements=tuple(minimal_elements_of(members, n)),
                     optimal_config=config,
                     nodes_explored=nodes,
                 )
@@ -172,7 +206,9 @@ def exact_A(n: int, k: int, budget: int = DEFAULT_NODE_BUDGET) -> SolverResult:
             grown = members | {cand}
             if grown not in visited:
                 visited.add(grown)
-                heapq.heappush(heap, (size + 1, tuple(sorted(grown)), grown))
+                heapq.heappush(heap, (
+                    size + 1, tuple(sorted(grown)), grown,
+                    child_frontier(frontier, cand, grown, n)))
     # Budget exhausted: fall back to the best constructive upper bound.
     best = _best_construction(n, k)
     scaled = best.config.scaled
@@ -277,10 +313,15 @@ def verify_conjecture_range(
 
     Equality is proven by the exact solver, or by `averaging_lower_bound`
     meeting the star count when k | n; a counterexample verdict carries a
-    configuration whose exact count beats the target.
+    configuration whose exact count beats the target. An empty range
+    (no n with max(n_lo, k) <= n <= n_hi) is a ValueError.
     """
+    ns = range(max(n_lo, k), n_hi + 1)
+    if not ns:
+        raise ValueError(
+            f"empty range: no n with max(n_lo, k) = {max(n_lo, k)} <= n <= n_hi = {n_hi}")
     out = []
-    for n in range(max(n_lo, k), n_hi + 1):
+    for n in ns:
         target = binomial(n - 1, k - 1)
         best = _best_construction(n, k)
         upper, witness = best.predicted_count, best.config

@@ -1,3 +1,4 @@
+import functools
 import json
 import subprocess
 import sys
@@ -8,6 +9,7 @@ import pytest
 
 from mms import schemas
 from mms.cli import main
+from mms.intervals import decide_less
 from mms.numerics import binomial, parse_config_text
 
 
@@ -194,13 +196,15 @@ PARTITION_4_2 = '{{"n": 4, "k": 2, "classes": {}}}'
                 "--mode", "counted", "--sample", "-5"], 2),
     (CONFIG_9, ["witness", "--theorem", "2", "--config", "{file}", "--k", "2",
                 "--mode", "counted", "--sample", "-5"], 2),
+    (None, ["sweep", "--k", "2", "--n-lo", "10", "--n-hi", "4"], 2),
+    (None, ["sweep", "--k", "5", "--n-lo", "2", "--n-hi", "3"], 2),
 ], ids=["validate_without_classes", "validate_bad_json", "validate_unsorted_block_in_class",
         "validate_unsorted_block", "validate_index_zero", "validate_duplicated_class",
         "baranyai_without_k", "check_missing_param", "check_fractional_n",
         "check_fractional_p", "check_fractional_m", "check_zero_denominator",
         "check_stage_count_n_too_small", "check_stage_count_negative_p",
         "check_suite_thm2_k0", "witness_thm1_k0", "witness_thm1_negative_sample",
-        "witness_thm2_negative_sample"])
+        "witness_thm2_negative_sample", "sweep_n_lo_above_n_hi", "sweep_n_hi_below_k"])
 def test_malformed_input_exit_codes(tmp_path, capsys, file_text, args, code):
     path = tmp_path / "input.json"
     if file_text is not None:
@@ -211,6 +215,19 @@ def test_malformed_input_exit_codes(tmp_path, capsys, file_text, args, code):
         assert json.loads(out)["valid"] is False
     else:
         assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("target,replacement,args", [
+    ("mms.lp.check_farkas", lambda rows, mult: False, ["solve", "--n", "5", "--k", "2"]),
+    ("mms.bounds.decide_less", functools.partial(decide_less, max_terms=1),
+     ["fbounds", "--k", "3"]),
+], ids=["solve_invalid_farkas_certificate", "fbounds_undecided_comparison"])
+def test_internal_failures_exit_1(monkeypatch, capsys, target, replacement, args):
+    monkeypatch.setattr(target, replacement)
+    assert main(args) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: internal check failed") and err.count("\n") == 1
 
 
 #: A valid invocation of every subcommand, and the one flag of the three

@@ -9,50 +9,75 @@ from mms.lp import (
     solve_feasibility,
 )
 
+from freelp import contradicts, nonnegativity_rows, satisfies, solve_free
+
 
 def rows_from_ints(data):
     return [LinRow(tuple(Fraction(c) for c in coeffs), Fraction(rhs))
             for coeffs, rhs in data]
 
 
+def random_rows(rng, nvars, nrows, coeff, rhs):
+    return rows_from_ints([
+        (tuple(rng.randint(-coeff, coeff) for _ in range(nvars)), rng.randint(-rhs, rhs))
+        for _ in range(nrows)
+    ])
+
+
 def test_trivial_systems():
     assert solve_feasibility([]).feasible
-    r = solve_feasibility(rows_from_ints([(((1,)), 5)]))
+    assert solve_free([]).feasible
+    r = solve_free(rows_from_ints([(((1,)), 5)]))
     assert r.feasible and r.point[0] >= 5
-    r = solve_feasibility(rows_from_ints([((1,), 2), ((-1,), -1)]))
+    r = solve_free(rows_from_ints([((1,), 2), ((-1,), -1)]))
     assert not r.feasible
+
+
+def test_nonnegative_variables():
+    # -x >= 1 needs x < 0: infeasible over x >= 0 with y = (1,), feasible free.
+    rows = rows_from_ints([((-1,), 1)])
+    res = solve_feasibility(rows)
+    assert not res.feasible and res.farkas == (1,)
+    assert check_farkas(rows, res.farkas)
+    assert solve_free(rows).feasible
+    # check_point rejects a negative coordinate that satisfies every row.
+    assert not check_point(rows_from_ints([((1,), -5)]), (Fraction(-1),))
+    assert check_point(rows_from_ints([((1,), -5)]), (Fraction(0),))
+    # check_farkas accepts y^T A < 0 and rejects y^T A > 0 or y^T b <= 0.
+    assert check_farkas(rows_from_ints([((-2, 0), 1)]), (Fraction(1),))
+    assert not check_farkas(rows_from_ints([((1, 0), 1)]), (Fraction(1),))
+    assert not check_farkas(rows_from_ints([((-1, 0), 0)]), (Fraction(1),))
+    assert not check_farkas(rows, (Fraction(-1),))
 
 
 def test_certificates_verify():
     rng = random.Random(5)
-    feasible_seen = infeasible_seen = 0
+    seen = {(free, feasible): 0 for free in (True, False) for feasible in (True, False)}
     for _ in range(300):
-        nvars = rng.randint(1, 5)
-        nrows = rng.randint(1, 7)
-        rows = rows_from_ints([
-            (tuple(rng.randint(-4, 4) for _ in range(nvars)), rng.randint(-5, 5))
-            for _ in range(nrows)
-        ])
-        res = solve_feasibility(rows)
+        rows = random_rows(rng, rng.randint(1, 5), rng.randint(1, 7), 4, 5)
+        res = solve_free(rows)
+        seen[True, res.feasible] += 1
         if res.feasible:
-            feasible_seen += 1
+            assert satisfies(rows, res.point)
+        else:
+            assert contradicts(rows, res.farkas)
+        res = solve_feasibility(rows)
+        seen[False, res.feasible] += 1
+        if res.feasible:
             assert check_point(rows, res.point)
         else:
-            infeasible_seen += 1
             assert check_farkas(rows, res.farkas)
-    assert feasible_seen > 20 and infeasible_seen > 20
+    assert min(seen.values()) > 20, seen
 
 
 def test_simplex_agrees_with_fourier_motzkin():
     rng = random.Random(9)
     for _ in range(300):
         nvars = rng.randint(1, 4)
-        nrows = rng.randint(1, 6)
-        rows = rows_from_ints([
-            (tuple(rng.randint(-3, 3) for _ in range(nvars)), rng.randint(-4, 4))
-            for _ in range(nrows)
-        ])
-        assert solve_feasibility(rows).feasible == fourier_motzkin_feasible(rows)
+        rows = random_rows(rng, nvars, rng.randint(1, 6), 3, 4)
+        assert solve_free(rows).feasible == fourier_motzkin_feasible(rows)
+        assert solve_feasibility(rows).feasible == fourier_motzkin_feasible(
+            rows + nonnegativity_rows(nvars))
 
 
 def test_rational_coefficients():
@@ -61,16 +86,21 @@ def test_rational_coefficients():
         LinRow((Fraction(-1, 2), Fraction(1)), Fraction(0)),
         LinRow((Fraction(1), Fraction(1)), Fraction(-3)),
     ]
+    res = solve_free(rows)
+    assert res.feasible and satisfies(rows, res.point)
+    assert fourier_motzkin_feasible(rows)
     res = solve_feasibility(rows)
     assert res.feasible and check_point(rows, res.point)
-    assert fourier_motzkin_feasible(rows)
 
 
 def test_degenerate_zero_rows():
     rows = rows_from_ints([((0, 0), 1)])
+    res = solve_free(rows)
+    assert not res.feasible and contradicts(rows, res.farkas)
     res = solve_feasibility(rows)
     assert not res.feasible and check_farkas(rows, res.farkas)
     rows = rows_from_ints([((0, 0), -1), ((1, 1), 0)])
+    assert solve_free(rows).feasible
     assert solve_feasibility(rows).feasible
 
 
@@ -81,7 +111,7 @@ def test_farkas_combines_to_contradiction():
         ((0, 1, -1), 0),
         ((-1, 0, 1), 1),
     ])
-    res = solve_feasibility(rows)
+    res = solve_free(rows)
     assert not res.feasible
     combined_rhs = sum(y * r.rhs for y, r in zip(res.farkas, rows))
     assert combined_rhs > 0

@@ -1,13 +1,22 @@
+import heapq
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
 import mms.solver as solver_mod
-from mms.lp import check_farkas, check_point, fourier_motzkin_feasible, solve_feasibility
+from mms.lp import (
+    LinRow,
+    check_farkas,
+    check_point,
+    fourier_motzkin_feasible,
+    solve_feasibility,
+)
 from mms.numerics import Configuration, binomial, count_nonneg_ksums
 from mms.solver import (
     averaging_lower_bound,
+    child_frontier,
     cover_dominated,
     cover_dominators,
     exact_A,
@@ -15,9 +24,11 @@ from mms.solver import (
     maximal_nonmembers_of,
     minimal_elements_of,
     search_upper_bound,
+    values_of_differences,
     verify_conjecture_range,
 )
 
+from freelp import contradicts, nonnegativity_rows, satisfies, solve_free
 from genconfig import nonneg_members
 
 
@@ -55,28 +66,77 @@ def test_minimal_and_maximal_elements():
     assert maximal_nonmembers_of(members, n, k) == [(1, 4)]
 
 
+def full_system(minimal, max_nonmembers, n):
+    """The filter system over free sorted values x: the chain x_i >= x_{i+1},
+    total >= 0, minimal members >= 0, maximal non-members <= -1. Its
+    feasibility is exactly "the filter is some configuration's non-negative
+    family"."""
+    zero, one = Fraction(0), Fraction(1)
+
+    def row(plus, minus, rhs):
+        return LinRow(tuple(one if j in plus else -one if j in minus else zero
+                            for j in range(1, n + 1)), rhs)
+
+    rows = [row((i,), (i + 1,), zero) for i in range(1, n)]
+    rows.append(row(range(1, n + 1), (), zero))
+    rows += [row(a, (), zero) for a in minimal]
+    rows += [row((), b, one) for b in max_nonmembers]
+    return rows
+
+
 def filter_rows(members, n, k):
-    """The filter system of `members`, rebuilt from scratch."""
-    return filter_system(
+    """The full system of `members`, rebuilt from scratch."""
+    return full_system(
         minimal_elements_of(members, n), maximal_nonmembers_of(members, n, k), n)
+
+
+def relaxed_rows(members, n, k):
+    """R(F) of `members`, over (d, s) >= 0."""
+    return filter_system(maximal_nonmembers_of(members, n, k), n, k)
 
 
 def test_lp_feasible_examples():
     n, k = 5, 2
     # the whole cube: trivially feasible with all ones
     all_members = frozenset(itertools.combinations(range(1, n + 1), k))
-    res = solve_feasibility(filter_rows(all_members, n, k))
+    res = solve_free(filter_rows(all_members, n, k))
     assert res.feasible
     assert all(v >= 0 for v in res.point)
+    res = solve_feasibility(relaxed_rows(all_members, n, k))
+    assert res.feasible
+    assert all(v >= 0 for v in values_of_differences(res.point))
     # up-closure of {(1,2)} alone: infeasible
-    res = solve_feasibility(filter_rows(up_closure([(1, 2)], n), n, k))
-    assert not res.feasible
-    assert res.farkas is not None
+    for rows, solve in ((filter_rows(up_closure([(1, 2)], n), n, k), solve_free),
+                        (relaxed_rows(up_closure([(1, 2)], n), n, k), solve_feasibility)):
+        res = solve(rows)
+        assert not res.feasible
+        assert res.farkas is not None
     # up-closure of {(2,3)}: feasible
-    res = solve_feasibility(filter_rows(up_closure([(2, 3)], n), n, k))
+    res = solve_free(filter_rows(up_closure([(2, 3)], n), n, k))
     assert res.feasible
     count = count_nonneg_ksums(Configuration(res.point), k)
     assert count == 3
+    res = solve_feasibility(relaxed_rows(up_closure([(2, 3)], n), n, k))
+    assert res.feasible
+    assert count_nonneg_ksums(Configuration(values_of_differences(res.point)), k) == 3
+
+
+def test_filter_system_is_the_substituted_relaxation():
+    """At any (d, s) >= 0, the total row of R(F) is the sum of the values and
+    a non-member's row is minus its k-sum."""
+    rng = random.Random(11)
+    for n, k in ((5, 2), (7, 3), (8, 5)):
+        subsets = list(itertools.combinations(range(1, n + 1), k))
+        for _ in range(20):
+            point = tuple(Fraction(rng.randint(0, 9), rng.randint(1, 4)) for _ in range(n))
+            x = values_of_differences(point)
+            assert list(x) == sorted(x, reverse=True) and x[-1] == -point[-1]
+            chosen = rng.sample(subsets, 3)
+            total, *rows = filter_system(chosen, n, k)
+            assert (total.rhs, sum(c * v for c, v in zip(total.coeffs, point))) == (0, sum(x))
+            for b, row in zip(chosen, rows):
+                assert row.rhs == 1
+                assert sum(c * v for c, v in zip(row.coeffs, point)) == -sum(x[i - 1] for i in b)
 
 
 def test_certificates_recheck_and_fm_crosscheck():
@@ -90,15 +150,95 @@ def test_certificates_recheck_and_fm_crosscheck():
             for _ in range(rng.randint(1, 3))
         ]
         members = up_closure(seeds, n) | up_closure([tuple(range(1, k + 1))], n)
-        res = solve_feasibility(filter_rows(members, n, k))
         rows = filter_rows(members, n, k)
+        res = solve_free(rows)
         if res.feasible:
-            assert check_point(rows, res.point)
+            assert satisfies(rows, res.point)
         else:
-            assert check_farkas(rows, res.farkas)
+            assert contradicts(rows, res.farkas)
         assert fourier_motzkin_feasible(rows) == res.feasible
+        # R(F) relaxes the full system, and is checked on its own rows.
+        relaxed = relaxed_rows(members, n, k)
+        rel = solve_feasibility(relaxed)
+        if rel.feasible:
+            assert check_point(relaxed, rel.point)
+        else:
+            assert check_farkas(relaxed, rel.farkas)
+        assert rel.feasible or not res.feasible
+        assert fourier_motzkin_feasible(relaxed + nonnegativity_rows(n)) == rel.feasible
         checked += 1
     assert checked == 60
+
+
+def all_filter_steps(n, k):
+    """Every (filter, candidate) pair of filters containing the top k-set."""
+    start = frozenset([tuple(range(1, k + 1))])
+    seen, stack = {start}, [start]
+    while stack:
+        members = stack.pop()
+        for cand in maximal_nonmembers_of(members, n, k):
+            yield members, cand
+            grown = members | {cand}
+            if grown not in seen:
+                seen.add(grown)
+                stack.append(grown)
+
+
+@pytest.mark.parametrize("n,k", [(5, 2), (7, 2), (6, 3), (7, 3), (6, 4), (7, 4)])
+def test_child_frontier_matches_recomputation(n, k):
+    steps = 0
+    for members, cand in all_filter_steps(n, k):
+        grown = members | {cand}
+        frontier = maximal_nonmembers_of(members, n, k)
+        assert child_frontier(frontier, cand, grown, n) == maximal_nonmembers_of(grown, n, k)
+        steps += 1
+    assert steps >= 19
+
+
+def full_system_search(n, k):
+    """Best-first search as `exact_A` ran it on the full system: every
+    frontier recomputed, every LP over free x. Returns (A, nodes, LP calls,
+    minimal elements)."""
+    top = tuple(range(1, k + 1))
+    start = frozenset([top])
+    heap, visited = [(1, (top,), start)], {start}
+    nodes = lp_calls = 0
+    while heap:
+        size, _, members = heapq.heappop(heap)
+        nodes += 1
+        frontier = maximal_nonmembers_of(members, n, k)
+        if size >= averaging_lower_bound(n, k):
+            minimal = minimal_elements_of(members, n)
+            rows = full_system(minimal, frontier, n)
+            res = solve_free(rows)
+            lp_calls += 1
+            if res.feasible:
+                assert satisfies(rows, res.point)
+                assert count_nonneg_ksums(Configuration.from_values(res.point), k) == size
+                return size, nodes, lp_calls, tuple(minimal)
+            assert contradicts(rows, res.farkas)
+        for cand in frontier:
+            grown = members | {cand}
+            if grown not in visited:
+                visited.add(grown)
+                heapq.heappush(heap, (size + 1, tuple(sorted(grown)), grown))
+    raise AssertionError("no feasible filter")
+
+
+@pytest.mark.parametrize("n,k", [
+    (5, 2), (7, 2), (9, 2), (6, 3), (7, 3), (6, 4), (7, 4), (7, 5)])
+def test_exact_A_matches_full_system_search(n, k, monkeypatch):
+    calls = []
+    honest = solver_mod.solve_feasibility
+
+    def counted(rows):
+        calls.append(len(rows))
+        return honest(rows)
+
+    monkeypatch.setattr(solver_mod, "solve_feasibility", counted)
+    res = exact_A(n, k)
+    assert (res.A_value, res.nodes_explored, len(calls), res.minimal_elements) == (
+        full_system_search(n, k))
 
 
 def test_exact_A_spot_values():
@@ -152,24 +292,34 @@ def test_averaging_lower_bound_cuts_lp_calls(monkeypatch):
 
 
 def test_exact_A_computes_each_frontier_once(monkeypatch):
-    frontier_calls, lp_calls = [], []
+    frontier_calls, steps, lp_calls = [], [], []
     honest_frontier = solver_mod.maximal_nonmembers_of
+    honest_child = solver_mod.child_frontier
     honest_lp = solver_mod.solve_feasibility
 
     def counted_frontier(members, n, k):
         frontier_calls.append(len(members))
         return honest_frontier(members, n, k)
 
+    def checked_child(frontier, cand, grown, n):
+        child = honest_child(frontier, cand, grown, n)
+        assert child == honest_frontier(grown, n, len(cand))
+        steps.append(cand)
+        return child
+
     def counted_lp(rows):
         lp_calls.append(len(rows))
         return honest_lp(rows)
 
     monkeypatch.setattr(solver_mod, "maximal_nonmembers_of", counted_frontier)
+    monkeypatch.setattr(solver_mod, "child_frontier", checked_child)
     monkeypatch.setattr(solver_mod, "solve_feasibility", counted_lp)
     res = exact_A(7, 3)
     assert res.nodes_explored == 53
-    # One frontier per node serves both its LP and its children.
-    assert len(frontier_calls) == res.nodes_explored
+    # Only the root's frontier is a scan over all k-sets; every other one
+    # grows from its parent's and equals that scan.
+    assert frontier_calls == [1]
+    assert len(steps) >= res.nodes_explored - 1
     assert len(lp_calls) == 12
 
 
