@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 import random
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -171,10 +173,13 @@ def exact_A(n: int, k: int, budget: int = DEFAULT_NODE_BUDGET) -> SolverResult:
     non-negative.
 
     If the node budget runs out the best known construction is returned
-    flagged `upper_bound_only`.
+    flagged `upper_bound_only`; a budget of 0 asks for that construction
+    only, and a negative budget is a ValueError.
     """
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got n={n}, k={k}")
+    if budget < 0:
+        raise ValueError(f"budget must be non-negative, got {budget}")
     if binomial(n, k) > EXACT_SOLVER_CAP:
         raise ValueError(
             f"C({n},{k}) = {binomial(n, k)} exceeds exact solver cap {EXACT_SOLVER_CAP}")
@@ -227,6 +232,52 @@ def exact_A(n: int, k: int, budget: int = DEFAULT_NODE_BUDGET) -> SolverResult:
 
 # --- heuristic upper-bound search -----------------------------------------
 
+def admissible_picks(values: tuple[int, ...], k: int) -> list[tuple[int, ...]]:
+    """The pick vectors of k-subsets over the distinct `values` (two or three,
+    strictly decreasing) with a non-negative sum: every (a, b) or (a, b, c)
+    with a + b (+ c) = k and a*values[0] + b*values[1] (+ c*values[2]) >= 0."""
+    if len(values) == 2:
+        hi, lo = values
+        return [(a, k - a) for a in range(k + 1) if a * hi + (k - a) * lo >= 0]
+    hi, mid, lo = values
+    return [(a, b, k - a - b) for a in range(k + 1) for b in range(k + 1 - a)
+            if a * hi + b * mid + (k - a - b) * lo >= 0]
+
+
+def grid_candidates(
+    n: int, k: int,
+) -> Iterator[tuple[int, tuple[int, ...], tuple[int, ...]]]:
+    """Yield (count, values, multiplicities) for each candidate of the grid
+    search, in search order: `values` distinct and decreasing, each taken
+    `multiplicities` times, and `count` its number of non-negative k-sums.
+
+    A candidate's count depends only on how many values each run gives, so
+    it is the sum of prod C(m_i, a_i) over the value pattern's
+    `admissible_picks`, listed once per pattern: the run decomposition of
+    `count_nonneg_scaled` outside the multiplicity loops, exact, with the
+    binomials read from one table C(m, a), m <= n, a <= k.
+    """
+    table = [[math.comb(m, a) for m in range(n + 1)] for a in range(k + 1)]
+    for hi in range(n - 1, -n, -1):
+        for lo in range(hi - 1, -n, -1):
+            cols = [(table[a], table[b]) for a, b in admissible_picks((hi, lo), k)]
+            for m in range(n - 1, 0, -1):
+                if hi * m + lo * (n - m) < 0:
+                    break  # sum decreases with m here; the rest are negative
+                rest = n - m
+                yield sum(x[m] * y[rest] for x, y in cols), (hi, lo), (m, rest)
+    for hi, mid, lo in itertools.combinations(range(6, -7, -1), 3):
+        cols = [(table[a], table[b], table[c])
+                for a, b, c in admissible_picks((hi, mid, lo), k)]
+        for m1 in range(1, n - 1):
+            for m2 in range(1, n - m1):
+                m3 = n - m1 - m2
+                if hi * m1 + mid * m2 + lo * m3 < 0:
+                    continue
+                yield (sum(x[m1] * y[m2] * z[m3] for x, y, z in cols),
+                       (hi, mid, lo), (m1, m2, m3))
+
+
 def search_upper_bound(
     n: int,
     k: int,
@@ -236,34 +287,24 @@ def search_upper_bound(
     """Heuristically minimize the non-negative k-sum count; exact per candidate.
 
     `grid` sweeps integer configurations with at most three distinct values
-    (two-value patterns over [-(n-1), n-1], three-value over [-6, 6]);
-    `anneal` runs seeded simulated annealing from the star pattern, with
-    values clamped to [-max(n, 8), max(n, 8)].
+    (two-value patterns over [-(n-1), n-1], three-value over [-6, 6]) and
+    counts each exactly from its multiplicities by the admissible pick
+    patterns of its value tuple (`grid_candidates`); `anneal` runs seeded
+    simulated annealing from the star pattern, with values clamped to
+    [-max(n, 8), max(n, 8)], counting by `count_nonneg_scaled`. Either way
+    the answer is recounted by the general kernel before it is returned.
     """
+    if not 1 <= k <= n:
+        raise ValueError(f"need 1 <= k <= n, got n={n}, k={k}")
     if strategy not in ("grid", "anneal"):
         raise ValueError(f"unknown strategy {strategy!r}")
     best_count = binomial(n - 1, k - 1)
     best_values = list(star_config(n, k).config.scaled)
     if strategy == "grid":
-        for hi in range(n - 1, -n, -1):
-            for lo in range(hi - 1, -n, -1):
-                for m in range(n - 1, 0, -1):
-                    if hi * m + lo * (n - m) < 0:
-                        break  # sum decreases with m here; the rest are negative
-                    values = [hi] * m + [lo] * (n - m)
-                    c = count_nonneg_scaled(values, k)
-                    if c < best_count:
-                        best_count, best_values = c, values
-        for hi, mid, lo in itertools.combinations(range(6, -7, -1), 3):
-            for m1 in range(1, n - 1):
-                for m2 in range(1, n - m1):
-                    m3 = n - m1 - m2
-                    if hi * m1 + mid * m2 + lo * m3 < 0:
-                        continue
-                    values = [hi] * m1 + [mid] * m2 + [lo] * m3
-                    c = count_nonneg_scaled(values, k)
-                    if c < best_count:
-                        best_count, best_values = c, values
+        for c, values, mults in grid_candidates(n, k):
+            if c < best_count:
+                best_count = c
+                best_values = [v for v, m in zip(values, mults) for _ in range(m)]
     else:
         rng = random.Random(seed)
         bound = max(n, 8)

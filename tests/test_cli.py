@@ -1,5 +1,6 @@
 import functools
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -7,7 +8,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from mms import schemas
+from mms import __version__, schemas
 from mms.cli import main
 from mms.intervals import decide_less
 from mms.numerics import binomial, parse_config_text
@@ -160,6 +161,16 @@ def test_usage_error_exit_2():
     assert proc.returncode == 2
 
 
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "mms", "--version"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0
+    assert proc.stdout.strip() == __version__
+
+
 def test_invalid_parameters_exit_2(capsys):
     code = main(["baranyai", "--n", "7", "--k", "2"])
     assert code == 2
@@ -198,13 +209,17 @@ PARTITION_4_2 = '{{"n": 4, "k": 2, "classes": {}}}'
                 "--mode", "counted", "--sample", "-5"], 2),
     (None, ["sweep", "--k", "2", "--n-lo", "10", "--n-hi", "4"], 2),
     (None, ["sweep", "--k", "5", "--n-lo", "2", "--n-hi", "3"], 2),
+    (None, ["search", "--n", "0", "--k", "1"], 2),
+    (None, ["search", "--n", "-3", "--k", "2"], 2),
+    (None, ["solve", "--n", "5", "--k", "2", "--budget", "-1"], 2),
 ], ids=["validate_without_classes", "validate_bad_json", "validate_unsorted_block_in_class",
         "validate_unsorted_block", "validate_index_zero", "validate_duplicated_class",
         "baranyai_without_k", "check_missing_param", "check_fractional_n",
         "check_fractional_p", "check_fractional_m", "check_zero_denominator",
         "check_stage_count_n_too_small", "check_stage_count_negative_p",
         "check_suite_thm2_k0", "witness_thm1_k0", "witness_thm1_negative_sample",
-        "witness_thm2_negative_sample", "sweep_n_lo_above_n_hi", "sweep_n_hi_below_k"])
+        "witness_thm2_negative_sample", "sweep_n_lo_above_n_hi", "sweep_n_hi_below_k",
+        "search_n0", "search_negative_n", "solve_negative_budget"])
 def test_malformed_input_exit_codes(tmp_path, capsys, file_text, args, code):
     path = tmp_path / "input.json"
     if file_text is not None:

@@ -1,9 +1,12 @@
 import heapq
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mms.solver as solver_mod
 from mms.lp import (
@@ -13,14 +16,16 @@ from mms.lp import (
     fourier_motzkin_feasible,
     solve_feasibility,
 )
-from mms.numerics import Configuration, binomial, count_nonneg_ksums
+from mms.numerics import Configuration, binomial, count_nonneg_ksums, count_nonneg_scaled
 from mms.solver import (
+    admissible_picks,
     averaging_lower_bound,
     child_frontier,
     cover_dominated,
     cover_dominators,
     exact_A,
     filter_system,
+    grid_candidates,
     maximal_nonmembers_of,
     minimal_elements_of,
     search_upper_bound,
@@ -336,6 +341,42 @@ def test_exact_A_rejects_ranges():
         exact_A(30, 5)
     with pytest.raises(ValueError):
         exact_A(3, 4)
+    with pytest.raises(ValueError, match="budget must be non-negative"):
+        exact_A(5, 2, budget=-1)
+    assert exact_A(5, 2, budget=0).upper_bound_only  # construction only
+
+
+@pytest.mark.parametrize("n,k", [(0, 1), (-3, 2), (3, 4), (5, 0)])
+def test_search_rejects_ranges(n, k):
+    with pytest.raises(ValueError, match=rf"need 1 <= k <= n, got n={n}, k={k}"):
+        search_upper_bound(n, k)
+
+
+def expand(values, mults):
+    return [v for v, m in zip(values, mults) for _ in range(m)]
+
+
+def test_grid_counts_match_the_general_kernel():
+    for k in range(1, 5):
+        for n in range(k, 13):
+            seen = 0
+            for count, values, mults in grid_candidates(n, k):
+                assert len(values) == len(mults) and sum(mults) == n and min(mults) >= 1
+                assert count == count_nonneg_scaled(expand(values, mults), k), (n, k, values, mults)
+                seen += 1
+            assert seen > 0 or n == 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_pick_pattern_count_property(data):
+    values = sorted(data.draw(st.sets(st.integers(-30, 30), min_size=2, max_size=3)), reverse=True)
+    mults = data.draw(st.lists(st.integers(1, 8), min_size=len(values), max_size=len(values)))
+    k = data.draw(st.integers(1, sum(mults)))
+    counted = sum(
+        math.prod(binomial(m, a) for m, a in zip(mults, picks))
+        for picks in admissible_picks(tuple(values), k))
+    assert counted == count_nonneg_scaled(expand(values, mults), k)
 
 
 def test_search_upper_bound_examples():
@@ -361,6 +402,10 @@ SEARCH_REFERENCE = {
     (14, 3, "anneal"): (78, [13] + [-1] * 13),
     (13, 4, "grid"): (210, [3] * 10 + [-10] * 3),
     (13, 4, "anneal"): (220, [12] + [-1] * 12),
+    (20, 3, "grid"): (171, [19] + [-1] * 19),
+    (24, 5, "grid"): (8855, [23] + [-1] * 23),
+    (12, 5, "grid"): (246, [10] * 5 + [-7] * 7),
+    (10, 4, "grid"): (70, [8] * 3 + [-3] * 7),
 }
 
 
