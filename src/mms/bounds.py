@@ -101,28 +101,30 @@ def thm2_stage_check(n: int, k: int, p: int) -> BoundReport:
     For p < n/k^2 the sufficient chain ends in n/(k(k-1)) > p + 2 + 1/p;
     for n/k^2 <= p <= n/2k the floor bound n^k / (2^(k-1) k^2) clears
     n^(k-1) exactly when n > 2^(k-1) k^2.
+
+    Every comparison is made in ints: the regime test p < n/k^2 as
+    p k^2 < n; the small-regime chain, multiplied through by p k(k-1) > 0,
+    as n p > k(k-1)(p+1)^2; the large-regime chain as
+    n^k > n^(k-1) 2^(k-1) k^2. Only the reported floor bound is a Fraction.
     """
     if k < 2:
         raise ValueError(f"need k >= 2, got k={k}")
     if not 1 <= p <= n // (2 * k):
         raise ValueError(f"p={p} outside [1, {n // (2 * k)}]")
-    lhs = (p + 1) * Fraction(n - k * (p + 1)) ** (k - 1)
-    rhs = Fraction(n) ** (k - 1)
-    small_regime = Fraction(p) < Fraction(n, k * k)
+    lhs = (p + 1) * (n - k * (p + 1)) ** (k - 1)
+    rhs = n ** (k - 1)
     params: dict = {"n": n, "k": k, "p": p}
-    if small_regime:
+    if p * k * k < n:
         params["regime"] = "p_below_n_over_k2"
-        params["first_term_condition"] = (
-            rhs > (k - 1) * k * (p + 1) * Fraction(n) ** (k - 2))
-        params["sufficient_chain_holds"] = (
-            Fraction(n, k * (k - 1)) > p + 2 + Fraction(1, p))
+        params["first_term_condition"] = rhs > (k - 1) * k * (p + 1) * n ** (k - 2)
+        params["sufficient_chain_holds"] = n * p > k * (k - 1) * (p + 1) ** 2
     else:
         params["regime"] = "p_above_n_over_k2"
-        floor_bound = Fraction(n) ** k / (2 ** (k - 1) * k**2)
-        params["floor_bound"] = floor_bound
-        params["sufficient_chain_holds"] = floor_bound > rhs
-        params["sufficient_threshold_ok"] = (
-            (floor_bound > rhs) == (n > 2 ** (k - 1) * k**2))
+        divisor = 2 ** (k - 1) * k**2
+        chain_holds = n**k > rhs * divisor
+        params["floor_bound"] = Fraction(n**k, divisor)
+        params["sufficient_chain_holds"] = chain_holds
+        params["sufficient_threshold_ok"] = chain_holds == (n > divisor)
     return BoundReport(
         name="thm2_stage_check",
         parameters=params,

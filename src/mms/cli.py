@@ -67,8 +67,19 @@ def _resolve_seed(args) -> int:
     return int(env) if env else 0
 
 
+class UnreadableInput(Exception):
+    """An input file that cannot be read as UTF-8 text: malformed input (exit 3)."""
+
+
+def _read_input(path: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UnreadableInput(f"cannot read {path}: {exc}") from None
+
+
 def _load_config(path: str) -> Configuration:
-    return parse_config_text(Path(path).read_text())
+    return parse_config_text(_read_input(path))
 
 
 def _bound_report_json(report) -> dict:
@@ -135,7 +146,7 @@ def _read_block(block) -> tuple[int, ...]:
 def cmd_baranyai(args) -> int:
     if args.validate:
         try:
-            data = json.loads(Path(args.validate).read_text())
+            data = json.loads(_read_input(args.validate))
             diagnostic = validate_partition(data["n"], data["k"], tuple(
                 tuple(_read_block(b) for b in cls) for cls in data["classes"]))
         except (ValueError, KeyError, TypeError) as exc:
@@ -207,6 +218,7 @@ def cmd_solve(args) -> int:
         "k": result.k,
         "A": str(result.A_value),
         "upper_bound_only": result.upper_bound_only,
+        "bound": "upper" if result.upper_bound_only else "exact",
         "nodes": result.nodes_explored,
         "optimal_config": [_rat_str(v) for v in result.optimal_config.values],
         "minimal_elements": [list(m) for m in result.minimal_elements],
@@ -474,7 +486,7 @@ def main(argv=None) -> int:
     except ConfigParseError as exc:
         print(f"error: malformed configuration: {exc}", file=sys.stderr)
         return 3
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, UnreadableInput) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (ValueError, NotImplementedError) as exc:

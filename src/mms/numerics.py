@@ -7,6 +7,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
+import re
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -91,15 +94,21 @@ class Configuration:
     def __post_init__(self):
         if not self.values:
             raise ValueError("configuration must have at least one value")
-        for a, b in zip(self.values, self.values[1:]):
-            if a < b:
-                raise ValueError("values must be sorted non-increasing")
+        scaled = self.scaled  # same order as the values, compared as ints
+        if not all(map(operator.ge, scaled, scaled[1:])):
+            raise ValueError("values must be sorted non-increasing")
 
     @classmethod
     def from_values(cls, values) -> Configuration:
         """Build from any iterable of rationals, in any order."""
-        vals = sorted((as_rational(v) for v in values), reverse=True)
-        return cls(tuple(vals))
+        return cls.from_counts(Counter(map(as_rational, values)))
+
+    @classmethod
+    def from_counts(cls, counts) -> Configuration:
+        """Build from a mapping of distinct Fractions to multiplicities: the
+        distinct values are sorted once and expanded."""
+        return cls(tuple(itertools.chain.from_iterable(
+            itertools.repeat(v, counts[v]) for v in sorted(counts, reverse=True))))
 
     @property
     def n(self) -> int:
@@ -239,22 +248,42 @@ def count_nonneg_ksums(config: Configuration, k: int) -> int:
 
 # --- configuration text format ------------------------------------------
 #
-# One rational per line, as `p/q` or a bare integer `p`; `#` starts a
-# comment; blank lines ignored; order-insensitive.
+# One rational per line, as `p/q` or a bare integer `p` (ASCII digits, an
+# optional sign on p only); `#` starts a comment; surrounding whitespace and
+# blank lines are ignored; order-insensitive.
+
+_RATIONAL_LINE = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+
+
+def _parse_rational(line: str) -> Fraction:
+    match = _RATIONAL_LINE.fullmatch(line)
+    if match is None:
+        raise ValueError(f"not a rational p/q or integer: {line!r}")
+    num, den = int(match[1]), int(match[2] or 1)  # ValueError past int()'s digit limit
+    if den == 0:
+        raise ValueError(f"zero denominator: {line!r}")
+    return Fraction(num, den)
+
 
 def parse_config_text(text: str) -> Configuration:
-    values = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        try:
-            values.append(Fraction(line))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ConfigParseError(f"not a rational: {line!r} ({exc})", line_no)
-    if not values:
+    """Each distinct line is converted once; equal values (`2/4`, `1/2`) merge
+    before the one sort of `Configuration.from_counts`."""
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [raw.split("#", 1)[0] for raw in lines]
+    line_counts = Counter(map(str.strip, lines))
+    line_counts.pop("", None)
+    if not line_counts:
         raise ConfigParseError("no values found")
-    return Configuration.from_values(values)
+    counts: Counter[Fraction] = Counter()
+    for line, m in line_counts.items():  # in order of first occurrence
+        try:
+            value = _parse_rational(line)
+        except ValueError as exc:
+            line_no = next(i for i, raw in enumerate(lines, start=1) if raw.strip() == line)
+            raise ConfigParseError(str(exc), line_no) from None
+        counts[value] += m
+    return Configuration.from_counts(counts)
 
 
 def format_config(config: Configuration) -> str:

@@ -84,6 +84,7 @@ SOLVE_RESULT = {
         "k": {"type": "integer"},
         "A": _COUNT,
         "upper_bound_only": {"type": "boolean"},
+        "bound": {"enum": ["exact", "upper"]},
         "nodes": {"type": "integer"},
         "optimal_config": {"type": "array", "items": _RATIONAL},
         "minimal_elements": {

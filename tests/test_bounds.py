@@ -185,6 +185,52 @@ def test_thm2_stage_two_evaluation_paths_agree():
                 assert r.lhs == expanded and r.margin == r.lhs - r.rhs
 
 
+def stage_check_oracle(n: int, k: int, p: int):
+    """The Fraction formulas `thm2_stage_check` replaced by int comparisons:
+    (lhs, rhs, parameters)."""
+    lhs = (p + 1) * Fraction(n - k * (p + 1)) ** (k - 1)
+    rhs = Fraction(n) ** (k - 1)
+    params = {"n": n, "k": k, "p": p}
+    if Fraction(p) < Fraction(n, k * k):
+        params["regime"] = "p_below_n_over_k2"
+        params["first_term_condition"] = (
+            rhs > (k - 1) * k * (p + 1) * Fraction(n) ** (k - 2))
+        params["sufficient_chain_holds"] = (
+            Fraction(n, k * (k - 1)) > p + 2 + Fraction(1, p))
+    else:
+        params["regime"] = "p_above_n_over_k2"
+        floor_bound = Fraction(n) ** k / (2 ** (k - 1) * k**2)
+        params["floor_bound"] = floor_bound
+        params["sufficient_chain_holds"] = floor_bound > rhs
+        params["sufficient_threshold_ok"] = (
+            (floor_bound > rhs) == (n > 2 ** (k - 1) * k**2))
+    return lhs, rhs, params
+
+
+def test_thm2_stage_matches_the_fraction_oracle():
+    """Both regimes, the boundary p k^2 = n, p = n // 2k, and n around the
+    large-regime threshold 2^(k-1) k^2, for k = 2..6."""
+    seen = set()
+    for k in range(2, 7):
+        threshold = 2 ** (k - 1) * k**2
+        sizes = {2 * k, 4 * k, 4 * k + 1, 3 * k * k, 3 * k * k + 1, threshold - 1,
+                 threshold, threshold + 1, 97 * k, 1000}
+        for n in sorted(sizes):
+            top = n // (2 * k)
+            ps = set(range(1, min(top, 12) + 1)) | {top - 1, top}
+            ps |= {n // (k * k) + d for d in (-1, 0, 1)}
+            for p in sorted(q for q in ps if 1 <= q <= top):
+                r = thm2_stage_check(n, k, p)
+                lhs, rhs, params = stage_check_oracle(n, k, p)
+                assert (r.lhs, r.rhs, r.holds, r.strict) == (lhs, rhs, lhs > rhs, True)
+                assert r.margin == lhs - rhs
+                assert r.parameters == params, (n, k, p)
+                seen.add((params["regime"], p * k * k == n, p == top))
+    assert {("p_below_n_over_k2", False, False), ("p_above_n_over_k2", True, False),
+            ("p_above_n_over_k2", False, True)} <= seen
+    assert ("p_below_n_over_k2", False, True) in seen  # small n: p = n // 2k below n/k^2
+
+
 def test_stage_p1_binomial_form():
     for n in range(19, 101):
         assert stage_count_beats_target(n, 3, 1).holds

@@ -26,7 +26,7 @@ def test_solve_json(capsys):
     obj = json.loads(out)
     jsonschema.validate(obj, schemas.SOLVE_RESULT)
     assert obj["A"] == "3"
-    assert obj["upper_bound_only"] is False
+    assert obj["upper_bound_only"] is False and obj["bound"] == "exact"
 
 
 def test_construct_writes_config_and_sidecar(tmp_path, capsys):
@@ -178,6 +178,11 @@ def test_invalid_parameters_exit_2(capsys):
 
 #: n = 9 values with total sum 0, for the witness cases.
 CONFIG_9 = "8\n" + "-1\n" * 8
+#: Stands for a directory where the table expects a file's text.
+DIRECTORY = object()
+#: A file that is not UTF-8.
+NOT_UTF8 = b"\xff\xfe1\n"
+WITNESS_THM2 = ["witness", "--theorem", "2", "--config", "{file}", "--k", "2"]
 #: A 4-point partition file around the given classes.
 PARTITION_4_2 = '{{"n": 4, "k": 2, "classes": {}}}'
 
@@ -212,6 +217,17 @@ PARTITION_4_2 = '{{"n": 4, "k": 2, "classes": {}}}'
     (None, ["search", "--n", "0", "--k", "1"], 2),
     (None, ["search", "--n", "-3", "--k", "2"], 2),
     (None, ["solve", "--n", "5", "--k", "2", "--budget", "-1"], 2),
+    (CONFIG_9 + "0.5\n", WITNESS_THM2, 3),
+    (CONFIG_9 + "1e3\n", WITNESS_THM2, 3),
+    (CONFIG_9 + "1_000\n", WITNESS_THM2, 3),
+    (CONFIG_9 + "1/0\n", WITNESS_THM2, 3),
+    (CONFIG_9 + "1/-2\n", WITNESS_THM2, 3),
+    (CONFIG_9 + "3/\n", WITNESS_THM2, 3),
+    (CONFIG_9 + "/3\n", WITNESS_THM2, 3),
+    (NOT_UTF8, WITNESS_THM2, 3),
+    (DIRECTORY, WITNESS_THM2, 3),
+    (NOT_UTF8, ["baranyai", "--validate", "{file}"], 3),
+    (DIRECTORY, ["baranyai", "--validate", "{file}"], 3),
 ], ids=["validate_without_classes", "validate_bad_json", "validate_unsorted_block_in_class",
         "validate_unsorted_block", "validate_index_zero", "validate_duplicated_class",
         "baranyai_without_k", "check_missing_param", "check_fractional_n",
@@ -219,17 +235,25 @@ PARTITION_4_2 = '{{"n": 4, "k": 2, "classes": {}}}'
         "check_stage_count_n_too_small", "check_stage_count_negative_p",
         "check_suite_thm2_k0", "witness_thm1_k0", "witness_thm1_negative_sample",
         "witness_thm2_negative_sample", "sweep_n_lo_above_n_hi", "sweep_n_hi_below_k",
-        "search_n0", "search_negative_n", "solve_negative_budget"])
+        "search_n0", "search_negative_n", "solve_negative_budget",
+        "config_decimal", "config_exponent", "config_underscore", "config_zero_denominator",
+        "config_negative_denominator", "config_missing_denominator",
+        "config_missing_numerator", "config_not_utf8", "config_directory",
+        "validate_not_utf8", "validate_directory"])
 def test_malformed_input_exit_codes(tmp_path, capsys, file_text, args, code):
     path = tmp_path / "input.json"
-    if file_text is not None:
+    if file_text is DIRECTORY:
+        path.mkdir()
+    elif isinstance(file_text, bytes):
+        path.write_bytes(file_text)
+    elif file_text is not None:
         path.write_text(file_text)
     assert main([a.format(file=path) for a in args]) == code
     out, err = capsys.readouterr()
     if code == 1:  # a well-formed partition file that fails validation
         assert json.loads(out)["valid"] is False
     else:
-        assert err.startswith("error:")
+        assert err.startswith("error:") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("target,replacement,args", [
@@ -279,6 +303,7 @@ def test_subcommand_flags_still_work(capsys):
     assert code == 0
     obj = json.loads(out)
     assert obj["upper_bound_only"] is True and obj["A"] == "7"
+    assert obj["bound"] == "upper"
     code, out = run_cli(
         ["sweep", "--k", "2", "--n-lo", "4", "--n-hi", "5", "--format", "json"], capsys)
     assert code == 0

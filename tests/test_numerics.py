@@ -295,8 +295,69 @@ def test_config_text_parsing():
     text = "# sample\n3\n-4  # trailing comment\n\n1/2\n"
     c = parse_config_text(text)
     assert c.values == (Fraction(3), Fraction(1, 2), Fraction(-4))
+    assert parse_config_text("+3\n2/4\n-0\n1/2\n 007/14 \n").values == (
+        Fraction(3), Fraction(1, 2), Fraction(1, 2), Fraction(1, 2), Fraction(0))
     with pytest.raises(ConfigParseError) as exc:
         parse_config_text("3\nnope\n")
     assert exc.value.line_no == 2
     with pytest.raises(ConfigParseError):
         parse_config_text("# only comments\n")
+    # Only `[+-]?digits` and `[+-]?digits/digits` are values; the first
+    # malformed line is reported, even when it repeats later.
+    outside_the_grammar = ["0.5", "1e3", "1e100000", "1_000", "1/0", "1/-2", "3/", "/3",
+                           "1 / 2", "--1", "0x10", "\u0661"]
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if limit:
+        outside_the_grammar.append("9" * (limit + 1))  # more digits than int() converts
+    for line in outside_the_grammar:
+        with pytest.raises(ConfigParseError) as exc:
+            parse_config_text(f"1\n# note\n\n{line}  # bad\n2\n{line}\n")
+        assert exc.value.line_no == 4, line
+
+
+def parse_config_oracle(text: str) -> tuple[Fraction, ...]:
+    """The route the parser replaced: `Fraction(line)` per line, then one
+    sort of all the Fractions."""
+    values = []
+    for raw in text.splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            values.append(Fraction(line))
+    return tuple(sorted(values, reverse=True))
+
+
+@st.composite
+def config_texts(draw):
+    """Shuffled lines over a small pool of values: repeats, unreduced p/q,
+    explicit signs, comments, blank lines and surrounding blanks."""
+    pool = draw(st.lists(st.fractions(min_value=-40, max_value=40, max_denominator=12),
+                         min_size=1, max_size=6))
+    lines = []
+    for value in draw(st.lists(st.sampled_from(pool), min_size=1, max_size=40)):
+        factor = draw(st.integers(1, 4))
+        num, den = value.numerator * factor, value.denominator * factor
+        sign = "+" if num >= 0 and draw(st.booleans()) else ""
+        body = f"{sign}{num}" if den == 1 and draw(st.booleans()) else f"{sign}{num}/{den}"
+        pad = draw(st.sampled_from(["", " ", "\t"]))
+        comment = draw(st.sampled_from(["", "# v", "  # 1/0 and 0.5"]))
+        lines.append(f"{pad}{body}{pad}{comment}")
+        lines.extend(draw(st.lists(st.sampled_from(["", "   ", "# comment"]), max_size=2)))
+    return "\n".join(draw(st.permutations(lines)))
+
+
+@settings(max_examples=300)
+@given(config_texts())
+def test_parser_matches_the_fraction_per_line_oracle(text):
+    expected = parse_config_oracle(text)
+    c = parse_config_text(text)
+    assert c.values == expected
+    denom = math.lcm(*(v.denominator for v in expected))
+    assert c.scaled == tuple(int(v * denom) for v in expected)
+
+
+def test_configuration_checks_order_after_scaling():
+    with pytest.raises(ValueError):
+        Configuration((Fraction(1, 3), Fraction(1, 2)))
+    with pytest.raises(ValueError):
+        Configuration((Fraction(-5, 6), Fraction(2, 3), Fraction(-1)))
+    assert Configuration((Fraction(1, 2), Fraction(1, 2), Fraction(1, 3))).scaled == (3, 3, 2)
