@@ -35,6 +35,7 @@ from .numerics import (
     ConfigParseError,
     format_config,
     parse_config_text,
+    parse_rational,
 )
 from .partition import baranyai_partition, validate_partition
 from .reproduce import run_reproduction
@@ -203,9 +204,7 @@ def cmd_witness(args) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
         csv_path = out_dir / f"witnesses_thm{args.theorem}_n{config.n}_k{args.k}.csv"
         with csv_path.open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            for s in report.witnesses.sorted_members():
-                writer.writerow(s.indices)
+            csv.writer(fh).writerows(report.witnesses.sorted_members())
         obj["witnesses_path"] = str(csv_path)
     _emit(args, obj, f"witness_thm{args.theorem}_n{config.n}_k{args.k}.json")
     return 0 if report.certified else 1
@@ -265,9 +264,9 @@ def _parse_params(pairs: list[str]) -> dict[str, Fraction]:
             raise ValueError(f"expected key=value, got {pair!r}")
         key, _, value = pair.partition("=")
         try:
-            out[key.strip()] = Fraction(value.strip())
-        except ZeroDivisionError:
-            raise ValueError(f"--params {pair!r} has a zero denominator") from None
+            out[key.strip()] = parse_rational(value.strip())
+        except ValueError as exc:
+            raise ValueError(f"--params {pair!r}: {exc}") from None
     return out
 
 

@@ -12,7 +12,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 
 RationalLike = Fraction | int | str
 
@@ -47,42 +47,54 @@ def as_rational(value: RationalLike) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
-@dataclass(frozen=True)
-class KSubset:
-    """A k-element index set into a configuration, 1-based, strictly increasing."""
+class KSubset(tuple):
+    """A k-element index set into a configuration: its sorted index tuple,
+    1-based and strictly increasing.
 
-    indices: tuple[int, ...]
+    `KSubset(indices)` validates the shape; hashing, equality, order,
+    iteration and `in` are the tuple's, so `KSubset((1, 2)) == (1, 2)`.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, indices):
+        self = tuple.__new__(cls, indices)
+        self.__post_init__()
+        return self
 
     def __post_init__(self):
-        ix = self.indices
-        if not ix:
+        if not self:
             raise ValueError("KSubset must be non-empty")
         prev = 0
-        for i in ix:
+        for i in self:
             if i <= prev:
-                raise ValueError(f"indices must be strictly increasing and >= 1: {ix}")
+                raise ValueError(f"indices must be strictly increasing and >= 1: {self}")
             prev = i
 
     @property
+    def indices(self) -> tuple[int, ...]:
+        return self
+
+    @property
     def k(self) -> int:
-        return len(self.indices)
+        return len(self)
 
-    def __iter__(self):
-        return iter(self.indices)
 
-    def __contains__(self, index: int) -> bool:
-        return index in self.indices
+#: Builds a KSubset without the shape check, for index tuples already known
+#: to be strictly increasing and >= 1 (members of a checked `RangeFamily`,
+#: shifts of validated k-sets).
+trusted_ksubset = partial(tuple.__new__, KSubset)
 
 
 def gale_dominates(a: KSubset, b: KSubset) -> bool:
-    """True iff a.indices[i] <= b.indices[i] for every position i.
+    """True iff a[i] <= b[i] for every position i.
 
     On a non-increasing configuration, smaller indices mean larger values, so
     a dominating b implies ksum(config, a) >= ksum(config, b).
     """
-    if a.k != b.k:
-        raise ValueError(f"mismatched subset sizes: {a.k} vs {b.k}")
-    return all(x <= y for x, y in zip(a.indices, b.indices))
+    if len(a) != len(b):
+        raise ValueError(f"mismatched subset sizes: {len(a)} vs {len(b)}")
+    return all(map(operator.le, a, b))
 
 
 @dataclass(frozen=True)
@@ -145,10 +157,9 @@ class Configuration:
 
 def ksum(config: Configuration, subset: KSubset) -> Fraction:
     """Exact sum of the values selected by a subset (1-based indices)."""
-    if subset.indices[-1] > config.n:
-        raise IndexError(
-            f"subset index {subset.indices[-1]} out of range for n={config.n}")
-    return sum((config.values[i - 1] for i in subset.indices), Fraction(0))
+    if subset[-1] > config.n:
+        raise IndexError(f"subset index {subset[-1]} out of range for n={config.n}")
+    return sum((config.values[i - 1] for i in subset), Fraction(0))
 
 
 def is_central(config: Configuration, index: int, k: int) -> bool:
@@ -169,7 +180,11 @@ def is_central(config: Configuration, index: int, k: int) -> bool:
 
 @dataclass(frozen=True)
 class SubsetFamily:
-    """A family of k-subsets of [n]: explicit members, or an exact count only."""
+    """A family of k-subsets of [n]: explicit members, or an exact count only.
+
+    Members are k-sets (sorted index tuples); construction checks, in one
+    pass each, that every one has size k and ends at or below n.
+    """
 
     n: int
     k: int
@@ -179,14 +194,18 @@ class SubsetFamily:
     def __post_init__(self):
         if self.count < 0:
             raise ValueError("count must be non-negative")
-        if self.members is not None:
-            if len(self.members) != self.count:
+        members = self.members
+        if members is not None:
+            if len(members) != self.count:
                 raise ValueError("count must equal number of enumerated members")
-            for s in self.members:
-                if s.k != self.k:
-                    raise ValueError(f"member {s} has wrong size (expected k={self.k})")
-                if s.indices[-1] > self.n:
-                    raise ValueError(f"member {s} out of range for n={self.n}")
+            if not members:
+                return
+            if set(map(len, members)) != {self.k}:
+                bad = next(s for s in members if len(s) != self.k)
+                raise ValueError(f"member {bad} has wrong size (expected k={self.k})")
+            if max(map(operator.itemgetter(-1), members)) > self.n:
+                bad = next(s for s in members if s[-1] > self.n)
+                raise ValueError(f"member {bad} out of range for n={self.n}")
 
     @classmethod
     def explicit(cls, n: int, k: int, members) -> SubsetFamily:
@@ -204,7 +223,7 @@ class SubsetFamily:
     def sorted_members(self) -> list[KSubset]:
         if self.members is None:
             raise ValueError("family is counted-only; no explicit members")
-        return sorted(self.members, key=lambda s: s.indices)
+        return sorted(self.members)
 
     def __contains__(self, subset: KSubset) -> bool:
         if self.members is None:
@@ -255,7 +274,9 @@ def count_nonneg_ksums(config: Configuration, k: int) -> int:
 _RATIONAL_LINE = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
-def _parse_rational(line: str) -> Fraction:
+def parse_rational(line: str) -> Fraction:
+    """A `p/q` or a bare integer `p` as above: one config line, or one value
+    of `mms check --params`."""
     match = _RATIONAL_LINE.fullmatch(line)
     if match is None:
         raise ValueError(f"not a rational p/q or integer: {line!r}")
@@ -278,7 +299,7 @@ def parse_config_text(text: str) -> Configuration:
     counts: Counter[Fraction] = Counter()
     for line, m in line_counts.items():  # in order of first occurrence
         try:
-            value = _parse_rational(line)
+            value = parse_rational(line)
         except ValueError as exc:
             line_no = next(i for i, raw in enumerate(lines, start=1) if raw.strip() == line)
             raise ConfigParseError(str(exc), line_no) from None

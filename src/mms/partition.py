@@ -17,7 +17,7 @@ import itertools
 import random
 from functools import lru_cache
 
-from .numerics import Configuration, KSubset, SubsetFamily, binomial, ksum
+from .numerics import Configuration, KSubset, SubsetFamily, binomial
 
 #: Instances with C(n,k) above this are refused (desk-scale guard).
 PARTITION_SIZE_LIMIT = 10**4
@@ -199,27 +199,30 @@ def partition_lower_bound_witnesses(
 
     Within each class the maximum-sum block is chosen (ties broken by
     lexicographically smallest index sequence), and its non-negativity is
-    re-checked exactly: a class partitions [n], so its block sums add up to
-    the total sum >= 0, forcing the maximum to be >= 0. `seed` picks the
-    partition; the extraction routes leave it at 0, so that every
-    configuration of the same (n, k) shares one cached build.
+    re-checked exactly on `config.scaled`: a class partitions [n], so its
+    block sums add up to the total sum >= 0, forcing the maximum to be >= 0.
+    `seed` picks the partition; the extraction routes leave it at 0, so that
+    every configuration of the same (n, k) shares one cached build.
     """
     n = config.n
     if n % k != 0:
         raise ValueError(f"need k | n, got n={n}, k={k}")
     if config.scaled_prefix[-1] < 0:
         raise ValueError(f"total sum must be non-negative, got {config.total_sum()}")
-    scaled = config.scaled
+    at = (0, *config.scaled).__getitem__
+
+    def block_sum(block: tuple[int, ...]) -> int:
+        return sum(map(at, block))
+
     # each class is sorted, and max keeps the first of equal keys: the
     # lexicographically smallest block wins a tie
-    family = SubsetFamily.explicit(n, k, (
-        KSubset(max(cls, key=lambda b: sum(scaled[i - 1] for i in b)))
-        for cls in baranyai_partition(n, k, seed)))
+    chosen = [max(cls, key=block_sum) for cls in baranyai_partition(n, k, seed)]
+    for block in chosen:
+        if block_sum(block) < 0:
+            raise AssertionError(
+                f"class maximum-sum block {block} is negative -- "
+                "impossible for a configuration with non-negative total sum")
+    family = SubsetFamily.explicit(n, k, map(KSubset, chosen))
     if family.count != binomial(n - 1, k - 1):
         raise AssertionError("collided witnesses across classes -- partition invalid")
-    for w in family.members:
-        if ksum(config, w) < 0:
-            raise AssertionError(
-                f"class maximum-sum block {w.indices} is negative -- "
-                "impossible for a configuration with non-negative total sum")
     return family

@@ -24,7 +24,7 @@ from functools import partial
 
 from .bounds import thm2_threshold_exceeded
 from .intervals import RatInterval, decide_less, ln_interval
-from .numerics import Configuration, KSubset, SubsetFamily, binomial
+from .numerics import Configuration, KSubset, SubsetFamily, binomial, trusted_ksubset
 from .partition import (
     PARTITION_SIZE_LIMIT,
     partition_lower_bound_witnesses,
@@ -104,12 +104,29 @@ class RangeFamily:
     """The k-subsets that pick r indices from [lo, hi] for every part (lo, hi, r).
 
     Parts are 1-based, disjoint and increasing, with 1 <= r; the fixed index 1
-    is the part (1, 1, 1). Concatenating one combination per part therefore
-    gives a sorted index tuple, and on a non-increasing configuration the
-    member taking the largest indices of every part has the smallest sum.
+    is the part (1, 1, 1). Construction checks this, so concatenating one
+    combination per part gives a sorted index tuple within [1, last hi], and
+    on a non-increasing configuration the member taking the largest indices
+    of every part has the smallest sum.
     """
 
     parts: tuple[tuple[int, int, int], ...]
+
+    def __post_init__(self):
+        if not self.parts:
+            raise ValueError("a range family needs at least one part")
+        prev_hi = 0
+        for lo, hi, r in self.parts:
+            if not prev_hi < lo <= hi or r < 1:
+                raise ValueError(
+                    f"part {(lo, hi, r)} of {self.parts} is not a range after "
+                    f"index {prev_hi} with r >= 1")
+            prev_hi = hi
+
+    @classmethod
+    def of(cls, *parts: tuple[int, int, int]) -> RangeFamily:
+        """The family of `parts`, leaving out those that pick no index."""
+        return cls(tuple(part for part in parts if part[2]))
 
     @property
     def count(self) -> int:
@@ -138,13 +155,16 @@ class RangeFamily:
         return sum(config.scaled_range_sum(hi - r + 1, hi) for _, hi, r in self.parts)
 
 
-def _resummed(config: Configuration, index_tuples):
-    """Yield a KSubset per index tuple once its exact sum is re-checked >= 0."""
+def _resummed(config: Configuration, index_tuples) -> list[KSubset]:
+    """Every index tuple as a KSubset once its exact scaled sum is re-checked
+    >= 0. The tuples must come from a checked `RangeFamily` (sorted, within
+    [1, n]); the sums are taken in one pass and a negative one is named."""
+    tuples = list(index_tuples)
     at = (0, *config.scaled).__getitem__
-    for ix in index_tuples:
-        if sum(map(at, ix)) < 0:
-            raise WitnessSoundnessError(f"witness {ix} has negative sum")
-        yield KSubset(ix)
+    if tuples and min(map(sum, map(map, itertools.repeat(at), tuples))) < 0:
+        bad = next(ix for ix in tuples if sum(map(at, ix)) < 0)
+        raise WitnessSoundnessError(f"witness {bad} has negative sum")
+    return list(map(trusted_ksubset, tuples))
 
 
 def _certify(
@@ -172,7 +192,7 @@ def _certify(
         raise WitnessSoundnessError(f"worst member of the family {family.parts} is negative")
     if mode == "counted" or count > EXPLICIT_LIMIT:
         draws = (family.draw(rng) for _ in range(sample_size))
-        return SubsetFamily.counted(n, k, count), len(list(_resummed(config, draws)))
+        return SubsetFamily.counted(n, k, count), len(_resummed(config, draws))
     witnesses = SubsetFamily.explicit(n, k, _resummed(config, family.members()))
     if witnesses.count != count:
         raise AssertionError(f"enumerated {witnesses.count} members, expected {count}")
@@ -257,7 +277,7 @@ def extract_thm1(
     rng = random.Random(seed)
     scaled = config.scaled
     threshold_met = n >= 3 * k ** (k + 1) + k**3
-    top = RangeFamily(((1, 1, 1), (2, n, k - 1)))
+    top = RangeFamily.of((1, 1, 1), (2, n, k - 1))
     central = top.worst_sum(config) >= 0
     trace = (StageTrace(
         stage_index=1, surviving_top=1, removed_bottom=0,
@@ -293,7 +313,7 @@ def extract_thm1(
         trimmed = Configuration(config.values[1:m + 1])
         inner = partition_lower_bound_witnesses(trimmed, k)
         part_members = frozenset(
-            KSubset(tuple(i + 1 for i in s.indices)) for s in inner.members)
+            trusted_ksubset(i + 1 for i in s) for s in inner.members)
         if len(part_members) != part_count:
             raise AssertionError("partition witness count mismatch")
     else:
@@ -302,7 +322,7 @@ def extract_thm1(
 
     z = n // k  # |Z|, justified by eq2_bound at j = floor(n/k)
     eq2_bound(config, z)
-    zone = RangeFamily(((1, 1, 1), (2, z + 1, k - 1)))
+    zone = RangeFamily.of((1, 1, 1), (2, z + 1, k - 1))
     guaranteed = part_count + zone.count
     if mode == "explicit" and part_members is None:
         raise ValueError(
@@ -381,7 +401,7 @@ def two_range_parameters(n: int, k: int) -> tuple[int, int]:
 def _stage_family(n: int, k: int, stage: int) -> RangeFamily:
     """One of x_1..x_stage plus k-1 of the rest of the stage working set."""
     bottom = n - (stage - 1) * (k - 1)
-    return RangeFamily(((1, stage, 1), (stage + 1, bottom, k - 1)))
+    return RangeFamily.of((1, stage, 1), (stage + 1, bottom, k - 1))
 
 
 def extract_thm2(

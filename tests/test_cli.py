@@ -204,6 +204,9 @@ PARTITION_4_2 = '{{"n": 4, "k": 2, "classes": {}}}'
     (None, ["check", "--inequality", "stage_count", "--params", "n=30", "k=3", "p=1/2"], 2),
     (None, ["check", "--inequality", "unimodal_gap_lb", "--params", "p=10", "q=1", "m=2.5"], 2),
     (None, ["check", "--inequality", "thm1_threshold", "--params", "n=1/0", "k=3"], 2),
+    (None, ["check", "--inequality", "thm1_threshold", "--params", "n=2.7e2", "k=3"], 2),
+    (None, ["check", "--inequality", "unimodal_gap_lb", "--params", "p=0.5", "q=1", "m=2"], 2),
+    (None, ["check", "--inequality", "stage_count", "--params", "n=30", "k=3", "p=1e9999"], 2),
     (None, ["check", "--inequality", "stage_count", "--params", "n=3", "k=5", "p=1"], 2),
     (None, ["check", "--inequality", "stage_count", "--params", "n=30", "k=3", "p=-1"], 2),
     (None, ["check", "--suite", "thm2", "--n", "10", "--k", "0"], 2),
@@ -232,6 +235,7 @@ PARTITION_4_2 = '{{"n": 4, "k": 2, "classes": {}}}'
         "validate_unsorted_block", "validate_index_zero", "validate_duplicated_class",
         "baranyai_without_k", "check_missing_param", "check_fractional_n",
         "check_fractional_p", "check_fractional_m", "check_zero_denominator",
+        "check_exponent_n", "check_decimal_p", "check_exponent_p",
         "check_stage_count_n_too_small", "check_stage_count_negative_p",
         "check_suite_thm2_k0", "witness_thm1_k0", "witness_thm1_negative_sample",
         "witness_thm2_negative_sample", "sweep_n_lo_above_n_hi", "sweep_n_hi_below_k",

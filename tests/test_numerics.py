@@ -1,5 +1,6 @@
 import itertools
 import math
+import pickle
 import random
 import sys
 from fractions import Fraction
@@ -20,6 +21,7 @@ from mms.numerics import (
     is_central,
     ksum,
     parse_config_text,
+    trusted_ksubset,
 )
 
 from genconfig import nonneg_members, random_configuration
@@ -106,6 +108,21 @@ def test_ksubset_validation():
         KSubset((0, 1))
     with pytest.raises(ValueError):
         KSubset(())
+    with pytest.raises(ValueError):
+        KSubset((3, 1))
+
+
+def test_ksubset_is_its_sorted_index_tuple():
+    s = KSubset((1, 4, 6))
+    assert s == (1, 4, 6) and hash(s) == hash((1, 4, 6))
+    assert s.indices == (1, 4, 6) and s.k == 3
+    assert 4 in s and 2 not in s and list(s) == [1, 4, 6]
+    assert {(1, 4, 6)} == {s}
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        back = pickle.loads(pickle.dumps(s, protocol))
+        assert type(back) is KSubset and back == s
+    assert trusted_ksubset((2, 3)) == KSubset((2, 3))
+    assert type(trusted_ksubset((2, 3))) is KSubset
 
 
 def test_gale_dominates_examples():
@@ -273,6 +290,14 @@ def test_subset_family_invariants():
         SubsetFamily.explicit(5, 2, [KSubset((1, 2, 3))])
     with pytest.raises(ValueError):
         SubsetFamily.explicit(4, 2, [KSubset((1, 5))])
+    # one bad member among good ones is found and named
+    good = [KSubset(c) for c in itertools.combinations(range(1, 7), 2)]
+    with pytest.raises(ValueError, match=r"member \(2, 3, 4\) has wrong size"):
+        SubsetFamily.explicit(6, 2, good + [KSubset((2, 3, 4))])
+    with pytest.raises(ValueError, match=r"member \(3, 7\) out of range"):
+        SubsetFamily.explicit(6, 2, good + [KSubset((3, 7))])
+    fam = SubsetFamily.explicit(6, 2, reversed(good))
+    assert fam.sorted_members() == sorted(itertools.combinations(range(1, 7), 2))
 
 
 # --- text format ----------------------------------------------------------------

@@ -10,6 +10,7 @@ from mms.partition import partition_lower_bound_witnesses
 from mms.witness import (
     NonCentralStageError,
     RangeFamily,
+    WitnessSoundnessError,
     eq2_bound,
     extract_thm1,
     extract_thm2,
@@ -17,7 +18,7 @@ from mms.witness import (
     two_range_parameters,
 )
 
-from genconfig import nonneg_members, random_configuration
+from genconfig import PATTERNS, nonneg_members, random_configuration
 
 
 def recheck_family(config, family):
@@ -86,6 +87,47 @@ def test_range_family_matches_brute_force():
         assert fam.worst_sum(config) == min(sums)
 
 
+@pytest.mark.parametrize("parts", [
+    (), ((0, 2, 1),), ((1, 3, 0),), ((3, 2, 1),), ((1, 3, 1), (3, 5, 1)),
+    ((4, 6, 1), (1, 2, 1)), ((1, 3, -1),),
+], ids=["no_parts", "lo_0", "r_0", "lo_above_hi", "overlapping", "decreasing", "r_negative"])
+def test_range_family_rejects_malformed_parts(parts):
+    with pytest.raises(ValueError):
+        RangeFamily(parts)
+
+
+def test_range_family_of_leaves_out_empty_picks():
+    assert RangeFamily.of((1, 1, 1), (2, 9, 0)).parts == ((1, 1, 1),)
+    assert RangeFamily.of((1, 2, 1), (3, 9, 2)).parts == ((1, 2, 1), (3, 9, 2))
+
+
+def _one_negative(original, bad):
+    """A stand-in for `RangeFamily.members` that yields `bad` in place of the
+    last member."""
+    def members(self):
+        *good, _ = original(self)
+        yield from good
+        yield bad
+
+    return members
+
+
+def test_a_negative_member_is_named(monkeypatch):
+    config = star_config(40, 2).config  # central at the top; (2, 3) sums to -2
+    monkeypatch.setattr(RangeFamily, "members", _one_negative(RangeFamily.members, (2, 3)))
+    with pytest.raises(WitnessSoundnessError, match=r"witness \(2, 3\) has negative sum"):
+        extract_thm1(config, 2, mode="explicit")
+    with pytest.raises(WitnessSoundnessError, match=r"\(2, 3\)"):
+        substitution_family(config, 1, 2)
+
+
+def test_a_negative_sample_is_named(monkeypatch):
+    config = star_config(40, 2).config
+    monkeypatch.setattr(RangeFamily, "draw", lambda self, rng: (3, 4))
+    with pytest.raises(WitnessSoundnessError, match=r"witness \(3, 4\) has negative sum"):
+        extract_thm1(config, 2, mode="counted")
+
+
 def reference_members(config, k, rep):
     """Each branch's explicit family rebuilt by filtering all k-subsets."""
     n = config.n
@@ -132,7 +174,37 @@ def test_explicit_branch_families_match_brute_force():
     assert len(branches) == 5
 
 
+@pytest.mark.parametrize("k", (2, 3, 4))
+@pytest.mark.parametrize("pattern", PATTERNS)
+def test_explicit_families_match_an_independent_enumeration(pattern, k):
+    """Both extractions and every stage's substitution family against all
+    k-subsets of [n] filtered by the family's index ranges and re-summed as
+    Fractions: a stage family with a negative member must be refused."""
+    rng = random.Random(10 * PATTERNS.index(pattern) + k)
+    for _ in range(3):
+        n = rng.randint(4 * k, 4 * k + 10)
+        config = random_configuration(rng, n, pattern)
+        every = list(itertools.combinations(range(1, n + 1), k))
+        for rep in (extract_thm1(config, k), extract_thm2(config, k)):
+            if rep.witnesses.is_explicit:
+                expected = reference_members(config, k, rep)
+                assert all(ksum(config, c) >= 0 for c in expected), rep.branch
+                assert rep.witnesses.members == expected, rep.branch
+        for stage in range(1, n // (2 * k) + 1):
+            bottom = n - (stage - 1) * (k - 1)
+            expected = {c for c in every if c[0] <= stage < c[1] and c[-1] <= bottom}
+            if any(ksum(config, c) < 0 for c in expected):
+                with pytest.raises(NonCentralStageError):
+                    substitution_family(config, stage, k)
+            else:
+                assert substitution_family(config, stage, k).members == expected
+
+
 # --- first route ---------------------------------------------------------------
+
+def test_thm1_k1_takes_the_top_value():
+    rep = extract_thm1(Configuration.from_values([3, 1, -1, -2]), 1)
+    assert rep.branch == "central_at_top" and rep.witnesses.members == {(1,)}
 
 def test_thm1_star_central():
     rep = extract_thm1(star_config(40, 2).config, 2)
