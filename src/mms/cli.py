@@ -257,14 +257,29 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _parse_params(pairs: list[str]) -> dict[str, Fraction]:
+#: The `--params` keys that each inequality of `check` reads.
+INEQUALITY_PARAMS = {
+    "unimodal_gap_lb": ("p", "q", "m"),
+    "thm1_threshold": ("n", "k"),
+    "thm2_stage": ("n", "k", "p"),
+    "stage_count": ("n", "k", "p"),
+}
+
+
+def _parse_params(pairs: list[str], keys: tuple[str, ...]) -> dict[str, Fraction]:
+    """`key=value` pairs; a key outside `keys` or given twice is a usage error."""
     out = {}
     for pair in pairs:
         if "=" not in pair:
             raise ValueError(f"expected key=value, got {pair!r}")
         key, _, value = pair.partition("=")
+        key = key.strip()
+        if key not in keys:
+            raise ValueError(f"--params {pair!r}: unknown key, expected one of {', '.join(keys)}")
+        if key in out:
+            raise ValueError(f"--params {pair!r}: {key} is given more than once")
         try:
-            out[key.strip()] = parse_rational(value.strip())
+            out[key] = parse_rational(value.strip())
         except ValueError as exc:
             raise ValueError(f"--params {pair!r}: {exc}") from None
     return out
@@ -280,8 +295,11 @@ def _integer_param(params: dict[str, Fraction], key: str) -> int:
 def cmd_check(args) -> int:
     if args.suite:
         return _run_suite(args)
-    params = _parse_params(args.params or [])
     name = args.inequality
+    if name is None:
+        print("error: check needs --inequality NAME or --suite thm1|thm2", file=sys.stderr)
+        return 2
+    params = _parse_params(args.params or [], INEQUALITY_PARAMS[name])
     integer = functools.partial(_integer_param, params)
     try:
         if name == "unimodal_gap_lb":
@@ -290,11 +308,8 @@ def cmd_check(args) -> int:
             report = thm1_threshold_check(integer("n"), integer("k"))
         elif name == "thm2_stage":
             report = thm2_stage_check(integer("n"), integer("k"), integer("p"))
-        elif name == "stage_count":
-            report = stage_count_beats_target(integer("n"), integer("k"), integer("p"))
         else:
-            print(f"error: unknown inequality {name!r}", file=sys.stderr)
-            return 2
+            report = stage_count_beats_target(integer("n"), integer("k"), integer("p"))
     except KeyError as exc:
         print(f"error: {name} needs --params {exc.args[0]}=VALUE", file=sys.stderr)
         return 2
@@ -449,7 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", parents=[common],
                        help="verify one inequality or a whole chain")
     p.add_argument("--inequality", type=str, default=None,
-                   choices=("unimodal_gap_lb", "thm1_threshold", "thm2_stage", "stage_count"))
+                   choices=tuple(INEQUALITY_PARAMS))
     p.add_argument("--suite", choices=("thm1", "thm2"), default=None)
     p.add_argument("--params", nargs="*", default=None, metavar="KEY=VALUE")
     p.add_argument("--n", type=int, default=None)

@@ -5,8 +5,9 @@ k-sets each; picking one non-negative block per class certifies the lower
 bound A(n,k) >= C(n-1, k-1) on any configuration with non-negative total sum.
 
 Construction: round-robin circle method for k = 2; for every other k the
-classic inductive argument on the ground-set size, realized with an integral
-assignment step (greedy plus augmenting paths). The assignment always
+classic inductive argument on the ground-set size (Baranyai 1975), realized
+with an integral assignment step: greedy plus shortest augmenting paths
+found breadth first, on integer part-type ids. The assignment always
 succeeds -- the fractional relaxation is exactly feasible and the constraint
 matrix is integral -- so no backtracking or restarts are needed. A seeded RNG
 only shuffles the greedy order, so output is deterministic given (n, k, seed).
@@ -48,99 +49,103 @@ def _inductive_partition(n: int, k: int, rng: random.Random) -> list[list[tuple[
     [m], empty allowed) partitioning [m], and each subset A of [m] occurs
     exactly C(n-m, k-|A|) times across classes. Absorbing m+1 assigns each
     class one incomplete part type; type A must be chosen by exactly
-    C(n-m-1, k-|A|-1) classes. Greedy assignment is repaired by augmenting
-    paths; integral feasibility is guaranteed, so repair cannot fail.
+    C(n-m-1, k-|A|-1) classes (`_assign`).
+
+    A part type is an int id, given when the type first appears (id 0 is the
+    empty part); `part_of[id]` is its sorted index tuple. Each class keeps
+    the ids of its incomplete parts, the empty one repeated, and its
+    completed k-sets.
     """
-    num_classes = binomial(n - 1, k - 1)
-    classes: list[list[tuple[int, ...]]] = [
-        [() for _ in range(n // k)] for _ in range(num_classes)
-    ]
+    part_of: list[tuple[int, ...]] = [()]
+    open_parts = [[0] * (n // k) for _ in range(binomial(n - 1, k - 1))]
+    blocks: list[list[tuple[int, ...]]] = [[] for _ in open_parts]
     for m in range(n):
         new = m + 1
-        demand: dict[tuple[int, ...], int] = {}
-        for a in range(k):
-            d = binomial(n - new, k - a - 1)
-            if d <= 0:
-                continue
-            for sub in itertools.combinations(range(1, new), a):
-                demand[sub] = d
-        types_per_class = [
-            sorted(set(t for t in parts if len(t) < k)) for parts in classes
-        ]
-        rem = dict(demand)
-        assign: list[tuple[int, ...] | None] = [None] * num_classes
-        taken_by: dict[tuple[int, ...], list[int]] = {}
-        order = list(range(num_classes))
+        demand_by_size = [binomial(n - new, k - a - 1) for a in range(k)]
+        rem = [demand_by_size[len(part)] for part in part_of]
+        order = list(range(len(open_parts)))
         rng.shuffle(order)
-        pending = []
-        for ci in order:
-            best = None
-            best_rem = 0
-            for t in types_per_class[ci]:
-                r = rem.get(t, 0)
-                if r > best_rem:
-                    best, best_rem = t, r
-            if best is None:
-                pending.append(ci)
+        assign = _assign(open_parts, rem, order)
+        grown_id: dict[int, int] = {}
+        for parts, done, t in zip(open_parts, blocks, assign):
+            i = parts.index(t)
+            grown = part_of[t] + (new,)
+            if len(grown) == k:
+                done.append(grown)
+                del parts[i]
             else:
-                assign[ci] = best
-                rem[best] -= 1
-                taken_by.setdefault(best, []).append(ci)
+                if t not in grown_id:
+                    grown_id[t] = len(part_of)
+                    part_of.append(grown)
+                parts[i] = grown_id[t]
+    return blocks
 
-        for ci in pending:
-            if not _augment(ci, types_per_class, rem, assign, taken_by):
-                raise AssertionError(
-                    f"assignment infeasible at ground size {new} -- invariant broken")
-        for ci in range(num_classes):
-            t = assign[ci]
-            parts = classes[ci]
-            parts[parts.index(t)] = tuple(sorted(t + (new,)))
-    return classes
+
+def _assign(types: list[list[int]], rem: list[int], order: list[int]) -> list[int]:
+    """Give each class one of its types, type t to at most rem[t] classes.
+
+    `types[c]` lists the type ids class c may take (repeats allowed), and
+    `rem` is indexed by type id; it is spent in place. In the build the
+    demands add up to the number of classes, so each one is met exactly.
+    The greedy visits the classes in `order`, each taking its type with the
+    most remaining demand (the first such on a tie); a class left without
+    one is repaired by a shortest augmenting path (`_augment`). Integral
+    feasibility is guaranteed, so repair cannot fail while the invariant
+    holds.
+    """
+    assign = [-1] * len(types)
+    holders: list[list[int]] = [[] for _ in rem]
+    pending = []
+    for ci in order:
+        best = max(types[ci], key=rem.__getitem__)
+        if rem[best]:
+            rem[best] -= 1
+            assign[ci] = best
+            holders[best].append(ci)
+        else:
+            pending.append(ci)
+    for ci in pending:
+        if not _augment(ci, types, rem, assign, holders):
+            raise AssertionError(
+                f"assignment infeasible at class {ci} -- invariant broken")
+    return assign
 
 
 def _augment(
     start: int,
-    types_per_class: list[list[tuple[int, ...]]],
-    rem: dict[tuple[int, ...], int],
-    assign: list[tuple[int, ...] | None],
-    taken_by: dict[tuple[int, ...], list[int]],
+    types: list[list[int]],
+    rem: list[int],
+    assign: list[int],
+    holders: list[list[int]],
 ) -> bool:
-    """Kuhn-style alternating search from class `start`, on an explicit stack.
+    """Breadth-first search from the unassigned class `start` for the
+    shortest alternating path to a type with spare demand.
 
-    Each frame is [class, iterator over its types, type being tried,
-    iterator over that type's holders]. Every type is visited at most once.
-    A class that finds a type with spare demand takes it; each class below
-    it on the stack then takes the type its child held.
+    Each type is visited at most once, and `via[t]` is the class it was
+    reached from. A class is reached only through the one type it holds, so
+    each class is visited at most once and its parent on the path is
+    `via[assign[c]]`. On finding a free type, walk back: each class on the
+    path takes the type its child gave up.
     """
-    seen: set[tuple[int, ...]] = set()
-    stack = [[start, iter(types_per_class[start]), None, iter(())]]
-    while stack:
-        frame = stack[-1]
-        holder = next(frame[3], None)
-        if holder is not None:
-            stack.append([holder, iter(types_per_class[holder]), None, iter(())])
-            continue
-        t = next((t for t in frame[1] if t not in seen), None)
-        if t is None:
-            stack.pop()
-            continue
-        seen.add(t)
-        if rem.get(t, 0) == 0:
-            frame[2] = t
-            frame[3] = iter(taken_by.get(t, ()))
-            continue
-        rem[t] -= 1
-        child = frame[0]
-        assign[child] = t
-        taken_by.setdefault(t, []).append(child)
-        stack.pop()
-        while stack:
-            ci, _, held, _ = stack.pop()
-            taken_by[held].remove(child)
-            assign[ci] = held
-            taken_by[held].append(ci)
-            child = ci
-        return True
+    via: dict[int, int] = {}
+    queue: list[int] = []  # saturated types in the order reached; grows while read
+    for ci in itertools.chain((start,), (h for t in queue for h in holders[t])):
+        for t in types[ci]:
+            if t in via:
+                continue
+            via[t] = ci
+            if rem[t] == 0:
+                queue.append(t)
+                continue
+            rem[t] -= 1
+            while True:
+                given_up = assign[ci]
+                assign[ci] = t
+                holders[t].append(ci)
+                if ci == start:
+                    return True
+                holders[given_up].remove(ci)
+                ci, t = via[given_up], given_up
     return False
 
 
@@ -165,31 +170,51 @@ def validate_partition(n: int, k: int, classes) -> str | None:
 
     Independent of how the partition was constructed; returns the first
     violated condition, or None when the partition is valid. Blocks must be
-    tuples; their shape (sorted, indices >= 1) is not checked here.
+    tuples; their shape (sorted, indices >= 1) is not checked here. The work
+    and the diagnostic are bounded by the size of `classes`, not by n: block
+    counts and sizes are checked before the class count or the ground set is
+    computed.
     """
     if k < 1 or n < 1 or n % k != 0:
         return f"invalid parameters n={n}, k={k}"
-    expected_classes = binomial(n - 1, k - 1)
-    if len(classes) != expected_classes:
-        return f"expected {expected_classes} classes, found {len(classes)}"
-    seen: set[tuple[int, ...]] = set()
-    ground = set(range(1, n + 1))
     for ci, cls in enumerate(classes):
         if len(cls) != n // k:
             return f"class {ci}: expected {n // k} blocks, found {len(cls)}"
-        covered: list[int] = []
         for b in cls:
             if len(b) != k:
                 return f"class {ci}: block {b} has size {len(b)}"
+    expected = _binomial_at_most(n - 1, k - 1, len(classes))
+    if expected != len(classes):
+        relation = f"> {len(classes)}" if expected is None else f"= {expected}"
+        return f"expected C({n - 1},{k - 1}) {relation} classes, found {len(classes)}"
+    # every class holds n points now, so n is bounded by the input
+    ground = set(range(1, n + 1))
+    seen: set[tuple[int, ...]] = set()
+    for ci, cls in enumerate(classes):
+        covered: set[int] = set()
+        for b in cls:
             if b in seen:
                 return f"duplicated block {b}"
             seen.add(b)
-            covered.extend(b)
-        if set(covered) != ground or len(covered) != n:
+            covered.update(b)
+        if covered != ground:  # n points covering [n]: each exactly once
             return f"class {ci} does not partition [n]"
-    if len(seen) != binomial(n, k):
-        return f"union covers {len(seen)} of {binomial(n, k)} k-sets"
+    # C(n-1,k-1) classes of n/k distinct blocks: all C(n,k) k-sets
     return None
+
+
+def _binomial_at_most(n: int, r: int, cap: int) -> int | None:
+    """C(n, r) when it is at most `cap`, else None (0 <= r <= n).
+
+    C(n, i) grows with i up to n/2 and is at least 2^i there, so the loop
+    stops after about log2(cap) steps, however large n and r are.
+    """
+    value = 1
+    for i in range(min(r, n - r)):
+        value = value * (n - i) // (i + 1)
+        if value > cap:
+            return None
+    return value
 
 
 def partition_lower_bound_witnesses(

@@ -198,7 +198,10 @@ PARTITION_4_2 = '{{"n": 4, "k": 2, "classes": {}}}'
      ["baranyai", "--validate", "{file}"], 3),
     (PARTITION_4_2.format("[[[1, 2], [3, 4]], [[1, 2], [3, 4]], [[1, 3], [2, 4]]]"),
      ["baranyai", "--validate", "{file}"], 1),
+    ('{"n": 3000000, "k": 1, "classes": [[[1]]]}', ["baranyai", "--validate", "{file}"], 1),
+    ('{"n": 400000, "k": 200000, "classes": [[[1]]]}', ["baranyai", "--validate", "{file}"], 1),
     (None, ["baranyai", "--n", "9"], 2),
+    (None, ["check"], 2),
     (None, ["check", "--inequality", "thm1_threshold", "--params", "n=10"], 2),
     (None, ["check", "--inequality", "thm1_threshold", "--params", "n=270.5", "k=3"], 2),
     (None, ["check", "--inequality", "stage_count", "--params", "n=30", "k=3", "p=1/2"], 2),
@@ -209,6 +212,9 @@ PARTITION_4_2 = '{{"n": 4, "k": 2, "classes": {}}}'
     (None, ["check", "--inequality", "stage_count", "--params", "n=30", "k=3", "p=1e9999"], 2),
     (None, ["check", "--inequality", "stage_count", "--params", "n=3", "k=5", "p=1"], 2),
     (None, ["check", "--inequality", "stage_count", "--params", "n=30", "k=3", "p=-1"], 2),
+    (None, ["check", "--inequality", "thm1_threshold", "--params", "n=270", "k=3", "zz=1",
+            "q=7"], 2),
+    (None, ["check", "--inequality", "thm1_threshold", "--params", "n=270", "k=3", "n=5"], 2),
     (None, ["check", "--suite", "thm2", "--n", "10", "--k", "0"], 2),
     (CONFIG_9, ["witness", "--theorem", "1", "--config", "{file}", "--k", "0"], 2),
     (CONFIG_9, ["witness", "--theorem", "1", "--config", "{file}", "--k", "2",
@@ -233,10 +239,12 @@ PARTITION_4_2 = '{{"n": 4, "k": 2, "classes": {}}}'
     (DIRECTORY, ["baranyai", "--validate", "{file}"], 3),
 ], ids=["validate_without_classes", "validate_bad_json", "validate_unsorted_block_in_class",
         "validate_unsorted_block", "validate_index_zero", "validate_duplicated_class",
-        "baranyai_without_k", "check_missing_param", "check_fractional_n",
+        "validate_huge_n", "validate_huge_binomial",
+        "baranyai_without_k", "check_without_inequality", "check_missing_param", "check_fractional_n",
         "check_fractional_p", "check_fractional_m", "check_zero_denominator",
         "check_exponent_n", "check_decimal_p", "check_exponent_p",
         "check_stage_count_n_too_small", "check_stage_count_negative_p",
+        "check_unknown_param", "check_repeated_param",
         "check_suite_thm2_k0", "witness_thm1_k0", "witness_thm1_negative_sample",
         "witness_thm2_negative_sample", "sweep_n_lo_above_n_hi", "sweep_n_hi_below_k",
         "search_n0", "search_negative_n", "solve_negative_budget",

@@ -3,9 +3,12 @@ import sys
 
 import pytest
 
+import mms.partition
 from mms.numerics import Configuration, binomial, ksum
 from mms.partition import (
+    PARTITION_SIZE_LIMIT,
     PartitionSizeError,
+    _assign,
     baranyai_partition,
     partition_lower_bound_witnesses,
     validate_partition,
@@ -43,6 +46,70 @@ def test_partitions_valid(n, k):
     for cls in classes:
         assert list(cls) == sorted(cls)
         assert all(list(b) == sorted(b) for b in cls)
+
+
+#: The instances of the inductive build (k >= 3) that the witness routes
+#: can reach: for 3 <= k <= 7 every multiple n of k with C(n,k) within the
+#: size limit (n <= 39, 20, 15, 12, 14 for k = 3, ..., 7; above that only
+#: n = k fits), and the one-class (40, 40).
+INDUCTIVE_INSTANCES = [
+    (n, k) for k in range(3, 8) for n in range(k, 60, k)
+    if binomial(n, k) <= PARTITION_SIZE_LIMIT
+] + [(40, 40)]
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("n,k", INDUCTIVE_INSTANCES)
+def test_inductive_partitions_valid(n, k, seed):
+    classes = baranyai_partition.__wrapped__(n, k, seed)
+    assert validate_partition(n, k, classes) is None
+    assert independent_check(n, k, classes)
+
+
+def test_assign_repairs_by_a_path_through_two_holders(monkeypatch):
+    # types A=0, B=1, C=2, one unit of demand each. The greedy gives class 1
+    # type A (first of a tie) and class 2 type B, so class 0, which can only
+    # take A, is pending. The only augmenting path is
+    # class 0 -A-> class 1 -B-> class 2 -> C.
+    augmented = []
+    augment = mms.partition._augment
+
+    def spy(start, *rest):
+        augmented.append(start)
+        return augment(start, *rest)
+
+    monkeypatch.setattr(mms.partition, "_augment", spy)
+    types = [[0], [0, 1], [1, 2]]
+    rem = [1, 1, 1]
+    assign = _assign(types, rem, [1, 2, 0])
+    assert augmented == [0]
+    assert assign == [0, 1, 2]
+    assert rem == [0, 0, 0]
+    assert all(t in ts for t, ts in zip(assign, types))
+
+
+def test_assign_meets_every_demand_exactly():
+    rng = random.Random(11)
+    for _ in range(200):
+        # a random instance with a known exact assignment: class c may take
+        # its planted type and a few random others
+        num_types = rng.randint(1, 6)
+        planted = [rng.randrange(num_types) for _ in range(rng.randint(1, 12))]
+        types = [sorted({t, *rng.choices(range(num_types), k=rng.randint(0, 2))})
+                 for t in planted]
+        demand = [planted.count(t) for t in range(num_types)]
+        rem = list(demand)
+        order = list(range(len(types)))
+        rng.shuffle(order)
+        assign = _assign(types, rem, order)
+        assert all(t in ts for t, ts in zip(assign, types))
+        assert [assign.count(t) for t in range(num_types)] == demand
+        assert rem == [0] * num_types
+
+
+def test_assign_without_an_augmenting_path_is_an_internal_error():
+    with pytest.raises(AssertionError, match="invariant broken"):
+        _assign([[0], [0]], [1, 1], [0, 1])
 
 
 def test_single_class_for_n_equals_k():
