@@ -1,6 +1,7 @@
 """Command-line entry point binding all modules.
 
-Exit codes: 0 ok, 1 check failure, 2 usage error, 3 malformed input file.
+Exit codes: 0 ok, 1 check failure, 2 usage error (an `--out` that cannot be
+written among them), 3 malformed input file.
 An internal check that fails (an invalid LP certificate or witness recount,
 or an interval comparison left undecided) is a check failure: exit 1 with a
 one-line message.
@@ -52,13 +53,26 @@ def _dump_json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
+class UnwritableOutput(Exception):
+    """An output directory or file that cannot be created: usage error (exit 2)."""
+
+
+def _write_out(out_dir: Path, name: str, text: str, newline: str | None = None) -> Path:
+    """Write `text` to out_dir/name, creating the directory as needed."""
+    path = out_dir / name
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        path.write_text(text, newline=newline)
+    except OSError as exc:
+        raise UnwritableOutput(f"cannot write output {path}: {exc}") from None
+    return path
+
+
 def _emit(args, obj, default_name: str) -> None:
     text = _dump_json(obj)
     sys.stdout.write(text)
     if args.out:
-        path = Path(args.out) / default_name
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text)
+        _write_out(Path(args.out), default_name, text)
 
 
 def _resolve_seed(args) -> int:
@@ -118,10 +132,8 @@ def cmd_construct(args) -> int:
             return 2
         built = (star_config if name == "star" else mirror_config)(args.n, args.k)
     out_dir = Path(args.out or ".")
-    out_dir.mkdir(parents=True, exist_ok=True)
     stem = f"{built.name}_n{built.n}_k{args.k}"
-    cfg_path = out_dir / f"{stem}.cfg"
-    cfg_path.write_text(format_config(built.config))
+    cfg_path = _write_out(out_dir, f"{stem}.cfg", format_config(built.config))
     sidecar = {
         "name": built.name,
         "n": built.n,
@@ -130,7 +142,7 @@ def cmd_construct(args) -> int:
         "prediction_formula": built.prediction_formula,
         "config_path": str(cfg_path),
     }
-    (out_dir / f"{stem}.json").write_text(_dump_json(sidecar))
+    _write_out(out_dir, f"{stem}.json", _dump_json(sidecar))
     sys.stdout.write(_dump_json(sidecar))
     return 0
 
@@ -200,11 +212,10 @@ def cmd_witness(args) -> int:
         ],
     }
     if report.witnesses.is_explicit and args.out:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        csv_path = out_dir / f"witnesses_thm{args.theorem}_n{config.n}_k{args.k}.csv"
-        with csv_path.open("w", newline="") as fh:
-            csv.writer(fh).writerows(report.witnesses.sorted_members())
+        buf = io.StringIO()
+        csv.writer(buf).writerows(report.witnesses.sorted_members())
+        name = f"witnesses_thm{args.theorem}_n{config.n}_k{args.k}.csv"
+        csv_path = _write_out(Path(args.out), name, buf.getvalue(), newline="")
         obj["witnesses_path"] = str(csv_path)
     _emit(args, obj, f"witness_thm{args.theorem}_n{config.n}_k{args.k}.json")
     return 0 if report.certified else 1
@@ -251,9 +262,7 @@ def cmd_sweep(args) -> int:
         ])
     sys.stdout.write(buf.getvalue())
     if args.out:
-        path = Path(args.out) / f"sweep_k{args.k}.csv"
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(buf.getvalue())
+        _write_out(Path(args.out), f"sweep_k{args.k}.csv", buf.getvalue())
     return 0
 
 
@@ -372,10 +381,8 @@ def cmd_reproduce(args) -> int:
         ],
     }
     out_dir = Path(args.out or ".") / "report"
-    out_dir.mkdir(parents=True, exist_ok=True)
-    report_path = out_dir / "paper.json"
     text = _dump_json(report)
-    report_path.write_text(text)
+    report_path = _write_out(out_dir, "paper.json", text)
     digest = hashlib.sha256(text.encode()).hexdigest()
     manifest = {
         "command": "reproduce",
@@ -386,7 +393,7 @@ def cmd_reproduce(args) -> int:
         "finished_at": time.time(),
         "outputs": {"report/paper.json": digest},
     }
-    (out_dir / "manifest.json").write_text(_dump_json(manifest))
+    _write_out(out_dir, "manifest.json", _dump_json(manifest))
     for c in checks:
         sys.stdout.write(f"{c.status.upper():4s} {c.id}: {c.lhs} vs {c.rhs}\n")
     sys.stdout.write(f"{'PASS' if all_pass else 'FAIL'} {len(checks)} checks -> {report_path}\n")
@@ -503,7 +510,7 @@ def main(argv=None) -> int:
     except (FileNotFoundError, UnreadableInput) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, NotImplementedError) as exc:
+    except (ValueError, NotImplementedError, UnwritableOutput) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (AssertionError, UndecidedComparison) as exc:

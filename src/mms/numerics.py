@@ -2,14 +2,23 @@
 
 Everything here is pure and exact. Values are `fractions.Fraction`; counts are
 Python ints (arbitrary precision). No floats anywhere in this module.
+
+A k-set is its sorted index tuple (`KSubset` validates one). An explicit
+`SubsetFamily` keeps its members as one sorted tuple of distinct plain index
+tuples behind a read-only set view (`SortedKSets`), not as `KSubset`
+objects: the cyclic garbage collector stops tracking tuples of ints, but not
+instances of a tuple subclass, so 10^5 live `KSubset`s would be traversed
+again by every full collection.
 """
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import operator
 import re
 from collections import Counter
+from collections.abc import Set
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
@@ -47,6 +56,11 @@ def as_rational(value: RationalLike) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
+def _is_kset(indices: tuple[int, ...]) -> bool:
+    """Non-empty, strictly increasing and >= 1: the shape of a k-set."""
+    return bool(indices) and indices[0] >= 1 and all(map(operator.lt, indices, indices[1:]))
+
+
 class KSubset(tuple):
     """A k-element index set into a configuration: its sorted index tuple,
     1-based and strictly increasing.
@@ -63,13 +77,8 @@ class KSubset(tuple):
         return self
 
     def __post_init__(self):
-        if not self:
-            raise ValueError("KSubset must be non-empty")
-        prev = 0
-        for i in self:
-            if i <= prev:
-                raise ValueError(f"indices must be strictly increasing and >= 1: {self}")
-            prev = i
+        if not _is_kset(self):
+            raise ValueError(f"indices must be non-empty, strictly increasing and >= 1: {self}")
 
     @property
     def indices(self) -> tuple[int, ...]:
@@ -178,38 +187,98 @@ def is_central(config: Configuration, index: int, k: int) -> bool:
     return scaled[index - 1] + sum(tail) >= 0
 
 
+class SortedKSets(Set):
+    """A read-only set of k-sets, stored as one sorted tuple of distinct plain
+    index tuples (`index_tuples`).
+
+    Sized, `in` (a bisect), iteration in sorted order, and the set operators
+    of `collections.abc.Set` (`==`, `<=`, `|`, `-`, ...), which compare by
+    members with any other set, a frozenset of `KSubset`s among them.
+    Iteration yields each member as a `KSubset`, one at a time.
+
+    Held this way, a family adds a few objects to those the cyclic garbage
+    collector tracks, not one per member (see the module docstring).
+    """
+
+    __slots__ = ("index_tuples",)
+
+    def __init__(self, members=()):
+        """Any iterable of k-sets (index tuples); deduplicated, shape-checked
+        and sorted once."""
+        tuples = sorted(set(map(tuple, members)))
+        bad = next((ix for ix in tuples if not _is_kset(ix)), None)
+        if bad is not None:
+            raise ValueError(f"member {bad} is not a k-set (non-empty, strictly increasing, >= 1)")
+        self.index_tuples: tuple[tuple[int, ...], ...] = tuple(tuples)
+
+    @classmethod
+    def trusted(cls, index_tuples: tuple[tuple[int, ...], ...]) -> SortedKSets:
+        """Wrap plain k-sets already known to be valid, distinct and in
+        increasing order (a certified `RangeFamily` enumeration), unchecked."""
+        self = object.__new__(cls)
+        self.index_tuples = index_tuples
+        return self
+
+    def __len__(self) -> int:
+        return len(self.index_tuples)
+
+    def __iter__(self):
+        return map(trusted_ksubset, self.index_tuples)
+
+    def __contains__(self, subset) -> bool:
+        tuples = self.index_tuples
+        try:
+            i = bisect.bisect_left(tuples, subset)
+            return i < len(tuples) and tuples[i] == subset
+        except TypeError:  # not comparable with index tuples: not a member
+            return False
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self.index_tuples))  # equal sets hash alike
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({list(self.index_tuples)!r})"
+
+
 @dataclass(frozen=True)
 class SubsetFamily:
     """A family of k-subsets of [n]: explicit members, or an exact count only.
 
-    Members are k-sets (sorted index tuples); construction checks, in one
-    pass each, that every one has size k and ends at or below n.
+    Explicit members are a `SortedKSets` (any other iterable of k-sets is
+    converted); construction checks, in one pass each, that every one has
+    size k and ends at or below n.
     """
 
     n: int
     k: int
-    members: frozenset[KSubset] | None
+    members: SortedKSets | None
     count: int
 
     def __post_init__(self):
         if self.count < 0:
             raise ValueError("count must be non-negative")
         members = self.members
-        if members is not None:
-            if len(members) != self.count:
-                raise ValueError("count must equal number of enumerated members")
-            if not members:
-                return
-            if set(map(len, members)) != {self.k}:
-                bad = next(s for s in members if len(s) != self.k)
-                raise ValueError(f"member {bad} has wrong size (expected k={self.k})")
-            if max(map(operator.itemgetter(-1), members)) > self.n:
-                bad = next(s for s in members if s[-1] > self.n)
-                raise ValueError(f"member {bad} out of range for n={self.n}")
+        if members is None:
+            return
+        if not isinstance(members, SortedKSets):
+            members = SortedKSets(members)
+            object.__setattr__(self, "members", members)
+        if len(members) != self.count:
+            raise ValueError("count must equal number of enumerated members")
+        tuples = members.index_tuples
+        if not tuples:
+            return
+        if set(map(len, tuples)) != {self.k}:
+            bad = next(ix for ix in tuples if len(ix) != self.k)
+            raise ValueError(f"member {bad} has wrong size (expected k={self.k})")
+        if max(map(operator.itemgetter(-1), tuples)) > self.n:
+            bad = next(ix for ix in tuples if ix[-1] > self.n)
+            raise ValueError(f"member {bad} out of range for n={self.n}")
 
     @classmethod
     def explicit(cls, n: int, k: int, members) -> SubsetFamily:
-        mem = frozenset(members)
+        """Any iterable of k-sets, deduplicated and sorted once."""
+        mem = SortedKSets(members)
         return cls(n=n, k=k, members=mem, count=len(mem))
 
     @classmethod
@@ -220,10 +289,11 @@ class SubsetFamily:
     def is_explicit(self) -> bool:
         return self.members is not None
 
-    def sorted_members(self) -> list[KSubset]:
+    def sorted_members(self) -> list[tuple[int, ...]]:
+        """The members as plain index tuples, in the stored (increasing) order."""
         if self.members is None:
             raise ValueError("family is counted-only; no explicit members")
-        return sorted(self.members)
+        return list(self.members.index_tuples)
 
     def __contains__(self, subset: KSubset) -> bool:
         if self.members is None:

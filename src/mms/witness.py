@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -24,7 +25,7 @@ from functools import partial
 
 from .bounds import thm2_threshold_exceeded
 from .intervals import RatInterval, decide_less, ln_interval
-from .numerics import Configuration, KSubset, SubsetFamily, binomial, trusted_ksubset
+from .numerics import Configuration, SortedKSets, SubsetFamily, binomial
 from .partition import (
     PARTITION_SIZE_LIMIT,
     partition_lower_bound_witnesses,
@@ -155,16 +156,14 @@ class RangeFamily:
         return sum(config.scaled_range_sum(hi - r + 1, hi) for _, hi, r in self.parts)
 
 
-def _resummed(config: Configuration, index_tuples) -> list[KSubset]:
-    """Every index tuple as a KSubset once its exact scaled sum is re-checked
-    >= 0. The tuples must come from a checked `RangeFamily` (sorted, within
-    [1, n]); the sums are taken in one pass and a negative one is named."""
-    tuples = list(index_tuples)
+def _check_sums(config: Configuration, tuples: list[tuple[int, ...]]) -> None:
+    """Re-check every index tuple's exact scaled sum >= 0, in one pass, and
+    name a negative one. The tuples must come from a checked `RangeFamily`
+    (sorted, within [1, n])."""
     at = (0, *config.scaled).__getitem__
     if tuples and min(map(sum, map(map, itertools.repeat(at), tuples))) < 0:
         bad = next(ix for ix in tuples if sum(map(at, ix)) < 0)
         raise WitnessSoundnessError(f"witness {bad} has negative sum")
-    return list(map(trusted_ksubset, tuples))
 
 
 def _certify(
@@ -180,8 +179,11 @@ def _certify(
 
     The worst member is checked exactly, which alone proves the family on a
     sorted configuration. Families up to EXPLICIT_LIMIT are enumerated (unless
-    `mode` is "counted") and every member is re-summed as it is enumerated;
-    larger ones are counted, with `sample_size` uniform members re-summed.
+    `mode` is "counted"): every member is re-summed, the enumeration must be
+    strictly increasing (so its members are distinct) and as long as the
+    family's count, and the family keeps the enumerated plain tuples as they
+    are. Larger families are counted, with `sample_size` uniform members
+    re-summed.
     """
     n, count = config.n, family.count
     if mode == "explicit" and count > EXPLICIT_LIMIT:
@@ -191,12 +193,20 @@ def _certify(
     if family.worst_sum(config) < 0:
         raise WitnessSoundnessError(f"worst member of the family {family.parts} is negative")
     if mode == "counted" or count > EXPLICIT_LIMIT:
-        draws = (family.draw(rng) for _ in range(sample_size))
-        return SubsetFamily.counted(n, k, count), len(_resummed(config, draws))
-    witnesses = SubsetFamily.explicit(n, k, _resummed(config, family.members()))
-    if witnesses.count != count:
-        raise AssertionError(f"enumerated {witnesses.count} members, expected {count}")
-    return witnesses, 0
+        draws = [family.draw(rng) for _ in range(sample_size)]
+        _check_sums(config, draws)
+        return SubsetFamily.counted(n, k, count), len(draws)
+    tuples = list(family.members())
+    _check_sums(config, tuples)
+    if not all(map(operator.lt, tuples, tuples[1:])):
+        i = next(i for i in range(1, len(tuples)) if tuples[i - 1] >= tuples[i])
+        raise AssertionError(
+            f"enumerated member {tuples[i]} does not follow {tuples[i - 1]} in increasing order")
+    if len(tuples) != count:
+        raise AssertionError(f"enumerated {len(tuples)} members, expected {count}")
+    # sizes and the range [1, n] are checked by SubsetFamily
+    members = SortedKSets.trusted(tuple(tuples))
+    return SubsetFamily(n, k, members, count), 0
 
 
 def _how(witnesses: SubsetFamily) -> str:
@@ -306,14 +316,13 @@ def extract_thm1(
         raise AssertionError("trimmed configuration has negative sum -- aborting")
 
     part_count = binomial(m - 1, k - 1)
-    part_members: frozenset[KSubset] | None = None
+    part_members: list[tuple[int, ...]] | None = None
     notes: tuple[str, ...] = ()
     if binomial(m, k) <= PARTITION_SIZE_LIMIT:
         # re-summed exactly inside; trimmed position i is position i + 1 here
         trimmed = Configuration(config.values[1:m + 1])
         inner = partition_lower_bound_witnesses(trimmed, k)
-        part_members = frozenset(
-            trusted_ksubset(i + 1 for i in s) for s in inner.members)
+        part_members = [tuple(i + 1 for i in s) for s in inner.sorted_members()]
         if len(part_members) != part_count:
             raise AssertionError("partition witness count mismatch")
     else:
@@ -334,10 +343,10 @@ def extract_thm1(
     zone_witnesses, sampled = _certify(
         config, k, zone, "explicit" if explicit else "counted", rng, sample_size)
     if explicit:
-        members = part_members | zone_witnesses.members
-        if len(members) != guaranteed:
+        family = SubsetFamily.explicit(
+            n, k, itertools.chain(part_members, zone_witnesses.sorted_members()))
+        if family.count != guaranteed:
             raise AssertionError("trim and top-zone families are not disjoint")
-        family = SubsetFamily.explicit(n, k, members)
     else:
         family = SubsetFamily.counted(n, k, guaranteed)
     provenance = (

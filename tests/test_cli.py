@@ -13,6 +13,8 @@ from mms.cli import main
 from mms.intervals import decide_less
 from mms.numerics import binomial, parse_config_text
 
+from genconfig import nonneg_members
+
 
 def run_cli(args, capsys):
     code = main(args)
@@ -90,6 +92,24 @@ def test_witness_command_and_csv(tmp_path, capsys):
     rows = Path(obj["witnesses_path"]).read_text().strip().splitlines()
     assert len(rows) == 55
     assert all(len(r.split(",")) == 3 for r in rows)
+
+
+def test_witness_csv_is_the_brute_force_family_in_order(tmp_path, capsys):
+    # stage 1 is not central (5 + 5 - 100 < 0), stage 2 is
+    config = tmp_path / "stage2.cfg"
+    config.write_text("5\n" * 29 + "-100\n")
+    code, out = run_cli(
+        ["witness", "--theorem", "2", "--config", str(config), "--k", "3",
+         "--out", str(tmp_path)], capsys)
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["branch"] == "central_at_stage_i" and obj["trace"][-1]["stage_index"] == 2
+    bottom = 30 - (2 - 1) * (3 - 1)
+    family = sorted(s for s in nonneg_members(parse_config_text(config.read_text()), 3)
+                    if s[0] <= 2 < s[1] and s[-1] <= bottom)
+    assert obj["witnesses_count"] == str(len(family)) == str(2 * binomial(26, 2))
+    expected = "".join(",".join(map(str, s)) + "\r\n" for s in family)
+    assert Path(obj["witnesses_path"]).read_bytes() == expected.encode()
 
 
 def test_witness_theorem2(tmp_path, capsys):
@@ -237,6 +257,8 @@ PARTITION_4_2 = '{{"n": 4, "k": 2, "classes": {}}}'
     (DIRECTORY, WITNESS_THM2, 3),
     (NOT_UTF8, ["baranyai", "--validate", "{file}"], 3),
     (DIRECTORY, ["baranyai", "--validate", "{file}"], 3),
+    (CONFIG_9, ["solve", "--n", "5", "--k", "2", "--out", "{file}"], 2),
+    (CONFIG_9, ["solve", "--n", "5", "--k", "2", "--out", "{file}/sub"], 2),
 ], ids=["validate_without_classes", "validate_bad_json", "validate_unsorted_block_in_class",
         "validate_unsorted_block", "validate_index_zero", "validate_duplicated_class",
         "validate_huge_n", "validate_huge_binomial",
@@ -251,7 +273,7 @@ PARTITION_4_2 = '{{"n": 4, "k": 2, "classes": {}}}'
         "config_decimal", "config_exponent", "config_underscore", "config_zero_denominator",
         "config_negative_denominator", "config_missing_denominator",
         "config_missing_numerator", "config_not_utf8", "config_directory",
-        "validate_not_utf8", "validate_directory"])
+        "validate_not_utf8", "validate_directory", "out_names_a_file", "out_below_a_file"])
 def test_malformed_input_exit_codes(tmp_path, capsys, file_text, args, code):
     path = tmp_path / "input.json"
     if file_text is DIRECTORY:
@@ -266,6 +288,35 @@ def test_malformed_input_exit_codes(tmp_path, capsys, file_text, args, code):
         assert json.loads(out)["valid"] is False
     else:
         assert err.startswith("error:") and err.count("\n") == 1
+
+
+#: A valid invocation of every subcommand that writes under --out.
+WRITING_ARGS = {
+    "construct": ["construct", "--name", "star", "--n", "9", "--k", "3"],
+    "baranyai": ["baranyai", "--n", "6", "--k", "3"],
+    "witness": ["witness", "--theorem", "1", "--config", "{config}", "--k", "2"],
+    "solve": ["solve", "--n", "5", "--k", "2"],
+    "sweep_csv": ["sweep", "--k", "2", "--n-lo", "4", "--n-hi", "5"],
+    "sweep_json": ["sweep", "--k", "2", "--n-lo", "4", "--n-hi", "5", "--format", "json"],
+    "check": ["check", "--suite", "thm1", "--n", "270", "--k", "3"],
+    "fbounds": ["fbounds", "--k", "3"],
+    "search": ["search", "--n", "5", "--k", "2"],
+    "reproduce": ["reproduce"],
+}
+
+
+@pytest.mark.parametrize("out", ["{file}", "{file}/sub"], ids=["a_file", "below_a_file"])
+@pytest.mark.parametrize("command", WRITING_ARGS)
+def test_unwritable_out_is_a_usage_error(tmp_path, capsys, command, out):
+    config = tmp_path / "star.cfg"
+    config.write_text(CONFIG_9)
+    blocker = tmp_path / "blocker"
+    blocker.write_text("kept\n")
+    args = [a.format(config=config) for a in WRITING_ARGS[command]]
+    assert main(args + ["--out", out.format(file=blocker)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write output {blocker}") and err.count("\n") == 1
+    assert blocker.read_text() == "kept\n"
 
 
 @pytest.mark.parametrize("target,replacement,args", [

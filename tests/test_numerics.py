@@ -2,6 +2,7 @@ import itertools
 import math
 import pickle
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -298,6 +299,20 @@ def test_subset_family_invariants():
         SubsetFamily.explicit(6, 2, good + [KSubset((3, 7))])
     fam = SubsetFamily.explicit(6, 2, reversed(good))
     assert fam.sorted_members() == sorted(itertools.combinations(range(1, 7), 2))
+
+
+def test_subset_family_keeps_plain_sorted_tuples():
+    fam = SubsetFamily.explicit(6, 2, [(2, 5), KSubset((1, 3)), (2, 5), (1, 2)])
+    assert fam.count == 3 and fam.members.index_tuples == ((1, 2), (1, 3), (2, 5))
+    assert all(type(ix) is tuple for ix in fam.members.index_tuples)
+    assert [type(s) for s in fam.members] == [KSubset] * 3
+    assert (2, 5) in fam and KSubset((2, 5)) in fam and (2, 4) not in fam
+    assert SubsetFamily(6, 2, frozenset(fam.members), 3) == fam  # any set is converted
+    for bad in ((2, 1), (0, 1), (3, 3)):
+        with pytest.raises(ValueError, match=re.escape(f"member {bad} is not a k-set")):
+            SubsetFamily.explicit(6, 2, [(1, 2), bad])
+    with pytest.raises(ValueError, match=r"member \(\) is not a k-set"):
+        SubsetFamily.explicit(6, 0, [()])
 
 
 # --- text format ----------------------------------------------------------------

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 from fractions import Fraction
@@ -5,10 +6,11 @@ from fractions import Fraction
 import pytest
 
 from mms.constructions import star_config
-from mms.numerics import Configuration, binomial, count_nonneg_ksums, ksum
+from mms.numerics import Configuration, KSubset, SubsetFamily, binomial, count_nonneg_ksums, ksum
 from mms.partition import partition_lower_bound_witnesses
 from mms.witness import (
     NonCentralStageError,
+    _certify,
     RangeFamily,
     WitnessSoundnessError,
     eq2_bound,
@@ -126,6 +128,82 @@ def test_a_negative_sample_is_named(monkeypatch):
     monkeypatch.setattr(RangeFamily, "draw", lambda self, rng: (3, 4))
     with pytest.raises(WitnessSoundnessError, match=r"witness \(3, 4\) has negative sum"):
         extract_thm1(config, 2, mode="counted")
+
+
+def _reordered(original, change):
+    """A stand-in for `RangeFamily.members` that yields `change(members)`."""
+    def members(self):
+        yield from change(list(original(self)))
+
+    return members
+
+
+@pytest.mark.parametrize("change,message", [
+    (lambda ms: ms[:-1] + [ms[-2]], r"\(1, 39\) does not follow \(1, 39\)"),
+    (lambda ms: ms[:-2] + [ms[-1], ms[-2]], r"\(1, 39\) does not follow \(1, 40\)"),
+    (lambda ms: ms[:-1], r"enumerated 38 members, expected 39"),
+], ids=["duplicate", "out_of_order", "one_short"])
+def test_an_enumeration_that_is_not_the_family_is_refused(monkeypatch, change, message):
+    config = star_config(40, 2).config  # central at the top: every member is non-negative
+    monkeypatch.setattr(RangeFamily, "members", _reordered(RangeFamily.members, change))
+    with pytest.raises(AssertionError, match=message):
+        extract_thm1(config, 2, mode="explicit")
+    with pytest.raises(AssertionError, match=message):
+        substitution_family(config, 1, 2)
+
+
+def _assert_view_matches(view, oracle):
+    """A member view against the frozenset of `KSubset`s it replaces."""
+    assert len(view) == len(oracle)
+    assert view == oracle and oracle == view and not view != oracle
+    assert view <= oracle and oracle <= view and hash(view) == hash(oracle)
+    members = list(view)
+    assert members == sorted(oracle)
+    assert all(type(s) is KSubset for s in members)
+    assert all(s in view for s in oracle)
+    some = frozenset(itertools.islice(oracle, len(oracle) // 2))
+    other = frozenset({KSubset((1, 2)), KSubset((2, 3))})
+    assert view - some == oracle - some and view | other == oracle | other
+    assert (view - some) | some == oracle and view - some <= view
+
+
+def test_member_views_match_the_frozenset_route():
+    rng = random.Random(23)
+    checked = 0
+    for _ in range(200):
+        n = rng.randint(1, 14)
+        fam = RangeFamily(random_parts(rng, n))
+        k = sum(r for _, _, r in fam.parts)
+        oracle = frozenset(map(KSubset, fam.members()))
+        explicit = SubsetFamily.explicit(n, k, reversed(list(map(KSubset, fam.members()))))
+        _assert_view_matches(explicit.members, oracle)
+        ones = Configuration.from_values([1] * n)  # every member non-negative
+        certified, _ = _certify(ones, k, fam, "explicit", None, 0)
+        _assert_view_matches(certified.members, oracle)
+        assert certified == explicit
+        outside = (n + 1,) * k
+        assert outside not in certified and "x" not in certified.members
+        checked += 1
+    for n, k in ((6, 2), (9, 3), (12, 4), (10, 5)):
+        config = random_configuration(rng, n)
+        fam = partition_lower_bound_witnesses(config, k)
+        _assert_view_matches(fam.members, frozenset(map(KSubset, fam.sorted_members())))
+        assert fam.sorted_members() == sorted(tuple(s) for s in fam.members)
+    assert checked == 200
+
+
+def test_certifying_adds_no_collector_tracked_object_per_member():
+    """Members are held as plain int tuples, which the cyclic collector stops
+    tracking; a wrapper object per member would stay tracked."""
+    config = Configuration.from_values([1] * 200)
+    substitution_family(config, 1, 3)  # warm every cache on the path
+    gc.collect()
+    before = len(gc.get_objects())
+    fam = substitution_family(config, 1, 3)
+    gc.collect()
+    added = len(gc.get_objects()) - before
+    assert fam.count == binomial(199, 2) >= 10**4
+    assert added < 20, added
 
 
 def reference_members(config, k, rep):
