@@ -46,13 +46,15 @@ def binomial(n: int, k: int) -> int:
 
 
 def as_rational(value: RationalLike) -> Fraction:
-    """Coerce an int, Fraction or 'p/q' string to an exact Fraction."""
+    """Coerce an int, Fraction or string to an exact Fraction; a string is
+    read as one config line (`parse_rational`), surrounding whitespace
+    ignored."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value.strip())
+        return parse_rational(value.strip())
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 

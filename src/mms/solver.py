@@ -3,17 +3,17 @@
 A configuration's non-negative family is always an up-set (filter) in the
 dominance order that contains the top subset {1..k}. A(n,k) is the smallest
 size of such a filter that some configuration realises exactly, found by
-best-first search in increasing size. Each candidate is decided by the
-relaxed system R(F) of `filter_system` (total >= 0, maximal non-members
-<= -1), which suffices because every smaller filter has already been
-rejected (see `exact_A`). Strict negativity of the non-members is encoded as
-`sum <= -1`: the system is positively homogeneous apart from that
-normalization, so any configuration with strictly negative non-member sums
-can be scaled to satisfy it, and the two formulations are equivalent.
+growing filters one member at a time, one size level after another. Each
+candidate is decided by the relaxed system R(F) of `filter_system` (total
+>= 0, maximal non-members <= -1), which suffices because every smaller
+filter has already been rejected (see `exact_A`). Strict negativity of the
+non-members is encoded as `sum <= -1`: the system is positively homogeneous
+apart from that normalization, so any configuration with strictly negative
+non-member sums can be scaled to satisfy it, and the two formulations are
+equivalent.
 """
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
 import random
@@ -153,8 +153,13 @@ def exact_A(n: int, k: int, budget: int = DEFAULT_NODE_BUDGET) -> SolverResult:
     """Minimum up-closure size over realisable filters = A(n,k), exactly.
 
     Filters containing the top subset {1..k} (non-negative whenever the total
-    sum is) are enumerated best-first in increasing size; the first one whose
-    relaxed system R(F) (`filter_system`) is feasible is optimal. Sizes below
+    sum is) are enumerated level by level in increasing size, each level in
+    the lexicographic order of its filters' sorted member lists; the first
+    one whose relaxed system R(F) (`filter_system`) is feasible is optimal.
+    A child adds one maximal non-member to its parent, so every filter of
+    the next level comes from the current one, and deduplicating within the
+    next level is all the search needs: no set of earlier levels is kept.
+    A budget can stop the search inside a level. Sizes below
     `averaging_lower_bound(n, k)` are expanded but not LP-tested. Each
     child's maximal non-members grow from its parent's (`child_frontier`),
     so `maximal_nonmembers_of` runs once, at the root.
@@ -186,34 +191,33 @@ def exact_A(n: int, k: int, budget: int = DEFAULT_NODE_BUDGET) -> SolverResult:
     top = tuple(range(1, k + 1))
     lower_cut = averaging_lower_bound(n, k)
     start = frozenset([top])
-    heap: list[tuple[int, tuple, frozenset, list]] = [
-        (1, (top,), start, maximal_nonmembers_of(start, n, k))]
-    visited = {start}
-    nodes = 0
-    while heap and nodes < budget:
-        size, _, members, frontier = heapq.heappop(heap)
-        nodes += 1
-        if size >= lower_cut:
-            res = solve_feasibility(filter_system(frontier, n, k))
-            if res.feasible:
-                # The point realises a filter inside F: equal sizes prove it is F.
-                config = Configuration(values_of_differences(res.point))
-                if count_nonneg_ksums(config, k) != size:
-                    raise AssertionError(
-                        "witness configuration does not realize the filter exactly")
-                return SolverResult(
-                    n=n, k=k, A_value=size,
-                    minimal_elements=tuple(minimal_elements_of(members, n)),
-                    optimal_config=config,
-                    nodes_explored=nodes,
-                )
-        for cand in frontier:
-            grown = members | {cand}
-            if grown not in visited:
-                visited.add(grown)
-                heapq.heappush(heap, (
-                    size + 1, tuple(sorted(grown)), grown,
-                    child_frontier(frontier, cand, grown, n)))
+    level = {start: maximal_nonmembers_of(start, n, k)}
+    size = nodes = 0
+    while level and nodes < budget:
+        size += 1
+        next_level: dict[frozenset, list] = {}
+        for members in itertools.islice(sorted(level, key=sorted), budget - nodes):
+            frontier = level[members]
+            nodes += 1
+            if size >= lower_cut:
+                res = solve_feasibility(filter_system(frontier, n, k))
+                if res.feasible:
+                    # The point realises a filter inside F: equal sizes prove it is F.
+                    config = Configuration(values_of_differences(res.point))
+                    if count_nonneg_ksums(config, k) != size:
+                        raise AssertionError(
+                            "witness configuration does not realize the filter exactly")
+                    return SolverResult(
+                        n=n, k=k, A_value=size,
+                        minimal_elements=tuple(minimal_elements_of(members, n)),
+                        optimal_config=config,
+                        nodes_explored=nodes,
+                    )
+            for cand in frontier:
+                grown = members | {cand}
+                if grown not in next_level:
+                    next_level[grown] = child_frontier(frontier, cand, grown, n)
+        level = next_level
     # Budget exhausted: fall back to the best constructive upper bound.
     best = _best_construction(n, k)
     scaled = best.config.scaled
@@ -380,8 +384,6 @@ def verify_conjecture_range(
             if res.upper_bound_only:
                 verdict = "undecided"
                 equals = None
-                upper = min(upper, res.A_value)
-                witness = res.optimal_config
             else:
                 a_value = res.A_value
                 lower = upper = a_value

@@ -80,6 +80,14 @@ def test_configuration_sorts_and_sums():
     assert c.scaled == (3, 3, 3, -4, -4)
 
 
+def test_string_values_follow_the_config_line_grammar():
+    for text in ("0.5", "1e3", "1_000"):
+        with pytest.raises(ValueError, match="not a rational p/q or integer"):
+            Configuration.from_values([text])
+    c = Configuration.from_values([" 3/6 ", "-2/3"])
+    assert c.values == (Fraction(1, 2), Fraction(-2, 3))
+
+
 @settings(max_examples=200)
 @given(st.lists(
     st.one_of(

@@ -201,13 +201,15 @@ def test_child_frontier_matches_recomputation(n, k):
 
 
 def full_system_search(n, k):
-    """Best-first search as `exact_A` ran it on the full system: every
-    frontier recomputed, every LP over free x. Returns (A, nodes, LP calls,
-    minimal elements)."""
+    """Best-first search by a heap keyed on (size, sorted members) with a
+    `visited` set, on the full system: every frontier recomputed, every LP
+    over free x. Returns (A, nodes, LP calls, minimal elements) and the
+    maximal non-member list of each LP-tested node, in test order."""
     top = tuple(range(1, k + 1))
     start = frozenset([top])
     heap, visited = [(1, (top,), start)], {start}
-    nodes = lp_calls = 0
+    nodes = 0
+    tested = []
     while heap:
         size, _, members = heapq.heappop(heap)
         nodes += 1
@@ -216,11 +218,11 @@ def full_system_search(n, k):
             minimal = minimal_elements_of(members, n)
             rows = full_system(minimal, frontier, n)
             res = solve_free(rows)
-            lp_calls += 1
+            tested.append(frontier)
             if res.feasible:
                 assert satisfies(rows, res.point)
                 assert count_nonneg_ksums(Configuration.from_values(res.point), k) == size
-                return size, nodes, lp_calls, tuple(minimal)
+                return (size, nodes, len(tested), tuple(minimal)), tested
             assert contradicts(rows, res.farkas)
         for cand in frontier:
             grown = members | {cand}
@@ -233,17 +235,26 @@ def full_system_search(n, k):
 @pytest.mark.parametrize("n,k", [
     (5, 2), (7, 2), (9, 2), (6, 3), (7, 3), (6, 4), (7, 4), (7, 5)])
 def test_exact_A_matches_full_system_search(n, k, monkeypatch):
-    calls = []
+    """Same answer, node and LP counts as the heap search, and the same
+    filters LP-tested in the same order (told apart by their frontiers)."""
+    calls, frontiers = [], []
     honest = solver_mod.solve_feasibility
+    honest_system = solver_mod.filter_system
 
     def counted(rows):
         calls.append(len(rows))
         return honest(rows)
 
+    def recorded(max_nonmembers, n, k):
+        frontiers.append(list(max_nonmembers))
+        return honest_system(max_nonmembers, n, k)
+
     monkeypatch.setattr(solver_mod, "solve_feasibility", counted)
+    monkeypatch.setattr(solver_mod, "filter_system", recorded)
     res = exact_A(n, k)
-    assert (res.A_value, res.nodes_explored, len(calls), res.minimal_elements) == (
-        full_system_search(n, k))
+    summary, tested = full_system_search(n, k)
+    assert (res.A_value, res.nodes_explored, len(calls), res.minimal_elements) == summary
+    assert frontiers == tested
 
 
 def test_exact_A_spot_values():
@@ -294,6 +305,18 @@ def test_averaging_lower_bound_cuts_lp_calls(monkeypatch):
     # Filters smaller than C(5,2) = 10 are expanded without an LP call.
     assert averaging_lower_bound(7, 3) == 10
     assert len(calls) == 12
+
+
+def test_exact_A_every_budget_at_7_3():
+    """(7,3) explores 53 nodes; any smaller budget, also one that ends
+    inside a size level, stops after exactly that many nodes."""
+    star = binomial(6, 2)
+    for budget in range(53):
+        res = exact_A(7, 3, budget=budget)
+        assert (res.nodes_explored, res.upper_bound_only, res.A_value) == (budget, True, star)
+        assert count_nonneg_ksums(res.optimal_config, 3) == star
+    res = exact_A(7, 3, budget=53)
+    assert (res.nodes_explored, res.upper_bound_only, res.A_value) == (53, False, 10)
 
 
 def test_exact_A_computes_each_frontier_once(monkeypatch):
@@ -438,6 +461,7 @@ def test_verify_conjecture_range_budget_exhaustion():
     assert rows[0].verdict == "undecided"
     assert rows[0].equals_target is None
     assert rows[0].upper == binomial(6, 1)  # star fallback
+    assert count_nonneg_ksums(rows[0].witness_config, 2) == rows[0].upper
 
 
 def test_verify_conjecture_range_k3():
