@@ -1,11 +1,16 @@
 """Exact rational linear feasibility over non-negative variables, with certificates.
 
-Systems are lists of rows `coeffs . x >= rhs` over x >= 0. The solver is a
-Phase-I simplex with Bland's rule (guaranteed termination) run entirely in
-Fraction arithmetic. It returns either a point x >= 0 that satisfies every
-row, or Farkas multipliers y >= 0 with y^T A <= 0 and y^T b > 0: for any
-x >= 0 the combined row reads y^T A x <= 0 < y^T b, an exact derivation of a
-contradiction. Both are re-checked before the solver returns.
+Systems are lists of rows `coeffs . x >= rhs` over x >= 0, with int or
+Fraction entries. The solver is a Phase-I simplex with Bland's rule
+(guaranteed termination) that pivots on Python ints, fraction-free in the
+manner of Bareiss (1968) and Avis's lrs: the system is scaled once by the
+least common denominator of all its entries, and the tableau is kept as
+D * B^-1 [A | b] with D = det B > 0, so every division in a pivot is exact.
+It returns either a point x >= 0 that satisfies every row, or Farkas
+multipliers y >= 0 with y^T A <= 0 and y^T b > 0: for any x >= 0 the
+combined row reads y^T A x <= 0 < y^T b, an exact derivation of a
+contradiction. Both come back as Fractions and are re-checked, in ints,
+before the solver returns.
 
 `mms.solver` feeds it the relaxed filter system R(F), written in the
 non-negative differences of the sorted values (see `solver.filter_system`):
@@ -20,11 +25,15 @@ the non-negative system.
 """
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+_numerator = operator.attrgetter("numerator")
+_denominator = operator.attrgetter("denominator")
 
 
 @dataclass(frozen=True)
@@ -42,58 +51,82 @@ class FeasResult:
     farkas: tuple[Fraction, ...] | None = None
 
 
+def _over_common_denominator(vectors) -> tuple[list[list[int]], int]:
+    """(ints, den) with ints[i][j] / den == vectors[i][j]: the int or
+    Fraction entries over their least common denominator den."""
+    dens = set()
+    for v in vectors:
+        dens.update(map(_denominator, v))
+    den = math.lcm(*dens)
+    if den == 1:
+        return [list(map(_numerator, v)) for v in vectors], den
+    return [[x.numerator * (den // x.denominator) for x in v] for v in vectors], den
+
+
+def _integral_rows(rows: list[LinRow]) -> list[list[int]]:
+    """Each row as the ints coeffs + [rhs], all rows multiplied by one
+    positive factor. One factor for the whole system keeps the signs of the
+    phase-I reduced costs, hence Bland's pivot path; a factor per row would
+    not."""
+    return _over_common_denominator([(*r.coeffs, r.rhs) for r in rows])[0]
+
+
 def check_point(rows: list[LinRow], point: tuple[Fraction, ...]) -> bool:
     """The point is non-negative and satisfies every row."""
-    return all(x >= 0 for x in point) and all(
-        sum(c * x for c, x in zip(r.coeffs, point)) >= r.rhs for r in rows
+    (xs,), den = _over_common_denominator([point])
+    return all(x >= 0 for x in xs) and all(
+        sum(map(operator.mul, row[:-1], xs)) >= row[-1] * den
+        for row in _integral_rows(rows)
     )
 
 
 def check_farkas(rows: list[LinRow], mult: tuple[Fraction, ...]) -> bool:
     """Multipliers must be >= 0, combine every variable's coefficients to
     something <= 0, and the right-hand sides to something strictly positive."""
-    if len(mult) != len(rows) or any(y < 0 for y in mult):
+    (ys,), _ = _over_common_denominator([mult])
+    if len(ys) != len(rows) or any(y < 0 for y in ys):
         return False
-    nvars = len(rows[0].coeffs)
-    for j in range(nvars):
-        if sum(y * r.coeffs[j] for y, r in zip(mult, rows)) > 0:
-            return False
-    return sum(y * r.rhs for y, r in zip(mult, rows)) > 0
+    *columns, rhs = zip(*_integral_rows(rows))
+    return all(sum(map(operator.mul, ys, col)) <= 0 for col in columns) and (
+        sum(map(operator.mul, ys, rhs)) > 0)
 
 
 def solve_feasibility(rows: list[LinRow]) -> FeasResult:
-    """Decide `A x >= b` over x >= 0, in exact rational arithmetic."""
+    """Decide `A x >= b` over x >= 0, in exact integer arithmetic."""
     if not rows:
         return FeasResult(True, point=())
     nvars = len(rows[0].coeffs)
     nrows = len(rows)
+    system = _integral_rows(rows)
     # Row i reads coeffs . x - s_i = rhs with surplus s_i >= 0. A row with
     # rhs <= 0 is negated; its surplus column is then +1 and starts in the
     # basis. Only rows with rhs > 0 get an artificial. Columns:
     # x | surplus | artificials, then the right-hand side.
-    sigma = [ONE if r.rhs > 0 else -ONE for r in rows]
+    sigma = [1 if row[-1] > 0 else -1 for row in system]
     art0 = ncols = nvars + nrows
-    start = []  # each row's starting basic column; it holds B^-1 throughout
+    start = []  # each row's starting basic column; it holds adj(B) throughout
     for i in range(nrows):
         if sigma[i] > 0:
             start.append(ncols)
             ncols += 1
         else:
             start.append(nvars + i)
-    tableau: list[list[Fraction]] = []
-    for i, r in enumerate(rows):
-        row = [sigma[i] * c for c in r.coeffs] + [ZERO] * (ncols - nvars + 1)
+    tableau: list[list[int]] = []
+    for i, (*coeffs, rhs) in enumerate(system):
+        row = [sigma[i] * c for c in coeffs] + [0] * (ncols - nvars + 1)
         row[nvars + i] = -sigma[i]
-        row[start[i]] = ONE
-        row[ncols] = sigma[i] * r.rhs
+        row[start[i]] = 1
+        row[ncols] = sigma[i] * rhs
         tableau.append(row)
     basis = list(start)
     # Phase-I objective row: z_j = (c_B B^-1 A)_j - c_j, with cost 1 on the
-    # artificials; z[ncols] is the sum of the artificials.
+    # artificials; z[ncols] is the sum of the artificials. The tableau and z
+    # hold det * those values, with det = det B > 0 (1 for the start basis).
     art_rows = [i for i in range(nrows) if sigma[i] > 0]
-    z = [sum((tableau[i][j] for i in art_rows), ZERO) for j in range(ncols + 1)]
+    z = [sum(col) for col in zip(*(tableau[i] for i in art_rows))] or [0] * (ncols + 1)
     for j in range(art0, ncols):
-        z[j] -= ONE
+        z[j] -= 1
+    det = 1
 
     while z[ncols] > 0:
         # Bland: smallest column with negative reduced cost; artificials
@@ -101,36 +134,38 @@ def solve_feasibility(rows: list[LinRow]) -> FeasResult:
         enter = next((j for j in range(art0) if z[j] > 0), None)
         if enter is None:
             break
+        # Ratio test rhs_i / a_i over a_i > 0, by cross-multiplying.
         leave = None
-        best_ratio = None
         for i in range(nrows):
             a = tableau[i][enter]
             if a > 0:
-                ratio = tableau[i][ncols] / a
-                if (best_ratio is None or ratio < best_ratio
-                        or (ratio == best_ratio and basis[i] < basis[leave])):
-                    best_ratio = ratio
-                    leave = i
+                b = tableau[i][ncols]
+                if leave is None or b * best_a < best_b * a or (
+                        b * best_a == best_b * a and basis[i] < basis[leave]):
+                    leave, best_b, best_a = i, b, a
         if leave is None:
             raise AssertionError("phase-I objective unbounded -- impossible")
+        # Bareiss step: the pivot row stays, every other row r becomes
+        # (piv * r - r[enter] * prow) / det, an exact division, and the
+        # pivot is the new det.
         prow = tableau[leave]
         piv = prow[enter]
-        nonzero = [j for j, x in enumerate(prow) if x]
-        if piv != 1:
-            for j in nonzero:
-                prow[j] /= piv
         for row in tableau + [z]:
+            if row is prow:
+                continue
             f = row[enter]
-            if row is not prow and f:
-                for j in nonzero:
-                    row[j] -= f * prow[j]
+            if f:
+                row[:] = [(piv * x - f * y) // det for x, y in zip(row, prow)]
+            elif piv != det:
+                row[:] = [piv * x // det for x in row]
+        det = piv
         basis[leave] = enter
 
     if z[ncols] == 0:
         point = [ZERO] * nvars
         for i, b in enumerate(basis):
             if b < nvars:
-                point[b] = tableau[i][ncols]
+                point[b] = Fraction(tableau[i][ncols], det)
         pt = tuple(point)
         if not check_point(rows, pt):
             raise AssertionError("simplex produced an invalid feasible point")
@@ -138,8 +173,11 @@ def solve_feasibility(rows: list[LinRow]) -> FeasResult:
 
     # Duals pi off the starting basic columns, where z holds pi_i minus the
     # column's cost (1 for an artificial), mapped back through the row
-    # negations.
-    fk = tuple(z[c] + ONE if s > 0 else -z[c] for s, c in zip(sigma, start))
+    # negations. The whole-system scaling only rescales the surplus and
+    # artificial variables and the phase-I objective, which leaves the duals
+    # of the original rows unchanged.
+    fk = tuple(Fraction(z[c] + det, det) if s > 0 else Fraction(-z[c], det)
+               for s, c in zip(sigma, start))
     if not check_farkas(rows, fk):
         raise AssertionError("simplex produced an invalid Farkas certificate")
     return FeasResult(False, farkas=fk)
@@ -189,7 +227,8 @@ def _normalize_rhs(coeffs: tuple[Fraction, ...], rhs: Fraction) -> Fraction:
 
 
 def _row_scale(coeffs: tuple[Fraction, ...]) -> Fraction:
+    # A Fraction even for int coefficients, so that dividing by it is exact.
     for c in coeffs:
         if c != 0:
-            return abs(c)
+            return abs(Fraction(c))
     return ONE

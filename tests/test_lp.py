@@ -1,6 +1,9 @@
 import random
 from fractions import Fraction
 
+import pytest
+
+import mms.solver as solver_mod
 from mms.lp import (
     LinRow,
     check_farkas,
@@ -9,6 +12,7 @@ from mms.lp import (
     solve_feasibility,
 )
 
+import fraclp
 from freelp import contradicts, nonnegativity_rows, satisfies, solve_free
 
 
@@ -117,3 +121,110 @@ def test_farkas_combines_to_contradiction():
     assert combined_rhs > 0
     for j in range(3):
         assert sum(y * r.coeffs[j] for y, r in zip(res.farkas, rows)) == 0
+
+
+def random_rational(rng):
+    if rng.random() < 0.3:
+        return rng.randint(-4, 4)  # a plain int entry
+    return Fraction(rng.randint(-6, 6), rng.randint(1, 6))
+
+
+def random_rational_system(rng):
+    """1-8 variables, 1-9 rows of int and Fraction entries, with all-zero
+    rows, sparse rows, zero right-hand sides and repeated or negated rows."""
+    nvars = rng.randint(1, 8)
+    rows = []
+    for _ in range(rng.randint(1, 9)):
+        kind = rng.random()
+        if rows and kind < 0.1:
+            rows.append(rng.choice(rows))
+        elif rows and kind < 0.2:
+            r = rng.choice(rows)
+            rows.append(LinRow(tuple(-c for c in r.coeffs), -r.rhs))
+        elif kind < 0.3:
+            rows.append(LinRow((Fraction(0),) * nvars, random_rational(rng)))
+        else:
+            density = rng.choice((0.3, 0.7, 1.0))
+            coeffs = tuple(random_rational(rng) if rng.random() < density else 0
+                           for _ in range(nvars))
+            rows.append(LinRow(coeffs, 0 if rng.random() < 0.2 else random_rational(rng)))
+    return rows
+
+
+def assert_same_result(rows):
+    res, oracle = solve_feasibility(rows), fraclp.solve_feasibility(rows)
+    assert res == oracle
+    assert all(type(v) is Fraction for v in res.point or res.farkas)
+    return res
+
+
+def test_integer_pivoting_matches_the_fraction_simplex():
+    """Same verdict, point and Farkas vector as the Fraction simplex."""
+    rng = random.Random(14)
+    verdicts = []
+    for _ in range(2500):
+        verdicts.append(assert_same_result(random_rational_system(rng)).feasible)
+    assert 500 < sum(verdicts) < 2000
+
+
+@pytest.mark.parametrize("n,k", [(7, 3), (8, 3)])
+def test_integer_pivoting_matches_on_exact_A_systems(n, k, monkeypatch):
+    systems = []
+    honest = solver_mod.solve_feasibility
+
+    def recorded(rows):
+        systems.append(rows)
+        return honest(rows)
+
+    monkeypatch.setattr(solver_mod, "solve_feasibility", recorded)
+    solver_mod.exact_A(n, k)
+    assert len(systems) == {(7, 3): 12, (8, 3): 180}[n, k]
+    for rows in systems:
+        assert_same_result(rows)
+
+
+def test_integer_checks_match_fraction_evaluation():
+    rng = random.Random(41)
+    outcomes = {(name, ok): 0 for name in ("point", "farkas") for ok in (True, False)}
+    for _ in range(1500):
+        rows = random_rational_system(rng)
+        nvars = len(rows[0].coeffs)
+        res = fraclp.solve_feasibility(rows)
+        candidates = [tuple(random_rational(rng) for _ in range(nvars))]
+        if res.feasible:
+            candidates.append(res.point)
+            candidates.append(tuple(x + Fraction(rng.randint(-2, 2), rng.randint(1, 3))
+                                    for x in res.point))
+        for point in candidates:
+            ok = check_point(rows, point)
+            assert ok == fraclp.check_point(rows, point)
+            outcomes["point", ok] += 1
+        mults = [tuple(abs(random_rational(rng)) for _ in rows),
+                 tuple(random_rational(rng) for _ in rows),
+                 tuple(Fraction(1, 2) for _ in rows[1:])]
+        if not res.feasible:
+            mults.append(res.farkas)
+            mults.append(tuple(y * rng.randint(1, 3) + Fraction(rng.randint(0, 1), 7)
+                               for y in res.farkas))
+        for mult in mults:
+            ok = check_farkas(rows, mult)
+            assert ok == fraclp.check_farkas(rows, mult)
+            outcomes["farkas", ok] += 1
+    assert min(outcomes.values()) > 100, outcomes
+
+
+def test_fourier_motzkin_is_exact_on_int_rows():
+    data = [((-3, -5, 4), -7), ((5, 6, -3), 5), ((-2, -5, 4), 2),
+            ((-1, 4, -4), -6), ((-4, 1, 6), 2), ((-2, -5, 3), -1)]
+    int_rows = [LinRow(coeffs, rhs) for coeffs, rhs in data]
+    assert fourier_motzkin_feasible(int_rows)
+    assert fourier_motzkin_feasible(rows_from_ints(data))
+    assert solve_free(int_rows).feasible
+    rng = random.Random(3)
+    for _ in range(200):
+        nvars = rng.randint(1, 4)
+        data = [(tuple(rng.randint(-5, 5) for _ in range(nvars)), rng.randint(-6, 6))
+                for _ in range(rng.randint(1, 6))]
+        int_rows = [LinRow(coeffs, rhs) for coeffs, rhs in data]
+        assert fourier_motzkin_feasible(int_rows) == fourier_motzkin_feasible(
+            rows_from_ints(data)) == solve_free(int_rows).feasible

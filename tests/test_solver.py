@@ -307,6 +307,24 @@ def test_averaging_lower_bound_cuts_lp_calls(monkeypatch):
     assert len(calls) == 12
 
 
+@pytest.mark.parametrize("n,k,nodes,lp_calls", [
+    (10, 3, 14537, 10260), (9, 4, 25103, 3511)])
+def test_exact_A_largest_decided_instances(n, k, nodes, lp_calls, monkeypatch):
+    """A(10,3) = A(9,4) = 35, with the search's node and LP-call counts."""
+    calls = []
+    honest = solver_mod.solve_feasibility
+
+    def counted(rows):
+        calls.append(len(rows))
+        return honest(rows)
+
+    monkeypatch.setattr(solver_mod, "solve_feasibility", counted)
+    res = exact_A(n, k)
+    assert (res.A_value, res.nodes_explored, len(calls)) == (35, nodes, lp_calls)
+    assert not res.upper_bound_only
+    assert count_nonneg_ksums(res.optimal_config, k) == 35
+
+
 def test_exact_A_every_budget_at_7_3():
     """(7,3) explores 53 nodes; any smaller budget, also one that ends
     inside a size level, stops after exactly that many nodes."""
