@@ -40,8 +40,8 @@ _denominator = operator.attrgetter("denominator")
 class LinRow:
     """coeffs . x >= rhs"""
 
-    coeffs: tuple[Fraction, ...]
-    rhs: Fraction
+    coeffs: tuple[int | Fraction, ...]
+    rhs: int | Fraction
 
 
 @dataclass(frozen=True)

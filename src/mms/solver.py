@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from bisect import bisect_right
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -119,13 +120,13 @@ def filter_system(
     The variables are d_i = x_i - x_{i+1} (i < n) and s = -x_n, all >= 0, so
     x_i = d_i + ... + d_{n-1} - s. The total row is
     sum_j j*d_j - n*s >= 0, and a maximal non-member b gives
-    k*s - sum_j |{i in b : i <= j}|*d_j >= 1. `values_of_differences` maps a
-    point back to x.
+    k*s - sum_j |{i in b : i <= j}|*d_j >= 1. Every entry is a plain int.
+    `values_of_differences` maps a point back to x.
     """
-    rows = [LinRow(tuple(Fraction(j) for j in range(1, n)) + (Fraction(-n),), Fraction(0))]
+    rows = [LinRow((*range(1, n), -n), 0)]
     for b in max_nonmembers:
         covered = itertools.accumulate(j in b for j in range(1, n))
-        rows.append(LinRow(tuple(Fraction(-c) for c in covered) + (Fraction(k),), Fraction(1)))
+        rows.append(LinRow((*(-c for c in covered), k), 1))
     return rows
 
 
@@ -156,13 +157,20 @@ def exact_A(n: int, k: int, budget: int = DEFAULT_NODE_BUDGET) -> SolverResult:
     sum is) are enumerated level by level in increasing size, each level in
     the lexicographic order of its filters' sorted member lists; the first
     one whose relaxed system R(F) (`filter_system`) is feasible is optimal.
-    A child adds one maximal non-member to its parent, so every filter of
-    the next level comes from the current one, and deduplicating within the
-    next level is all the search needs: no set of earlier levels is kept.
-    A budget can stop the search inside a level. Sizes below
-    `averaging_lower_bound(n, k)` are expanded but not LP-tested. Each
-    child's maximal non-members grow from its parent's (`child_frontier`),
-    so `maximal_nonmembers_of` runs once, at the root.
+    Each filter F other than {top} is built once, from its canonical parent
+    F - {m}, where m is the lexicographically largest member of F (reverse
+    search, Avis-Fukuda 1996). Every set that m dominates is
+    lexicographically larger than m, so none is in F, and F - {m} is a
+    filter that still holds the top subset. The covers of m from above are
+    smaller members of F, so m is a maximal non-member of F - {m}. And
+    sorted(F) = sorted(F - {m}) + [m]. So the children of a filter are the
+    sets of its sorted frontier after its largest member `last`, and a level
+    built parent by parent, in candidate order, is already in sorted order,
+    by induction from the one-filter root: no sort, no deduplication and no
+    set of earlier levels. A budget can stop the search inside a level.
+    Sizes below `averaging_lower_bound(n, k)` are expanded but not
+    LP-tested. Each child's maximal non-members grow from its parent's
+    (`child_frontier`), so `maximal_nonmembers_of` runs once, at the root.
 
     R(F) drops the minimal-member rows, so a point of it realises some
     filter G subset of F that contains the top subset. Every smaller filter
@@ -191,13 +199,12 @@ def exact_A(n: int, k: int, budget: int = DEFAULT_NODE_BUDGET) -> SolverResult:
     top = tuple(range(1, k + 1))
     lower_cut = averaging_lower_bound(n, k)
     start = frozenset([top])
-    level = {start: maximal_nonmembers_of(start, n, k)}
+    level = [(start, top, maximal_nonmembers_of(start, n, k))]
     size = nodes = 0
     while level and nodes < budget:
         size += 1
-        next_level: dict[frozenset, list] = {}
-        for members in itertools.islice(sorted(level, key=sorted), budget - nodes):
-            frontier = level[members]
+        next_level = []
+        for members, last, frontier in itertools.islice(level, budget - nodes):
             nodes += 1
             if size >= lower_cut:
                 res = solve_feasibility(filter_system(frontier, n, k))
@@ -213,10 +220,9 @@ def exact_A(n: int, k: int, budget: int = DEFAULT_NODE_BUDGET) -> SolverResult:
                         optimal_config=config,
                         nodes_explored=nodes,
                     )
-            for cand in frontier:
+            for cand in frontier[bisect_right(frontier, last):]:
                 grown = members | {cand}
-                if grown not in next_level:
-                    next_level[grown] = child_frontier(frontier, cand, grown, n)
+                next_level.append((grown, cand, child_frontier(frontier, cand, grown, n)))
         level = next_level
     # Budget exhausted: fall back to the best constructive upper bound.
     best = _best_construction(n, k)

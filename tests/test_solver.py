@@ -128,7 +128,7 @@ def test_lp_feasible_examples():
 
 def test_filter_system_is_the_substituted_relaxation():
     """At any (d, s) >= 0, the total row of R(F) is the sum of the values and
-    a non-member's row is minus its k-sum."""
+    a non-member's row is minus its k-sum; every entry is a plain int."""
     rng = random.Random(11)
     for n, k in ((5, 2), (7, 3), (8, 5)):
         subsets = list(itertools.combinations(range(1, n + 1), k))
@@ -138,6 +138,7 @@ def test_filter_system_is_the_substituted_relaxation():
             assert list(x) == sorted(x, reverse=True) and x[-1] == -point[-1]
             chosen = rng.sample(subsets, 3)
             total, *rows = filter_system(chosen, n, k)
+            assert all(type(e) is int for r in (total, *rows) for e in (*r.coeffs, r.rhs))
             assert (total.rhs, sum(c * v for c, v in zip(total.coeffs, point))) == (0, sum(x))
             for b, row in zip(chosen, rows):
                 assert row.rhs == 1
@@ -198,6 +199,39 @@ def test_child_frontier_matches_recomputation(n, k):
         assert child_frontier(frontier, cand, grown, n) == maximal_nonmembers_of(grown, n, k)
         steps += 1
     assert steps >= 19
+
+
+@pytest.mark.parametrize("n,k", [(5, 2), (7, 2), (6, 3), (7, 3), (6, 4), (7, 4)])
+def test_exact_A_builds_each_filter_once_in_order(n, k, monkeypatch):
+    """Against the filter graph, not the LP: exact_A builds each filter
+    once, each size in increasing sorted-member order, every filter of each
+    size up to the answer's, and gives each the frontier a full scan would."""
+    built = []
+    honest_child = solver_mod.child_frontier
+
+    def recorded(frontier, cand, grown, n):
+        child = honest_child(frontier, cand, grown, n)
+        built.append((grown, child))
+        return child
+
+    monkeypatch.setattr(solver_mod, "child_frontier", recorded)
+    res = exact_A(n, k, budget=10**6)
+    assert not res.upper_bound_only
+    grown_sets = [grown for grown, _ in built]
+    assert len(set(grown_sets)) == len(grown_sets)
+    by_size = {}
+    for grown in grown_sets:
+        by_size.setdefault(len(grown), []).append(sorted(grown))
+    for size, filters in by_size.items():
+        assert all(a < b for a, b in itertools.pairwise(filters)), size
+    reachable = {}
+    for members, cand in all_filter_steps(n, k):
+        grown = members | {cand}
+        reachable.setdefault(len(grown), set()).add(grown)
+    for size in range(2, res.A_value + 1):
+        assert set(g for g in grown_sets if len(g) == size) == reachable[size]
+    for grown, child in built:
+        assert child == maximal_nonmembers_of(grown, n, k)
 
 
 def full_system_search(n, k):
