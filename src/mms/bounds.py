@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 
 from .intervals import RatInterval, decide_less, e_interval, ln_interval
 from .numerics import binomial
@@ -57,6 +58,11 @@ def unimodal_gap_lb(p: Fraction, q: Fraction, m: int) -> BoundReport:
     )
 
 
+def thm1_threshold(k: int) -> int:
+    """3k^(k+1) + k^3: the first extraction route's threshold on n."""
+    return 3 * k ** (k + 1) + k**3
+
+
 def thm1_threshold_check(n: int, k: int) -> BoundReport:
     """(n-3k)^(k-1) + (n/k - k)^(k-1) >= n^(k-1), with n/k exact.
 
@@ -75,7 +81,7 @@ def thm1_threshold_check(n: int, k: int) -> BoundReport:
         + rhs / Fraction(k) ** (k - 1)
         - Fraction(n) ** (k - 2) / Fraction(k) ** (k - 4)
     )
-    threshold = 3 * k ** (k + 1) + k**3
+    threshold = thm1_threshold(k)
     return BoundReport(
         name="thm1_threshold_check",
         parameters={
@@ -177,11 +183,7 @@ def f_bound_values(k: int) -> FBoundValues:
         raise ValueError(f"need k >= 3 (ln k > 1), got k={k}")
     old = (k - 1) * (k**k + k**2) + k
     new_iv = new_f_bound_interval(k, 32)
-    smaller = decide_less(
-        lambda t: new_f_bound_interval(k, t),
-        lambda t: RatInterval.point(old),
-        start_terms=32,
-    )
+    smaller = decide_less(partial(new_f_bound_interval, k), old, start_terms=32)
     return FBoundValues(
         k=k,
         old_bound=old,
@@ -196,11 +198,7 @@ def thm2_threshold_exceeded(n: int, k: int) -> bool:
     """Rigorously decide n > k (4 e ln k)^k (never equal for integer n)."""
     if k < 2:
         raise ValueError(f"need k >= 2, got k={k}")
-    return decide_less(
-        lambda t: new_f_bound_interval(k, t),
-        lambda t: RatInterval.point(n),
-        start_terms=16,
-    )
+    return decide_less(partial(new_f_bound_interval, k), n, start_terms=16)
 
 
 @dataclass(frozen=True)

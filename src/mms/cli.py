@@ -5,7 +5,8 @@ written among them), 3 malformed input file.
 An internal check that fails (an invalid LP certificate or witness recount,
 or an interval comparison left undecided) is a check failure: exit 1 with a
 one-line message.
-Counts and rationals that may exceed 64 bits are emitted as decimal strings.
+Counts and rationals that may exceed 64 bits are emitted as decimal strings,
+a rational as `str` renders a Fraction: p, or p/q in lowest terms.
 """
 from __future__ import annotations
 
@@ -15,6 +16,7 @@ import functools
 import hashlib
 import io
 import json
+import math
 import os
 import sys
 import time
@@ -42,11 +44,6 @@ from .partition import baranyai_partition, validate_partition
 from .reproduce import run_reproduction
 from .solver import DEFAULT_NODE_BUDGET, exact_A, search_upper_bound, verify_conjecture_range
 from .witness import extract_thm1, extract_thm2
-
-
-def _rat_str(x) -> str:
-    f = Fraction(x)
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
 
 def _dump_json(obj) -> str:
@@ -98,21 +95,15 @@ def _load_config(path: str) -> Configuration:
 
 
 def _bound_report_json(report) -> dict:
-    params = {}
-    for key, value in report.parameters.items():
-        if isinstance(value, bool) or value is None:
-            params[key] = value
-        elif isinstance(value, (int, Fraction)):
-            params[key] = _rat_str(value)
-        else:
-            params[key] = str(value)
+    params = {key: value if isinstance(value, bool) or value is None else str(value)
+              for key, value in report.parameters.items()}
     return {
         "name": report.name,
         "holds": report.holds,
         "strict": report.strict,
-        "lhs": _rat_str(report.lhs),
-        "rhs": _rat_str(report.rhs),
-        "margin": _rat_str(report.margin),
+        "lhs": str(report.lhs),
+        "rhs": str(report.rhs),
+        "margin": str(report.margin),
         "parameters": params,
     }
 
@@ -160,7 +151,10 @@ def cmd_baranyai(args) -> int:
     if args.validate:
         try:
             data = json.loads(_read_input(args.validate))
-            diagnostic = validate_partition(data["n"], data["k"], tuple(
+            n, k = data["n"], data["k"]
+            if type(n) is not int or type(k) is not int:
+                raise ValueError(f"n and k must be integers, got n={n!r}, k={k!r}")
+            diagnostic = validate_partition(n, k, tuple(
                 tuple(_read_block(b) for b in cls) for cls in data["classes"]))
         except (ValueError, KeyError, TypeError) as exc:
             print(f"error: malformed partition file {args.validate}: {exc!r}", file=sys.stderr)
@@ -230,7 +224,7 @@ def cmd_solve(args) -> int:
         "upper_bound_only": result.upper_bound_only,
         "bound": "upper" if result.upper_bound_only else "exact",
         "nodes": result.nodes_explored,
-        "optimal_config": [_rat_str(v) for v in result.optimal_config.values],
+        "optimal_config": [str(v) for v in result.optimal_config.values],
         "minimal_elements": [list(m) for m in result.minimal_elements],
     }
     _emit(args, obj, f"solve_n{args.n}_k{args.k}.json")
@@ -297,7 +291,7 @@ def _parse_params(pairs: list[str], keys: tuple[str, ...]) -> dict[str, Fraction
 def _integer_param(params: dict[str, Fraction], key: str) -> int:
     value = params[key]
     if value.denominator != 1:
-        raise ValueError(f"--params {key} must be an integer, got {_rat_str(value)}")
+        raise ValueError(f"--params {key} must be an integer, got {value}")
     return value.numerator
 
 
@@ -359,7 +353,7 @@ def cmd_fbounds(args) -> int:
     obj = {
         "k": fb.k,
         "old_bound": str(fb.old_bound),
-        "new_bound_upper": _rat_str(fb.new_bound),
+        "new_bound_upper": str(math.ceil(fb.new_bound)),
         "new_bound_float": fb.new_bound_float,
         "new_smaller_than_old": fb.new_smaller_than_old,
     }
@@ -412,7 +406,7 @@ def cmd_search(args) -> int:
         "k": args.k,
         "strategy": args.strategy,
         "count": str(count),
-        "config": [_rat_str(v) for v in config.values],
+        "config": [str(v) for v in config.values],
     }
     _emit(args, obj, f"search_n{args.n}_k{args.k}.json")
     return 0

@@ -110,20 +110,17 @@ def ln_interval(x, terms: int = 24) -> RatInterval:
 
 
 def decide_less(
-    make_lhs, make_rhs, start_terms: int = 16, max_terms: int = 4096
+    make_lhs, rhs, start_terms: int = 16, max_terms: int = 4096
 ) -> bool:
-    """Adaptive strict comparison of two interval-valued thunks.
+    """Adaptive strict comparison of an enclosure with a rational: is the
+    value enclosed by `make_lhs` below `rhs`?
 
-    Each thunk maps a precision (series length) to a RatInterval or exact
-    Fraction. Precision doubles until the comparison is decided.
+    `make_lhs` maps a precision (series length) to a RatInterval; precision
+    doubles until the enclosure lies on one side of `rhs`.
     """
     terms = start_terms
     while terms <= max_terms:
-        lhs = make_lhs(terms)
-        rhs = make_rhs(terms)
-        if not isinstance(lhs, RatInterval):
-            lhs = RatInterval.point(lhs)
-        verdict = lhs.strictly_less_than(rhs)
+        verdict = make_lhs(terms).strictly_less_than(rhs)
         if verdict is not None:
             return verdict
         terms *= 2

@@ -9,8 +9,8 @@ D * B^-1 [A | b] with D = det B > 0, so every division in a pivot is exact.
 It returns either a point x >= 0 that satisfies every row, or Farkas
 multipliers y >= 0 with y^T A <= 0 and y^T b > 0: for any x >= 0 the
 combined row reads y^T A x <= 0 < y^T b, an exact derivation of a
-contradiction. Both come back as Fractions and are re-checked, in ints,
-before the solver returns.
+contradiction. Either is checked on the int system that was pivoted, as the
+tableau's ints over D, and only then returned as Fractions.
 
 `mms.solver` feeds it the relaxed filter system R(F), written in the
 non-negative differences of the sorted values (see `solver.filter_system`):
@@ -25,15 +25,11 @@ the non-negative system.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
-_numerator = operator.attrgetter("numerator")
-_denominator = operator.attrgetter("denominator")
 
 
 @dataclass(frozen=True)
@@ -51,16 +47,15 @@ class FeasResult:
     farkas: tuple[Fraction, ...] | None = None
 
 
-def _over_common_denominator(vectors) -> tuple[list[list[int]], int]:
-    """(ints, den) with ints[i][j] / den == vectors[i][j]: the int or
-    Fraction entries over their least common denominator den."""
-    dens = set()
-    for v in vectors:
-        dens.update(map(_denominator, v))
-    den = math.lcm(*dens)
-    if den == 1:
-        return [list(map(_numerator, v)) for v in vectors], den
-    return [[x.numerator * (den // x.denominator) for x in v] for v in vectors], den
+def _lcd(entries) -> int:
+    """The least common denominator of int or Fraction entries."""
+    return math.lcm(*{x.denominator for x in entries})
+
+
+def _times(vector, den: int) -> list[int]:
+    """The int or Fraction entries times den, a multiple of each of their
+    denominators, as ints."""
+    return [(x * den).numerator for x in vector]
 
 
 def _integral_rows(rows: list[LinRow]) -> list[list[int]]:
@@ -68,27 +63,37 @@ def _integral_rows(rows: list[LinRow]) -> list[list[int]]:
     positive factor. One factor for the whole system keeps the signs of the
     phase-I reduced costs, hence Bland's pivot path; a factor per row would
     not."""
-    return _over_common_denominator([(*r.coeffs, r.rhs) for r in rows])[0]
+    vectors = [(*r.coeffs, r.rhs) for r in rows]
+    den = _lcd(itertools.chain.from_iterable(vectors))
+    return [_times(v, den) for v in vectors]
+
+
+def _point_holds(system: list[list[int]], xs: list[int], den: int) -> bool:
+    """`check_point` for the point xs / den (den > 0) on the int system."""
+    return all(x >= 0 for x in xs) and all(
+        sum(map(operator.mul, row[:-1], xs)) >= row[-1] * den for row in system)
+
+
+def _farkas_holds(system: list[list[int]], ys: list[int]) -> bool:
+    """`check_farkas` for int multipliers on the int system; scaling ys by a
+    positive factor changes none of its three conditions."""
+    if len(ys) != len(system) or any(y < 0 for y in ys):
+        return False
+    *columns, rhs = zip(*system)
+    return all(sum(map(operator.mul, ys, col)) <= 0 for col in columns) and (
+        sum(map(operator.mul, ys, rhs)) > 0)
 
 
 def check_point(rows: list[LinRow], point: tuple[Fraction, ...]) -> bool:
     """The point is non-negative and satisfies every row."""
-    (xs,), den = _over_common_denominator([point])
-    return all(x >= 0 for x in xs) and all(
-        sum(map(operator.mul, row[:-1], xs)) >= row[-1] * den
-        for row in _integral_rows(rows)
-    )
+    den = _lcd(point)
+    return _point_holds(_integral_rows(rows), _times(point, den), den)
 
 
 def check_farkas(rows: list[LinRow], mult: tuple[Fraction, ...]) -> bool:
     """Multipliers must be >= 0, combine every variable's coefficients to
     something <= 0, and the right-hand sides to something strictly positive."""
-    (ys,), _ = _over_common_denominator([mult])
-    if len(ys) != len(rows) or any(y < 0 for y in ys):
-        return False
-    *columns, rhs = zip(*_integral_rows(rows))
-    return all(sum(map(operator.mul, ys, col)) <= 0 for col in columns) and (
-        sum(map(operator.mul, ys, rhs)) > 0)
+    return _farkas_holds(_integral_rows(rows), _times(mult, _lcd(mult)))
 
 
 def solve_feasibility(rows: list[LinRow]) -> FeasResult:
@@ -162,25 +167,23 @@ def solve_feasibility(rows: list[LinRow]) -> FeasResult:
         basis[leave] = enter
 
     if z[ncols] == 0:
-        point = [ZERO] * nvars
+        xs = [0] * nvars
         for i, b in enumerate(basis):
             if b < nvars:
-                point[b] = Fraction(tableau[i][ncols], det)
-        pt = tuple(point)
-        if not check_point(rows, pt):
+                xs[b] = tableau[i][ncols]
+        if not _point_holds(system, xs, det):
             raise AssertionError("simplex produced an invalid feasible point")
-        return FeasResult(True, point=pt)
+        return FeasResult(True, point=tuple(Fraction(x, det) for x in xs))
 
     # Duals pi off the starting basic columns, where z holds pi_i minus the
     # column's cost (1 for an artificial), mapped back through the row
     # negations. The whole-system scaling only rescales the surplus and
     # artificial variables and the phase-I objective, which leaves the duals
     # of the original rows unchanged.
-    fk = tuple(Fraction(z[c] + det, det) if s > 0 else Fraction(-z[c], det)
-               for s, c in zip(sigma, start))
-    if not check_farkas(rows, fk):
+    ys = [z[c] + det if s > 0 else -z[c] for s, c in zip(sigma, start)]
+    if not _farkas_holds(system, ys):
         raise AssertionError("simplex produced an invalid Farkas certificate")
-    return FeasResult(False, farkas=fk)
+    return FeasResult(False, farkas=tuple(Fraction(y, det) for y in ys))
 
 
 FM_MAX_VARS = 8
@@ -211,24 +214,13 @@ def fourier_motzkin_feasible(rows: list[LinRow]) -> bool:
                 # scale so the eliminated coefficients cancel
                 a, b = lc[v], -uc[v]
                 coeffs = tuple(b * x + a * y for x, y in zip(lc, uc))
-                new.add((_normalize(coeffs), _normalize_rhs(coeffs, b * lb + a * ub)))
+                new.add(_normalized(coeffs, b * lb + a * ub))
         system = new
     return all(rhs <= 0 for _, rhs in system)
 
 
-def _normalize(coeffs: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
-    scale = _row_scale(coeffs)
-    return tuple(c / scale for c in coeffs) if scale != 1 else coeffs
-
-
-def _normalize_rhs(coeffs: tuple[Fraction, ...], rhs: Fraction) -> Fraction:
-    scale = _row_scale(coeffs)
-    return rhs / scale if scale != 1 else rhs
-
-
-def _row_scale(coeffs: tuple[Fraction, ...]) -> Fraction:
-    # A Fraction even for int coefficients, so that dividing by it is exact.
-    for c in coeffs:
-        if c != 0:
-            return abs(Fraction(c))
-    return ONE
+def _normalized(coeffs: tuple, rhs) -> tuple[tuple[Fraction, ...], Fraction]:
+    """The row divided by the absolute value of its first non-zero
+    coefficient, a Fraction even for int rows so that the division is exact."""
+    scale = next((abs(Fraction(c)) for c in coeffs if c != 0), Fraction(1))
+    return tuple(c / scale for c in coeffs), rhs / scale

@@ -380,7 +380,5 @@ def parse_config_text(text: str) -> Configuration:
 
 
 def format_config(config: Configuration) -> str:
-    lines = []
-    for v in config.values:
-        lines.append(str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}")
-    return "\n".join(lines) + "\n"
+    """One value per line, as `str` renders a Fraction: p, or p/q."""
+    return "".join(f"{v}\n" for v in config.values)

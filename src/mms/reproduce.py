@@ -11,6 +11,7 @@ from .bounds import (
     f_bound_values,
     propagate_equality,
     stage_count_beats_target,
+    thm1_threshold,
     thm1_threshold_check,
     thm2_stage_check,
 )
@@ -104,7 +105,7 @@ def run_reproduction(seed: int = 0) -> list[Check]:
     _check(checks, "thm1_star_40_2", rep.witnesses.count, 39, ok)
 
     ok = all(
-        thm1_threshold_check(3 * k ** (k + 1) + k**3, k).holds for k in range(2, 9))
+        thm1_threshold_check(thm1_threshold(k), k).holds for k in range(2, 9))
     _check(checks, "thm1_threshold_chain_k2_8", "holds at 3k^(k+1)+k^3",
            "k=2..8", ok)
 

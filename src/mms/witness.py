@@ -21,10 +21,9 @@ import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 
-from .bounds import thm2_threshold_exceeded
-from .intervals import RatInterval, decide_less, ln_interval
+from .bounds import thm1_threshold, thm2_threshold_exceeded
+from .intervals import decide_less, ln_interval
 from .numerics import Configuration, SortedKSets, SubsetFamily, binomial
 from .partition import (
     PARTITION_SIZE_LIMIT,
@@ -286,7 +285,7 @@ def extract_thm1(
     _check_options(mode, sample_size)
     rng = random.Random(seed)
     scaled = config.scaled
-    threshold_met = n >= 3 * k ** (k + 1) + k**3
+    threshold_met = n >= thm1_threshold(k)
     top = RangeFamily.of((1, 1, 1), (2, n, k - 1))
     central = top.worst_sum(config) >= 0
     trace = (StageTrace(
@@ -362,32 +361,16 @@ def extract_thm1(
 
 # --- second extraction route (threshold k (4e ln k)^k) ----------------------
 
-def _constant(x: int, terms: int) -> int:
-    return x
+def _floor_over_ln(x: Fraction, k: int) -> int:
+    """floor(x / ln k) for rational x > 0 and k >= 2, decided rigorously.
 
-
-def _ln_multiple(k: int, c: int, terms: int) -> RatInterval:
-    """Enclosure of c ln k at series length `terms`."""
-    return ln_interval(k, terms).scale(c)
-
-
-def _smallest_multiplier_exceeding(k: int) -> int:
-    """Least integer m with m ln k > k (= ceil(k / ln k); never a tie)."""
-    m = 1
-    while m < k:
-        if decide_less(partial(_constant, k), partial(_ln_multiple, k, m)):
-            return m
-        m += 1
-    return k
-
-
-def _floor_n_over_2ln(n: int, k: int) -> int:
-    """floor(n / (2 ln k)) decided rigorously (2 j ln k = n never happens)."""
-    j = max(0, int(n / (2 * math.log(k))))
+    j ln k = x never holds for j >= 1: e^x = k^j would make e algebraic.
+    """
+    j = max(0, int(x / math.log(k)))
 
     def below(c: int) -> bool:
-        # is 2 c ln k < n ?
-        return decide_less(partial(_ln_multiple, k, 2 * c), partial(_constant, n))
+        # is c ln k < x ?
+        return decide_less(lambda terms: ln_interval(k, terms).scale(c), x)
 
     while j > 0 and not below(j):
         j -= 1
@@ -401,10 +384,11 @@ def two_range_parameters(n: int, k: int) -> tuple[int, int]:
     j = floor(n / (2 ln k)) (0 when a = k; no medium range is needed)."""
     if k <= 2:  # ln k <= 1
         return k, 0
-    a = min(_smallest_multiplier_exceeding(k), k)
+    # k / ln k is never an integer, so its ceiling is its floor plus one
+    a = min(_floor_over_ln(Fraction(k), k) + 1, k)
     if a == k:
         return k, 0
-    return a, _floor_n_over_2ln(n, k)
+    return a, _floor_over_ln(Fraction(n, 2), k)
 
 
 def _stage_family(n: int, k: int, stage: int) -> RangeFamily:

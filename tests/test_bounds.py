@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 from fractions import Fraction
@@ -16,7 +17,7 @@ from mms.bounds import (
     thm2_threshold_exceeded,
     unimodal_gap_lb,
 )
-from mms.intervals import RatInterval, e_interval, ln_interval
+from mms.intervals import RatInterval, decide_less, e_interval, ln_interval
 from mms.numerics import binomial
 from mms.solver import exact_A, verify_conjecture_range
 
@@ -55,6 +56,23 @@ def test_interval_arithmetic_sanity():
     assert a.power(3).hi == 8
     assert a.strictly_less_than(RatInterval.point(3)) is True
     assert a.strictly_less_than(RatInterval.point(Fraction(3, 2))) is None
+
+
+def test_decide_less_compares_an_enclosure_with_a_plain_rational():
+    ln3 = functools.partial(ln_interval, 3)  # ln 3 = 1.0986...
+    assert decide_less(ln3, Fraction(11, 10)) is True
+    assert decide_less(ln3, Fraction(109, 100)) is False
+    assert decide_less(ln3, 2) is True and decide_less(ln3, 1) is False
+    # ln 3 is about 1.0986122887 - 3.2e-11: precision doubles until the
+    # enclosure clears the rational
+    seen = []
+
+    def recorded(terms):
+        seen.append(terms)
+        return ln3(terms)
+
+    assert decide_less(recorded, Fraction(10986122887, 10**10), start_terms=2) is True
+    assert seen[:2] == [2, 4] and len(seen) > 2
 
 
 # --- unimodal gap bound ------------------------------------------------------

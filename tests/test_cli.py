@@ -9,6 +9,7 @@ import jsonschema
 import pytest
 
 from mms import __version__, schemas
+from mms.bounds import f_bound_values
 from mms.cli import main
 from mms.intervals import decide_less
 from mms.numerics import binomial, parse_config_text
@@ -191,6 +192,18 @@ def test_python_dash_m_runs_the_cli():
     assert proc.stdout.strip() == __version__
 
 
+def test_fbounds_prints_an_integer_upper_bound(capsys):
+    # the enclosure's exact upper end has about 8,800 digits at k = 41, too
+    # many for int-to-str; its ceiling has 68
+    code, out = run_cli(["fbounds", "--k", "41"], capsys)
+    assert code == 0
+    obj = json.loads(out)
+    upper = obj["new_bound_upper"]
+    assert upper.isdigit() and len(upper) == 68
+    assert int(upper) - 1 < f_bound_values(41).new_bound <= int(upper)
+    assert obj["new_smaller_than_old"] is True
+
+
 def test_invalid_parameters_exit_2(capsys):
     code = main(["baranyai", "--n", "7", "--k", "2"])
     assert code == 2
@@ -220,6 +233,10 @@ PARTITION_4_2 = '{{"n": 4, "k": 2, "classes": {}}}'
      ["baranyai", "--validate", "{file}"], 1),
     ('{"n": 3000000, "k": 1, "classes": [[[1]]]}', ["baranyai", "--validate", "{file}"], 1),
     ('{"n": 400000, "k": 200000, "classes": [[[1]]]}', ["baranyai", "--validate", "{file}"], 1),
+    ('{"n": true, "k": 1, "classes": [[[1]]]}', ["baranyai", "--validate", "{file}"], 3),
+    ('{"n": 2, "k": true, "classes": [[[1]]]}', ["baranyai", "--validate", "{file}"], 3),
+    ('{"n": 4.0, "k": 2, "classes": [[[1]]]}', ["baranyai", "--validate", "{file}"], 3),
+    ('{"n": 4, "k": 2.0, "classes": [[[1]]]}', ["baranyai", "--validate", "{file}"], 3),
     (None, ["baranyai", "--n", "9"], 2),
     (None, ["check"], 2),
     (None, ["check", "--inequality", "thm1_threshold", "--params", "n=10"], 2),
@@ -261,7 +278,8 @@ PARTITION_4_2 = '{{"n": 4, "k": 2, "classes": {}}}'
     (CONFIG_9, ["solve", "--n", "5", "--k", "2", "--out", "{file}/sub"], 2),
 ], ids=["validate_without_classes", "validate_bad_json", "validate_unsorted_block_in_class",
         "validate_unsorted_block", "validate_index_zero", "validate_duplicated_class",
-        "validate_huge_n", "validate_huge_binomial",
+        "validate_huge_n", "validate_huge_binomial", "validate_bool_n", "validate_bool_k",
+        "validate_float_n", "validate_float_k",
         "baranyai_without_k", "check_without_inequality", "check_missing_param", "check_fractional_n",
         "check_fractional_p", "check_fractional_m", "check_zero_denominator",
         "check_exponent_n", "check_decimal_p", "check_exponent_p",
@@ -320,7 +338,7 @@ def test_unwritable_out_is_a_usage_error(tmp_path, capsys, command, out):
 
 
 @pytest.mark.parametrize("target,replacement,args", [
-    ("mms.lp.check_farkas", lambda rows, mult: False, ["solve", "--n", "5", "--k", "2"]),
+    ("mms.lp._farkas_holds", lambda system, ys: False, ["solve", "--n", "5", "--k", "2"]),
     ("mms.bounds.decide_less", functools.partial(decide_less, max_terms=1),
      ["fbounds", "--k", "3"]),
 ], ids=["solve_invalid_farkas_certificate", "fbounds_undecided_comparison"])

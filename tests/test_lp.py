@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import mms.lp as lp_mod
 import mms.solver as solver_mod
 from mms.lp import (
     LinRow,
@@ -211,6 +212,24 @@ def test_integer_checks_match_fraction_evaluation():
             assert ok == fraclp.check_farkas(rows, mult)
             outcomes["farkas", ok] += 1
     assert min(outcomes.values()) > 100, outcomes
+
+
+def test_solve_converts_the_rows_to_ints_once(monkeypatch):
+    calls = []
+    honest = lp_mod._integral_rows
+
+    def counted(rows):
+        calls.append(rows)
+        return honest(rows)
+
+    monkeypatch.setattr(lp_mod, "_integral_rows", counted)
+    feasible = rows_from_ints([((1, 1), 1), ((1, -1), 0)])
+    infeasible = [LinRow((Fraction(1, 2), Fraction(-1, 3)), Fraction(1, 6)),
+                  LinRow((Fraction(-1, 2), Fraction(1, 3)), Fraction(0))]
+    for rows, verdict in ((feasible, True), (infeasible, False)):
+        calls.clear()
+        assert solve_feasibility(rows).feasible is verdict
+        assert calls == [rows]
 
 
 def test_fourier_motzkin_is_exact_on_int_rows():
