@@ -183,7 +183,9 @@ def f_bound_values(k: int) -> FBoundValues:
         raise ValueError(f"need k >= 3 (ln k > 1), got k={k}")
     old = (k - 1) * (k**k + k**2) + k
     new_iv = new_f_bound_interval(k, 32)
-    smaller = decide_less(partial(new_f_bound_interval, k), old, start_terms=32)
+    smaller = new_iv.strictly_less_than(old)
+    if smaller is None:
+        smaller = decide_less(partial(new_f_bound_interval, k), old, start_terms=64)
     return FBoundValues(
         k=k,
         old_bound=old,

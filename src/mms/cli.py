@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import functools
 import hashlib
 import io
 import json
@@ -20,6 +19,7 @@ import math
 import os
 import sys
 import time
+from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
 
@@ -36,6 +36,7 @@ from .intervals import UndecidedComparison
 from .numerics import (
     Configuration,
     ConfigParseError,
+    _is_kset,
     format_config,
     parse_config_text,
     parse_rational,
@@ -76,7 +77,12 @@ def _resolve_seed(args) -> int:
     if args.seed is not None:
         return args.seed
     env = os.environ.get("MMS_SEED")
-    return int(env) if env else 0
+    if not env:
+        return 0
+    try:
+        return int(env)
+    except ValueError:
+        raise ValueError(f"MMS_SEED must be an integer, got {env!r}") from None
 
 
 class UnreadableInput(Exception):
@@ -139,10 +145,9 @@ def cmd_construct(args) -> int:
 
 
 def _read_block(block) -> tuple[int, ...]:
-    """A block of a partition file: a strictly increasing list of integers >= 1."""
-    if (not isinstance(block, list) or not block
-            or any(type(i) is not int for i in block)
-            or any(a >= b for a, b in zip([0] + block, block))):
+    """A block of a partition file: a list of JSON integers shaped as a k-set."""
+    if (not isinstance(block, list) or any(type(i) is not int for i in block)
+            or not _is_kset(tuple(block))):
         raise ValueError(f"block {block!r} is not a strictly increasing list of integers >= 1")
     return tuple(block)
 
@@ -159,7 +164,8 @@ def cmd_baranyai(args) -> int:
         except (ValueError, KeyError, TypeError) as exc:
             print(f"error: malformed partition file {args.validate}: {exc!r}", file=sys.stderr)
             return 3
-        sys.stdout.write(_dump_json({"valid": diagnostic is None, "diagnostic": diagnostic}))
+        _emit(args, {"valid": diagnostic is None, "diagnostic": diagnostic},
+              "baranyai_validate.json")
         return 0 if diagnostic is None else 1
     if args.n is None or args.k is None:
         print("error: --n and --k are required unless --validate is given", file=sys.stderr)
@@ -194,16 +200,7 @@ def cmd_witness(args) -> int:
         "below_guarantee": report.below_guarantee,
         "meets_threshold_target": report.meets_threshold_target,
         "notes": list(report.notes),
-        "trace": [
-            {
-                "stage_index": t.stage_index,
-                "surviving_top": t.surviving_top,
-                "removed_bottom": t.removed_bottom,
-                "central": t.central,
-                "stage_set_size": t.stage_set_size,
-            }
-            for t in report.trace
-        ],
+        "trace": [asdict(t) for t in report.trace],
     }
     if report.witnesses.is_explicit and args.out:
         buf = io.StringIO()
@@ -231,41 +228,37 @@ def cmd_solve(args) -> int:
     return 0
 
 
+SWEEP_COLUMNS = ("n", "k", "verdict", "lower", "upper", "A", "equals_target")
+
+
 def cmd_sweep(args) -> int:
-    rows = verify_conjecture_range(args.n_lo, args.n_hi, args.k)
+    rows = [
+        dict(zip(SWEEP_COLUMNS, (r.n, r.k, r.verdict, str(r.lower), str(r.upper),
+                                 None if r.a_value is None else str(r.a_value),
+                                 r.equals_target)))
+        for r in verify_conjecture_range(args.n_lo, args.n_hi, args.k)
+    ]
     if args.format == "json":
-        obj = [
-            {
-                "n": r.n, "k": r.k, "verdict": r.verdict,
-                "lower": str(r.lower), "upper": str(r.upper),
-                "A": None if r.a_value is None else str(r.a_value),
-                "equals_target": r.equals_target,
-            }
-            for r in rows
-        ]
-        _emit(args, obj, f"sweep_k{args.k}.json")
+        _emit(args, rows, f"sweep_k{args.k}.json")
         return 0
+    # csv writes None as an empty field
     buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["n", "k", "verdict", "lower", "upper", "A", "equals_target"])
-    for r in rows:
-        writer.writerow([
-            r.n, r.k, r.verdict, r.lower, r.upper,
-            "" if r.a_value is None else r.a_value,
-            "" if r.equals_target is None else r.equals_target,
-        ])
+    writer = csv.DictWriter(buf, SWEEP_COLUMNS)
+    writer.writeheader()
+    writer.writerows(rows)
     sys.stdout.write(buf.getvalue())
     if args.out:
         _write_out(Path(args.out), f"sweep_k{args.k}.csv", buf.getvalue())
     return 0
 
 
-#: The `--params` keys that each inequality of `check` reads.
-INEQUALITY_PARAMS = {
-    "unimodal_gap_lb": ("p", "q", "m"),
-    "thm1_threshold": ("n", "k"),
-    "thm2_stage": ("n", "k", "p"),
-    "stage_count": ("n", "k", "p"),
+#: Each inequality of `check`: its function, then the `--params` keys it
+#: takes as rationals and those it takes as integers, in argument order.
+INEQUALITIES = {
+    "unimodal_gap_lb": (unimodal_gap_lb, ("p", "q"), ("m",)),
+    "thm1_threshold": (thm1_threshold_check, (), ("n", "k")),
+    "thm2_stage": (thm2_stage_check, (), ("n", "k", "p")),
+    "stage_count": (stage_count_beats_target, (), ("n", "k", "p")),
 }
 
 
@@ -288,11 +281,13 @@ def _parse_params(pairs: list[str], keys: tuple[str, ...]) -> dict[str, Fraction
     return out
 
 
-def _integer_param(params: dict[str, Fraction], key: str) -> int:
+def _param(name: str, params: dict[str, Fraction], key: str, integer: bool):
+    if key not in params:
+        raise ValueError(f"{name} needs --params {key}=VALUE")
     value = params[key]
-    if value.denominator != 1:
+    if integer and value.denominator != 1:
         raise ValueError(f"--params {key} must be an integer, got {value}")
-    return value.numerator
+    return value.numerator if integer else value
 
 
 def cmd_check(args) -> int:
@@ -302,20 +297,10 @@ def cmd_check(args) -> int:
     if name is None:
         print("error: check needs --inequality NAME or --suite thm1|thm2", file=sys.stderr)
         return 2
-    params = _parse_params(args.params or [], INEQUALITY_PARAMS[name])
-    integer = functools.partial(_integer_param, params)
-    try:
-        if name == "unimodal_gap_lb":
-            report = unimodal_gap_lb(params["p"], params["q"], integer("m"))
-        elif name == "thm1_threshold":
-            report = thm1_threshold_check(integer("n"), integer("k"))
-        elif name == "thm2_stage":
-            report = thm2_stage_check(integer("n"), integer("k"), integer("p"))
-        else:
-            report = stage_count_beats_target(integer("n"), integer("k"), integer("p"))
-    except KeyError as exc:
-        print(f"error: {name} needs --params {exc.args[0]}=VALUE", file=sys.stderr)
-        return 2
+    func, rational_keys, integer_keys = INEQUALITIES[name]
+    keys = rational_keys + integer_keys
+    params = _parse_params(args.params or [], keys)
+    report = func(*[_param(name, params, key, key in integer_keys) for key in keys])
     _emit(args, _bound_report_json(report), f"check_{name}.json")
     return 0 if report.holds else 1
 
@@ -362,6 +347,8 @@ def cmd_fbounds(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
+    if args.workers < 1:
+        raise ValueError(f"--workers must be >= 1, got {args.workers}")
     seed = _resolve_seed(args)
     start = time.time()
     checks = run_reproduction(seed=seed)
@@ -369,10 +356,7 @@ def cmd_reproduce(args) -> int:
     report = {
         "seed": seed,
         "all_pass": all_pass,
-        "checks": [
-            {"id": c.id, "status": c.status, "lhs": c.lhs, "rhs": c.rhs}
-            for c in checks
-        ],
+        "checks": [asdict(c) for c in checks],
     }
     out_dir = Path(args.out or ".") / "report"
     text = _dump_json(report)
@@ -465,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", parents=[common],
                        help="verify one inequality or a whole chain")
     p.add_argument("--inequality", type=str, default=None,
-                   choices=tuple(INEQUALITY_PARAMS))
+                   choices=tuple(INEQUALITIES))
     p.add_argument("--suite", choices=("thm1", "thm2"), default=None)
     p.add_argument("--params", nargs="*", default=None, metavar="KEY=VALUE")
     p.add_argument("--n", type=int, default=None)
@@ -487,7 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reproduce", parents=[common],
                        help="re-derive every headline value and write report/paper.json")
     p.add_argument("--workers", type=int, default=1,
-                   help="recorded in the manifest; the report does not depend on it")
+                   help="at least 1; recorded in the manifest; the report does not depend on it")
     p.set_defaults(func=cmd_reproduce)
 
     return parser

@@ -278,6 +278,33 @@ def test_f_bound_crossover_at_41():
     assert f_bound_values(50).new_smaller_than_old
 
 
+def test_f_bound_values_builds_the_32_term_enclosure_once(monkeypatch):
+    terms = []
+
+    def recording(k, n_terms):
+        terms.append(n_terms)
+        return new_f_bound_interval(k, n_terms)
+
+    monkeypatch.setattr("mms.bounds.new_f_bound_interval", recording)
+    assert f_bound_values(41).new_smaller_than_old
+    assert terms == [32]
+
+
+def test_f_bound_values_refines_from_64_terms_when_32_are_undecided(monkeypatch):
+    terms = []
+
+    def wide_at_32(k, n_terms):
+        terms.append(n_terms)
+        if n_terms == 32:
+            return RatInterval(Fraction(0), Fraction(10**100))
+        return new_f_bound_interval(k, n_terms)
+
+    monkeypatch.setattr("mms.bounds.new_f_bound_interval", wide_at_32)
+    assert f_bound_values(41).new_smaller_than_old
+    assert not f_bound_values(40).new_smaller_than_old
+    assert terms == [32, 64, 32, 64]
+
+
 def test_f_bound_rejects_small_k():
     with pytest.raises(ValueError):
         f_bound_values(2)

@@ -1,8 +1,9 @@
-import functools
+import hashlib
 import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import jsonschema
@@ -11,7 +12,7 @@ import pytest
 from mms import __version__, schemas
 from mms.bounds import f_bound_values
 from mms.cli import main
-from mms.intervals import decide_less
+from mms.intervals import RatInterval
 from mms.numerics import binomial, parse_config_text
 
 from genconfig import nonneg_members
@@ -75,6 +76,19 @@ def test_baranyai_output_and_validate(tmp_path, capsys):
     bad.write_text(json.dumps(data))
     code, out = run_cli(["baranyai", "--validate", str(bad)], capsys)
     assert code == 1 and json.loads(out)["valid"] is False
+
+
+def test_baranyai_validate_writes_its_verdict_under_out(tmp_path, capsys):
+    run_cli(["baranyai", "--n", "6", "--k", "3", "--out", str(tmp_path)], capsys)
+    partition = str(tmp_path / "baranyai_n6_k3.json")
+    out_dir = tmp_path / "verdict"
+    code, out = run_cli(["baranyai", "--validate", partition, "--out", str(out_dir)], capsys)
+    assert code == 0 and json.loads(out)["valid"] is True
+    assert (out_dir / "baranyai_validate.json").read_text() == out
+    blocker = tmp_path / "blocker"
+    blocker.write_text("kept\n")
+    assert main(["baranyai", "--validate", partition, "--out", str(blocker)]) == 2
+    assert blocker.read_text() == "kept\n"
 
 
 def test_witness_command_and_csv(tmp_path, capsys):
@@ -276,6 +290,8 @@ PARTITION_4_2 = '{{"n": 4, "k": 2, "classes": {}}}'
     (DIRECTORY, ["baranyai", "--validate", "{file}"], 3),
     (CONFIG_9, ["solve", "--n", "5", "--k", "2", "--out", "{file}"], 2),
     (CONFIG_9, ["solve", "--n", "5", "--k", "2", "--out", "{file}/sub"], 2),
+    (None, ["reproduce", "--workers", "0", "--out", "{file}"], 2),
+    (None, ["reproduce", "--workers", "-3", "--out", "{file}"], 2),
 ], ids=["validate_without_classes", "validate_bad_json", "validate_unsorted_block_in_class",
         "validate_unsorted_block", "validate_index_zero", "validate_duplicated_class",
         "validate_huge_n", "validate_huge_binomial", "validate_bool_n", "validate_bool_k",
@@ -291,7 +307,8 @@ PARTITION_4_2 = '{{"n": 4, "k": 2, "classes": {}}}'
         "config_decimal", "config_exponent", "config_underscore", "config_zero_denominator",
         "config_negative_denominator", "config_missing_denominator",
         "config_missing_numerator", "config_not_utf8", "config_directory",
-        "validate_not_utf8", "validate_directory", "out_names_a_file", "out_below_a_file"])
+        "validate_not_utf8", "validate_directory", "out_names_a_file", "out_below_a_file",
+        "reproduce_workers_0", "reproduce_negative_workers"])
 def test_malformed_input_exit_codes(tmp_path, capsys, file_text, args, code):
     path = tmp_path / "input.json"
     if file_text is DIRECTORY:
@@ -339,8 +356,9 @@ def test_unwritable_out_is_a_usage_error(tmp_path, capsys, command, out):
 
 @pytest.mark.parametrize("target,replacement,args", [
     ("mms.lp._farkas_holds", lambda system, ys: False, ["solve", "--n", "5", "--k", "2"]),
-    ("mms.bounds.decide_less", functools.partial(decide_less, max_terms=1),
-     ["fbounds", "--k", "3"]),
+    # an enclosure that never narrows leaves the comparison undecided
+    ("mms.bounds.new_f_bound_interval",
+     lambda k, terms: RatInterval(Fraction(0), Fraction(10**100)), ["fbounds", "--k", "3"]),
 ], ids=["solve_invalid_farkas_certificate", "fbounds_undecided_comparison"])
 def test_internal_failures_exit_1(monkeypatch, capsys, target, replacement, args):
     monkeypatch.setattr(target, replacement)
@@ -415,6 +433,13 @@ def test_seed_resolution_env(tmp_path, capsys, monkeypatch):
     assert json.loads(out)["seed"] == 2
 
 
+def test_seed_env_that_is_not_an_integer_is_a_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("MMS_SEED", "nine")
+    assert main(["baranyai", "--n", "6", "--k", "3"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: MMS_SEED must be an integer, got 'nine'\n"
+
+
 def test_witness_deterministic_output(tmp_path, capsys):
     code, out = run_cli(
         ["construct", "--name", "star", "--n", "60", "--k", "3",
@@ -456,3 +481,37 @@ def test_reproduce_fault_injection(tmp_path, capsys, monkeypatch):
     assert "mirror_count_8_3" in failing
     for check_id in failing:
         assert check_id in captured.err
+
+
+#: The sha256 of stdout for fixed invocations (of report/paper.json for
+#: `reproduce`): any change to these bytes must be deliberate.
+GOLDEN_DIGESTS = {
+    "reproduce_paper_json": (
+        ["reproduce", "--seed", "0"],
+        "aa36dc7e1dd1c27cd821c80b9483c6778c47f65ef134bb03d91b6d974157cc51"),
+    "solve_8_3": (
+        ["solve", "--n", "8", "--k", "3"],
+        "1613d31e09525dd258041af64efca8230daa51f80b6e6b010c60cfd61ce21d0c"),
+    "sweep_csv": (
+        ["sweep", "--k", "3", "--n-lo", "4", "--n-hi", "12"],
+        "6cae31006a613579b5cc6a8e2879cae36e267bddd13f08a002722dc3facf9eeb"),
+    "sweep_json": (
+        ["sweep", "--k", "3", "--n-lo", "4", "--n-hi", "12", "--format", "json"],
+        "ad451564135fc6a52dd6059c0a449e70e5429a6434738d701a7bc32532982681"),
+    "check_thm2_stage": (
+        ["check", "--inequality", "thm2_stage", "--params", "n=5200", "k=3", "p=7"],
+        "00143f1f8a8197f0bb2d310445fcf0079671a1026ba86db8fb784b97d6f7397d"),
+    "fbounds_41": (
+        ["fbounds", "--k", "41"],
+        "5bbe0ecbf25cdc4b4d2dc1163fdbc9d1439802fd23f2882ca0d2086843ebff90"),
+}
+
+
+@pytest.mark.parametrize("name", GOLDEN_DIGESTS)
+def test_outputs_match_golden_digests(tmp_path, capsys, name):
+    args, digest = GOLDEN_DIGESTS[name]
+    code, out = run_cli(args + ["--out", str(tmp_path)], capsys)
+    assert code == 0
+    data = (tmp_path / "report" / "paper.json").read_bytes() if args[0] == "reproduce" \
+        else out.encode()
+    assert hashlib.sha256(data).hexdigest() == digest
