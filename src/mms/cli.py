@@ -144,6 +144,14 @@ def cmd_construct(args) -> int:
     return 0
 
 
+def _refuse_flags(args, mode: str, *dests: str) -> None:
+    """A usage error naming those of `dests` given alongside `mode`, where
+    they would be ignored."""
+    given = [f"--{dest}" for dest in dests if getattr(args, dest) is not None]
+    if given:
+        raise ValueError(f"{', '.join(given)} cannot be combined with {mode}")
+
+
 def _read_block(block) -> tuple[int, ...]:
     """A block of a partition file: a list of JSON integers shaped as a k-set."""
     if (not isinstance(block, list) or any(type(i) is not int for i in block)
@@ -154,6 +162,7 @@ def _read_block(block) -> tuple[int, ...]:
 
 def cmd_baranyai(args) -> int:
     if args.validate:
+        _refuse_flags(args, "--validate", "n", "k", "seed")
         try:
             data = json.loads(_read_input(args.validate))
             n, k = data["n"], data["k"]
@@ -292,11 +301,13 @@ def _param(name: str, params: dict[str, Fraction], key: str, integer: bool):
 
 def cmd_check(args) -> int:
     if args.suite:
+        _refuse_flags(args, "--suite", "inequality", "params")
         return _run_suite(args)
     name = args.inequality
     if name is None:
         print("error: check needs --inequality NAME or --suite thm1|thm2", file=sys.stderr)
         return 2
+    _refuse_flags(args, "--inequality", "n", "k")
     func, rational_keys, integer_keys = INEQUALITIES[name]
     keys = rational_keys + integer_keys
     params = _parse_params(args.params or [], keys)

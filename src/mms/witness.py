@@ -3,12 +3,13 @@ non-negative k-subsets with guaranteed cardinalities.
 
 Both extraction routes share the same discipline: every branch condition is
 re-checked in exact arithmetic before any witness is emitted, and every
-emitted family is a `RangeFamily` whose minimum-sum member is checked
-exactly. Explicit families are also re-summed member by member; counted ones
-are spot-checked on a seeded uniform sample. The one exception is the
-partition part of the first route above the partition size limit, which is
-counted on the theorem alone; each report lists how every sub-family was
-certified. A violated check raises instead of emitting unsound output.
+emitted family is certified in one pass over its disjoint parts. A part is a
+`RangeFamily`, whose minimum-sum member is checked exactly; the first route's
+partition witnesses, re-summed where they are built; or, for that partition
+part above the partition size limit, a count that rests on the theorem
+alone. Explicit families are re-summed member by member; counted ones are
+spot-checked on a seeded uniform sample. Each report lists how every part
+was certified. A violated check raises instead of emitting unsound output.
 
 `log` means the natural logarithm throughout; the k(4e ln k)^k threshold
 arises from k^(k/ln k) = e^k, which only holds base-e.
@@ -168,36 +169,57 @@ def _check_sums(config: Configuration, tuples: list[tuple[int, ...]]) -> None:
 def _certify(
     config: Configuration,
     k: int,
-    family: RangeFamily,
+    parts: tuple[tuple[str, RangeFamily | list[tuple[int, ...]] | int], ...],
     mode: str,
     rng: random.Random | None,
     sample_size: int,
-) -> tuple[SubsetFamily, int]:
-    """Certify every member of `family` non-negative; return it with the
-    number of sampled members.
+) -> tuple[SubsetFamily, tuple[tuple[str, str], ...], int]:
+    """Certify the family made of the named disjoint `parts`; return it with
+    how each part was certified and the number of sampled members.
 
-    The worst member is checked exactly, which alone proves the family on a
-    sorted configuration. Families up to EXPLICIT_LIMIT are enumerated (unless
-    `mode` is "counted"): every member is re-summed, the enumeration must be
-    strictly increasing (so its members are distinct) and as long as the
-    family's count, and the family keeps the enumerated plain tuples as they
-    are. Larger families are counted, with `sample_size` uniform members
-    re-summed.
+    A part is a `RangeFamily`; a list of increasing index tuples re-summed
+    where they were built (the shifted partition witnesses); or a count that
+    rests on the theorem alone. The family is enumerated when no part rests
+    on the theorem, `mode` is not "counted" and it has at most EXPLICIT_LIMIT
+    members, or when it is empty; otherwise it is counted. A range part's
+    worst member is checked exactly, which alone proves it on a sorted
+    configuration; enumerated, every member is re-summed, and counted,
+    `sample_size` uniform members are. The parts' enumerations, concatenated
+    in order, must be strictly increasing (so the members are distinct) and
+    as long as the total count; the family keeps those plain tuples as they
+    are.
     """
-    n, count = config.n, family.count
+    n = config.n
+    count = sum(part if isinstance(part, int) else
+                part.count if isinstance(part, RangeFamily) else len(part)
+                for _, part in parts)
+    on_theorem = any(isinstance(part, int) for _, part in parts)
+    if mode == "explicit" and on_theorem:
+        raise ValueError("explicit mode impossible: partition instance above the size limit")
     if mode == "explicit" and count > EXPLICIT_LIMIT:
         raise ValueError(f"explicit family of {count} exceeds limit {EXPLICIT_LIMIT}")
-    if count == 0:
-        return SubsetFamily.explicit(n, k, ()), 0
-    if family.worst_sum(config) < 0:
-        raise WitnessSoundnessError(f"worst member of the family {family.parts} is negative")
-    if mode == "counted" or count > EXPLICIT_LIMIT:
-        draws = [family.draw(rng) for _ in range(sample_size)]
-        _check_sums(config, draws)
-        return SubsetFamily.counted(n, k, count), len(draws)
-    tuples = list(family.members())
-    _check_sums(config, tuples)
-    if not all(map(operator.lt, tuples, tuples[1:])):
+    explicit = not on_theorem and (count == 0 or mode != "counted" and count <= EXPLICIT_LIMIT)
+    provenance, tuples, sampled = [], [], 0
+    for name, part in parts:
+        how = "theorem" if isinstance(part, int) else "resummed"
+        if isinstance(part, RangeFamily) and part.count:
+            if part.worst_sum(config) < 0:
+                raise WitnessSoundnessError(f"worst member of the family {part.parts} is negative")
+            if explicit:
+                start = len(tuples)
+                tuples += part.members()
+                _check_sums(config, tuples[start:])
+            else:
+                draws = [part.draw(rng) for _ in range(sample_size)]
+                _check_sums(config, draws)
+                sampled += len(draws)
+                how = "worst_member"
+        elif explicit and isinstance(part, list):
+            tuples += part
+        provenance.append((name, how))
+    if not explicit:
+        return SubsetFamily.counted(n, k, count), tuple(provenance), sampled
+    if not all(map(operator.lt, tuples, itertools.islice(tuples, 1, None))):
         i = next(i for i in range(1, len(tuples)) if tuples[i - 1] >= tuples[i])
         raise AssertionError(
             f"enumerated member {tuples[i]} does not follow {tuples[i - 1]} in increasing order")
@@ -205,20 +227,14 @@ def _certify(
         raise AssertionError(f"enumerated {len(tuples)} members, expected {count}")
     # sizes and the range [1, n] are checked by SubsetFamily
     members = SortedKSets.trusted(tuple(tuples))
-    return SubsetFamily(n, k, members, count), 0
-
-
-def _how(witnesses: SubsetFamily) -> str:
-    return "resummed" if witnesses.is_explicit else "worst_member"
+    return SubsetFamily(n, k, members, count), tuple(provenance), 0
 
 
 def _report(
-    config: Configuration,
-    k: int,
-    threshold_met: bool,
-    witnesses: SubsetFamily,
-    **kw,
+    config, k, threshold_met, branch, parts, mode, rng, sample_size, trace, notes=()
 ) -> WitnessReport:
+    """Certify the parts of `branch` and report them."""
+    witnesses, provenance, sampled = _certify(config, k, parts, mode, rng, sample_size)
     target = binomial(config.n - 1, k - 1)
     meets = None
     if threshold_met:
@@ -227,23 +243,16 @@ def _report(
                 "count fell below the target inside the theorem range -- bug")
         meets = True
     return WitnessReport(
+        branch=branch,
         witnesses=witnesses,
+        guaranteed_count=witnesses.count,
+        trace=trace,
+        provenance=provenance,
         mode="explicit" if witnesses.is_explicit else "counted",
+        sample_size=sampled,
         below_guarantee=witnesses.count < target,
         meets_threshold_target=meets,
-        **kw,
-    )
-
-
-def _family_report(
-    config, k, threshold_met, branch, family, mode, rng, sample_size, trace, notes=()
-) -> WitnessReport:
-    """Certify the one range family of `branch` and report it."""
-    witnesses, sampled = _certify(config, k, family, mode, rng, sample_size)
-    return _report(
-        config, k, threshold_met, witnesses,
-        branch=branch, guaranteed_count=family.count, trace=trace,
-        provenance=((branch, _how(witnesses)),), sample_size=sampled, notes=notes,
+        notes=notes,
     )
 
 
@@ -292,14 +301,14 @@ def extract_thm1(
         stage_index=1, surviving_top=1, removed_bottom=0,
         central=central, stage_set_size=n),)
     if central:
-        return _family_report(config, k, threshold_met, "central_at_top", top,
-                              mode, rng, sample_size, trace)
+        return _report(config, k, threshold_met, "central_at_top",
+                       (("central_at_top", top),), mode, rng, sample_size, trace)
 
     neg_count = sum(1 for v in scaled if v < 0)
     if neg_count < 2 * k:
-        return _family_report(config, k, threshold_met, "few_negatives",
-                              RangeFamily(((1, n - neg_count, k),)),
-                              mode, rng, sample_size, trace)
+        return _report(config, k, threshold_met, "few_negatives",
+                       (("few_negatives", RangeFamily(((1, n - neg_count, k),))),),
+                       mode, rng, sample_size, trace)
 
     # branch (c): trim to the largest multiple of k exceeding n - 2k
     r = n % k
@@ -315,48 +324,27 @@ def extract_thm1(
         raise AssertionError("trimmed configuration has negative sum -- aborting")
 
     part_count = binomial(m - 1, k - 1)
-    part_members: list[tuple[int, ...]] | None = None
     notes: tuple[str, ...] = ()
     if binomial(m, k) <= PARTITION_SIZE_LIMIT:
         # re-summed exactly inside; trimmed position i is position i + 1 here
         trimmed = Configuration(config.values[1:m + 1])
         inner = partition_lower_bound_witnesses(trimmed, k)
-        part_members = [tuple(i + 1 for i in s) for s in inner.sorted_members()]
-        if len(part_members) != part_count:
+        partition = [tuple(i + 1 for i in s) for s in inner.sorted_members()]
+        if len(partition) != part_count:
             raise AssertionError("partition witness count mismatch")
     else:
+        partition = part_count  # rests on the theorem alone
         notes = ("partition family counted by the multiple-of-k bound "
                  "(instance above the partition size limit)",)
 
     z = n // k  # |Z|, justified by eq2_bound at j = floor(n/k)
     eq2_bound(config, z)
     zone = RangeFamily.of((1, 1, 1), (2, z + 1, k - 1))
-    guaranteed = part_count + zone.count
-    if mode == "explicit" and part_members is None:
-        raise ValueError(
-            "explicit mode impossible: partition instance above the size limit")
-    if mode == "explicit" and guaranteed > EXPLICIT_LIMIT:
-        raise ValueError(f"explicit family of {guaranteed} exceeds limit {EXPLICIT_LIMIT}")
-    explicit = part_members is not None and mode != "counted" and guaranteed <= EXPLICIT_LIMIT
-
-    zone_witnesses, sampled = _certify(
-        config, k, zone, "explicit" if explicit else "counted", rng, sample_size)
-    if explicit:
-        family = SubsetFamily.explicit(
-            n, k, itertools.chain(part_members, zone_witnesses.sorted_members()))
-        if family.count != guaranteed:
-            raise AssertionError("trim and top-zone families are not disjoint")
-    else:
-        family = SubsetFamily.counted(n, k, guaranteed)
-    provenance = (
-        ("partition", "theorem" if part_members is None else "resummed"),
-        ("top_zone", _how(zone_witnesses)),
-    )
-    return _report(
-        config, k, threshold_met, family,
-        branch="trim_and_partition_plus_top_zone", guaranteed_count=guaranteed,
-        trace=trace, provenance=provenance, sample_size=sampled, notes=notes,
-    )
+    # the zone's members contain index 1 and the partition's do not: the
+    # parts are disjoint, and in increasing order zone first
+    return _report(config, k, threshold_met, "trim_and_partition_plus_top_zone",
+                   (("top_zone", zone), ("partition", partition)),
+                   mode, rng, sample_size, trace, notes)
 
 
 # --- second extraction route (threshold k (4e ln k)^k) ----------------------
@@ -438,8 +426,9 @@ def extract_thm2(
             stage_index=i, surviving_top=i, removed_bottom=(i - 1) * (k - 1),
             central=central, stage_set_size=bottom - i + 1))
         if central:
-            return _family_report(config, k, threshold_met, "central_at_stage_i",
-                                  family, mode, rng, sample_size, tuple(trace))
+            return _report(config, k, threshold_met, "central_at_stage_i",
+                           (("central_at_stage_i", family),), mode, rng, sample_size,
+                           tuple(trace))
 
     # no central stage: two-range family inside X_T
     a, j = two_range_parameters(n, k)
@@ -451,9 +440,9 @@ def extract_thm2(
     parts = ((1, big_t, a),)
     if a < k:
         parts += ((big_t + 1, big_t + j, k - a),)
-    return _family_report(config, k, threshold_met, "two_range_family",
-                          RangeFamily(parts), mode, rng, sample_size,
-                          tuple(trace), notes=(f"a={a}, j={j}",))
+    return _report(config, k, threshold_met, "two_range_family",
+                   (("two_range_family", RangeFamily(parts)),), mode, rng, sample_size,
+                   tuple(trace), notes=(f"a={a}, j={j}",))
 
 
 def substitution_family(config: Configuration, stage: int, k: int) -> SubsetFamily:
@@ -474,5 +463,6 @@ def substitution_family(config: Configuration, stage: int, k: int) -> SubsetFami
     if worst < 0:
         raise NonCentralStageError(
             f"stage {stage} maximum is not central (worst sum {worst} < 0)")
-    witnesses, _ = _certify(config, k, family, "explicit", None, 0)
+    witnesses, _, _ = _certify(
+        config, k, (("central_at_stage_i", family),), "explicit", None, 0)
     return witnesses

@@ -78,10 +78,11 @@ def test_baranyai_output_and_validate(tmp_path, capsys):
     assert code == 1 and json.loads(out)["valid"] is False
 
 
-def test_baranyai_validate_writes_its_verdict_under_out(tmp_path, capsys):
+def test_baranyai_validate_writes_its_verdict_under_out(tmp_path, capsys, monkeypatch):
     run_cli(["baranyai", "--n", "6", "--k", "3", "--out", str(tmp_path)], capsys)
     partition = str(tmp_path / "baranyai_n6_k3.json")
     out_dir = tmp_path / "verdict"
+    monkeypatch.setenv("MMS_SEED", "5")  # unlike --seed, not an error with --validate
     code, out = run_cli(["baranyai", "--validate", partition, "--out", str(out_dir)], capsys)
     assert code == 0 and json.loads(out)["valid"] is True
     assert (out_dir / "baranyai_validate.json").read_text() == out
@@ -232,6 +233,12 @@ NOT_UTF8 = b"\xff\xfe1\n"
 WITNESS_THM2 = ["witness", "--theorem", "2", "--config", "{file}", "--k", "2"]
 #: A 4-point partition file around the given classes.
 PARTITION_4_2 = '{{"n": 4, "k": 2, "classes": {}}}'
+#: A valid (6, 3) partition file.
+PARTITION_6_3 = json.dumps({"n": 6, "k": 3, "classes": [
+    [[1, 2, 3], [4, 5, 6]], [[1, 2, 4], [3, 5, 6]], [[1, 2, 5], [3, 4, 6]],
+    [[1, 2, 6], [3, 4, 5]], [[1, 3, 4], [2, 5, 6]], [[1, 3, 5], [2, 4, 6]],
+    [[1, 3, 6], [2, 4, 5]], [[1, 4, 5], [2, 3, 6]], [[1, 4, 6], [2, 3, 5]],
+    [[1, 5, 6], [2, 3, 4]]]})
 
 
 @pytest.mark.parametrize("file_text,args,code", [
@@ -252,6 +259,19 @@ PARTITION_4_2 = '{{"n": 4, "k": 2, "classes": {}}}'
     ('{"n": 4.0, "k": 2, "classes": [[[1]]]}', ["baranyai", "--validate", "{file}"], 3),
     ('{"n": 4, "k": 2.0, "classes": [[[1]]]}', ["baranyai", "--validate", "{file}"], 3),
     (None, ["baranyai", "--n", "9"], 2),
+    (PARTITION_6_3, ["baranyai", "--validate", "{file}", "--n", "9"], 2),
+    (PARTITION_6_3, ["baranyai", "--validate", "{file}", "--k", "2"], 2),
+    (PARTITION_6_3, ["baranyai", "--validate", "{file}", "--seed", "5"], 2),
+    (PARTITION_6_3, ["baranyai", "--validate", "{file}", "--n", "9", "--k", "2", "--seed", "5"],
+     2),
+    (None, ["check", "--suite", "thm1", "--n", "270", "--k", "3",
+            "--inequality", "thm1_threshold"], 2),
+    (None, ["check", "--suite", "thm1", "--n", "270", "--k", "3", "--params", "n=1", "k=1"], 2),
+    (None, ["check", "--suite", "thm1", "--n", "270", "--k", "3", "--params"], 2),
+    (None, ["check", "--inequality", "thm1_threshold", "--params", "n=270", "k=3",
+            "--n", "270"], 2),
+    (None, ["check", "--inequality", "thm1_threshold", "--params", "n=270", "k=3",
+            "--k", "3"], 2),
     (None, ["check"], 2),
     (None, ["check", "--inequality", "thm1_threshold", "--params", "n=10"], 2),
     (None, ["check", "--inequality", "thm1_threshold", "--params", "n=270.5", "k=3"], 2),
@@ -296,7 +316,10 @@ PARTITION_4_2 = '{{"n": 4, "k": 2, "classes": {}}}'
         "validate_unsorted_block", "validate_index_zero", "validate_duplicated_class",
         "validate_huge_n", "validate_huge_binomial", "validate_bool_n", "validate_bool_k",
         "validate_float_n", "validate_float_k",
-        "baranyai_without_k", "check_without_inequality", "check_missing_param", "check_fractional_n",
+        "baranyai_without_k", "validate_with_n", "validate_with_k", "validate_with_seed",
+        "validate_with_n_k_seed", "check_suite_with_inequality", "check_suite_with_params",
+        "check_suite_with_empty_params", "check_inequality_with_n", "check_inequality_with_k",
+        "check_without_inequality", "check_missing_param", "check_fractional_n",
         "check_fractional_p", "check_fractional_m", "check_zero_denominator",
         "check_exponent_n", "check_decimal_p", "check_exponent_p",
         "check_stage_count_n_too_small", "check_stage_count_negative_p",
@@ -483,35 +506,67 @@ def test_reproduce_fault_injection(tmp_path, capsys, monkeypatch):
         assert check_id in captured.err
 
 
-#: The sha256 of stdout for fixed invocations (of report/paper.json for
-#: `reproduce`): any change to these bytes must be deliberate.
+#: Configurations for the `witness` digests: the first route's trim branch
+#: (k = 3), its partition part above the size limit (k = 3), and the second
+#: route's stage 2 (k = 3).
+TRIM_30 = "2\n" * 20 + "-7\n" * 8 + "5\n11\n"
+HALF_SPLIT_5200 = "1\n" * 2600 + "-1\n" * 2600
+STAGE2_30 = "5\n" * 29 + "-100\n"
+
+#: The sha256 of stdout for fixed invocations, each with its configuration
+#: text (written to the file `{config}` names) and exit code. `reproduce`
+#: digests report/paper.json instead; `witness` digests stdout with the
+#: output directory written as OUT, followed by the CSV it names. Any change
+#: to these bytes must be deliberate.
 GOLDEN_DIGESTS = {
     "reproduce_paper_json": (
-        ["reproduce", "--seed", "0"],
+        ["reproduce", "--seed", "0"], None, 0,
         "aa36dc7e1dd1c27cd821c80b9483c6778c47f65ef134bb03d91b6d974157cc51"),
     "solve_8_3": (
-        ["solve", "--n", "8", "--k", "3"],
+        ["solve", "--n", "8", "--k", "3"], None, 0,
         "1613d31e09525dd258041af64efca8230daa51f80b6e6b010c60cfd61ce21d0c"),
     "sweep_csv": (
-        ["sweep", "--k", "3", "--n-lo", "4", "--n-hi", "12"],
+        ["sweep", "--k", "3", "--n-lo", "4", "--n-hi", "12"], None, 0,
         "6cae31006a613579b5cc6a8e2879cae36e267bddd13f08a002722dc3facf9eeb"),
     "sweep_json": (
-        ["sweep", "--k", "3", "--n-lo", "4", "--n-hi", "12", "--format", "json"],
+        ["sweep", "--k", "3", "--n-lo", "4", "--n-hi", "12", "--format", "json"], None, 0,
         "ad451564135fc6a52dd6059c0a449e70e5429a6434738d701a7bc32532982681"),
     "check_thm2_stage": (
-        ["check", "--inequality", "thm2_stage", "--params", "n=5200", "k=3", "p=7"],
+        ["check", "--inequality", "thm2_stage", "--params", "n=5200", "k=3", "p=7"], None, 0,
         "00143f1f8a8197f0bb2d310445fcf0079671a1026ba86db8fb784b97d6f7397d"),
     "fbounds_41": (
-        ["fbounds", "--k", "41"],
+        ["fbounds", "--k", "41"], None, 0,
         "5bbe0ecbf25cdc4b4d2dc1163fdbc9d1439802fd23f2882ca0d2086843ebff90"),
+    "witness_thm1_trim_explicit": (
+        ["witness", "--theorem", "1", "--config", "{config}", "--k", "3", "--mode", "explicit"],
+        TRIM_30, 0,
+        "8409171185e118e6213737b5f61d0adb941930f801f9a999c417186a4602258c"),
+    "witness_thm1_partition_on_theorem": (
+        ["witness", "--theorem", "1", "--config", "{config}", "--k", "3", "--mode", "counted"],
+        HALF_SPLIT_5200, 1,
+        "267bc4bd0ae6b4a767dd892006bbfcefd181af414d6a7c7db9e91115a3a17c63"),
+    "witness_thm2_stage_2": (
+        ["witness", "--theorem", "2", "--config", "{config}", "--k", "3"],
+        STAGE2_30, 0,
+        "6e12557d2ad0598b7de0c66db033770caa87323a2a9a639a0739ba336513d619"),
 }
 
 
 @pytest.mark.parametrize("name", GOLDEN_DIGESTS)
 def test_outputs_match_golden_digests(tmp_path, capsys, name):
-    args, digest = GOLDEN_DIGESTS[name]
-    code, out = run_cli(args + ["--out", str(tmp_path)], capsys)
-    assert code == 0
-    data = (tmp_path / "report" / "paper.json").read_bytes() if args[0] == "reproduce" \
-        else out.encode()
+    args, config_text, exit_code, digest = GOLDEN_DIGESTS[name]
+    config, out_dir = tmp_path / "input.cfg", tmp_path / "out"
+    if config_text is not None:
+        config.write_text(config_text)
+    code, out = run_cli([a.format(config=config) for a in args] + ["--out", str(out_dir)],
+                        capsys)
+    assert code == exit_code
+    if args[0] == "reproduce":
+        data = (out_dir / "report" / "paper.json").read_bytes()
+    elif args[0] == "witness":
+        path = json.loads(out).get("witnesses_path")
+        data = out.replace(str(out_dir), "OUT").encode() + (
+            Path(path).read_bytes() if path else b"")
+    else:
+        data = out.encode()
     assert hashlib.sha256(data).hexdigest() == digest

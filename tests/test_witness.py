@@ -152,6 +152,19 @@ def test_an_enumeration_that_is_not_the_family_is_refused(monkeypatch, change, m
         substitution_family(config, 1, 2)
 
 
+def test_parts_out_of_order_or_overlapping_are_refused():
+    ones = Configuration.from_values([1] * 6)
+    zone = RangeFamily(((1, 1, 1), (2, 6, 1)))
+    rest = [(2, 3), (2, 4)]  # re-summed where they were built
+    family, provenance, _ = _certify(ones, 2, (("zone", zone), ("rest", rest)), "auto", None, 0)
+    assert family.sorted_members() == list(zone.members()) + rest
+    assert provenance == (("zone", "resummed"), ("rest", "resummed"))
+    with pytest.raises(AssertionError, match=r"\(1, 2\) does not follow \(2, 4\)"):
+        _certify(ones, 2, (("rest", rest), ("zone", zone)), "auto", None, 0)
+    with pytest.raises(AssertionError, match=r"\(1, 2\) does not follow \(1, 6\)"):
+        _certify(ones, 2, (("zone", zone), ("again", zone)), "auto", None, 0)
+
+
 def _assert_view_matches(view, oracle):
     """A member view against the frozenset of `KSubset`s it replaces."""
     assert len(view) == len(oracle)
@@ -178,7 +191,7 @@ def test_member_views_match_the_frozenset_route():
         explicit = SubsetFamily.explicit(n, k, reversed(list(map(KSubset, fam.members()))))
         _assert_view_matches(explicit.members, oracle)
         ones = Configuration.from_values([1] * n)  # every member non-negative
-        certified, _ = _certify(ones, k, fam, "explicit", None, 0)
+        certified, _, _ = _certify(ones, k, (("family", fam),), "explicit", None, 0)
         _assert_view_matches(certified.members, oracle)
         assert certified == explicit
         outside = (n + 1,) * k
@@ -334,6 +347,21 @@ def test_thm1_trim_branch_k3():
     m = 3 * (30 // 3) - 3
     assert rep.guaranteed_count == binomial(m - 1, 2) + binomial(10, 2)
     recheck_family(config, rep.witnesses)
+
+
+@pytest.mark.parametrize("mode,reported", [
+    ("auto", "explicit"), ("counted", "counted"), ("explicit", "explicit")])
+def test_thm1_trim_branch_with_an_empty_top_zone(mode, reported):
+    # n = 10, k = 4: z = 2 leaves two indices beside x_1 for k - 1 = 3, so the
+    # top zone is empty and the one partition block of m = 4 is the family
+    config = Configuration.from_values([10, 10, -7, -7] + [-1] * 6)
+    rep = extract_thm1(config, 4, mode=mode)
+    assert rep.branch == "trim_and_partition_plus_top_zone"
+    assert rep.witnesses.count == rep.guaranteed_count == 1
+    assert dict(rep.provenance) == {"partition": "resummed", "top_zone": "resummed"}
+    assert rep.sample_size == 0 and rep.mode == reported
+    if rep.witnesses.is_explicit:
+        assert rep.witnesses.members == {(2, 3, 4, 5)}
 
 
 def test_thm1_counted_mode():
