@@ -3,10 +3,11 @@
 A configuration's non-negative family is always an up-set (filter) in the
 dominance order that contains the top subset {1..k}. A(n,k) is the smallest
 size of such a filter that some configuration realises exactly, found by
-growing filters one member at a time, one size level after another. Each
-candidate is decided by the relaxed system R(F) of `filter_system` (total
->= 0, maximal non-members <= -1), which suffices because every smaller
-filter has already been rejected (see `exact_A`). Strict negativity of the
+growing filters one member at a time: depth-first below the averaging cut,
+then one size level after another. Each candidate is decided by the
+relaxed system R(F) of `filter_system` (total >= 0, maximal non-members
+<= -1), which suffices because every smaller filter has already been
+rejected (see `exact_A`). Strict negativity of the
 non-members is encoded as `sum <= -1`: the system is positively homogeneous
 apart from that normalization, so any configuration with strictly negative
 non-member sums can be scaled to satisfy it, and the two formulations are
@@ -150,27 +151,69 @@ def averaging_lower_bound(n: int, k: int) -> int:
     return binomial(n - n % k - 1, k - 1)
 
 
+#: A search node: a filter, its largest member and its maximal non-members.
+_Node = tuple[frozenset[tuple[int, ...]], tuple[int, ...], list[tuple[int, ...]]]
+
+
+def _children(
+    members: frozenset[tuple[int, ...]],
+    last: tuple[int, ...],
+    frontier: list[tuple[int, ...]],
+    n: int,
+) -> list[_Node]:
+    """The children of a filter in the canonical-parent tree, in increasing
+    order: one per set of its sorted frontier after its largest member
+    `last`, each with its own largest member and frontier."""
+    out = []
+    for cand in frontier[bisect_right(frontier, last):]:
+        grown = members | {cand}
+        out.append((grown, cand, child_frontier(frontier, cand, grown, n)))
+    return out
+
+
+def _prefix_walk(root: _Node, cut: int, n: int) -> Iterator[_Node]:
+    """Every filter of size at most `cut` in the canonical-parent tree below
+    `root`, in prefix order: a filter before its children, children in
+    increasing order. Filters smaller than `cut` are expanded once the
+    consumer asks for the next one; those of size `cut` are not. At one size
+    this is the sorted order of their member lists. The stack holds the
+    unvisited children along the current path, and nothing recurses."""
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        yield node
+        if len(node[0]) < cut:
+            stack.extend(reversed(_children(*node, n)))
+
+
 def exact_A(n: int, k: int, budget: int = DEFAULT_NODE_BUDGET) -> SolverResult:
     """Minimum up-closure size over realisable filters = A(n,k), exactly.
 
     Filters containing the top subset {1..k} (non-negative whenever the total
-    sum is) are enumerated level by level in increasing size, each level in
-    the lexicographic order of its filters' sorted member lists; the first
-    one whose relaxed system R(F) (`filter_system`) is feasible is optimal.
-    Each filter F other than {top} is built once, from its canonical parent
-    F - {m}, where m is the lexicographically largest member of F (reverse
-    search, Avis-Fukuda 1996). Every set that m dominates is
-    lexicographically larger than m, so none is in F, and F - {m} is a
-    filter that still holds the top subset. The covers of m from above are
-    smaller members of F, so m is a maximal non-member of F - {m}. And
-    sorted(F) = sorted(F - {m}) + [m]. So the children of a filter are the
-    sets of its sorted frontier after its largest member `last`, and a level
-    built parent by parent, in candidate order, is already in sorted order,
-    by induction from the one-filter root: no sort, no deduplication and no
-    set of earlier levels. A budget can stop the search inside a level.
-    Sizes below `averaging_lower_bound(n, k)` are expanded but not
-    LP-tested. Each child's maximal non-members grow from its parent's
-    (`child_frontier`), so `maximal_nonmembers_of` runs once, at the root.
+    sum is) are LP-tested in increasing size, each size in the lexicographic
+    order of its filters' sorted member lists; the first one whose relaxed
+    system R(F) (`filter_system`) is feasible is optimal. Each filter F
+    other than {top} is built once, from its canonical parent F - {m}, where
+    m is the lexicographically largest member of F (reverse search,
+    Avis-Fukuda 1996). Every set that m dominates is lexicographically
+    larger than m, so none is in F, and F - {m} is a filter that still holds
+    the top subset. The covers of m from above are smaller members of F, so
+    m is a maximal non-member of F - {m}. And sorted(F) = sorted(F - {m}) +
+    [m]. So the children of a filter are the sets of its sorted frontier
+    after its largest member `last` (`_children`), and filters of one size,
+    built parent by parent in candidate order, come out in sorted order: no
+    sort, no deduplication and no set of the filters seen.
+
+    Sizes below the averaging cut `averaging_lower_bound(n, k)` are never
+    LP-tested, so they are walked depth-first (`_prefix_walk`): the filters
+    of the cut's size arrive one at a time, in sorted order, and each is
+    tested as it comes. When k | n the cut is A itself (the star's count),
+    and the walk goes straight down to the star. From the cut on, the search
+    goes level by level, each level built from the tested filters of the
+    one before. A node is a filter expanded below the cut or LP-tested, and
+    a budget can stop the search at any node. Each child's maximal
+    non-members grow from its parent's (`child_frontier`), so
+    `maximal_nonmembers_of` runs once, at the root.
 
     R(F) drops the minimal-member rows, so a point of it realises some
     filter G subset of F that contains the top subset. Every smaller filter
@@ -199,30 +242,31 @@ def exact_A(n: int, k: int, budget: int = DEFAULT_NODE_BUDGET) -> SolverResult:
     top = tuple(range(1, k + 1))
     lower_cut = averaging_lower_bound(n, k)
     start = frozenset([top])
-    level = [(start, top, maximal_nonmembers_of(start, n, k))]
-    size = nodes = 0
+    # The first level is the walk down to the cut, a generator and so always
+    # true; every later one is a list, empty once no filter has children.
+    level = _prefix_walk((start, top, maximal_nonmembers_of(start, n, k)), lower_cut, n)
+    nodes = 0
     while level and nodes < budget:
-        size += 1
         next_level = []
         for members, last, frontier in itertools.islice(level, budget - nodes):
             nodes += 1
-            if size >= lower_cut:
-                res = solve_feasibility(filter_system(frontier, n, k))
-                if res.feasible:
-                    # The point realises a filter inside F: equal sizes prove it is F.
-                    config = Configuration(values_of_differences(res.point))
-                    if count_nonneg_ksums(config, k) != size:
-                        raise AssertionError(
-                            "witness configuration does not realize the filter exactly")
-                    return SolverResult(
-                        n=n, k=k, A_value=size,
-                        minimal_elements=tuple(minimal_elements_of(members, n)),
-                        optimal_config=config,
-                        nodes_explored=nodes,
-                    )
-            for cand in frontier[bisect_right(frontier, last):]:
-                grown = members | {cand}
-                next_level.append((grown, cand, child_frontier(frontier, cand, grown, n)))
+            size = len(members)
+            if size < lower_cut:
+                continue  # expanded by the walk
+            res = solve_feasibility(filter_system(frontier, n, k))
+            if res.feasible:
+                # The point realises a filter inside F: equal sizes prove it is F.
+                config = Configuration(values_of_differences(res.point))
+                if count_nonneg_ksums(config, k) != size:
+                    raise AssertionError(
+                        "witness configuration does not realize the filter exactly")
+                return SolverResult(
+                    n=n, k=k, A_value=size,
+                    minimal_elements=tuple(minimal_elements_of(members, n)),
+                    optimal_config=config,
+                    nodes_explored=nodes,
+                )
+            next_level += _children(members, last, frontier, n)
         level = next_level
     # Budget exhausted: fall back to the best constructive upper bound.
     best = _best_construction(n, k)

@@ -181,7 +181,7 @@ def _certify(
     where they were built (the shifted partition witnesses); or a count that
     rests on the theorem alone. The family is enumerated when no part rests
     on the theorem, `mode` is not "counted" and it has at most EXPLICIT_LIMIT
-    members, or when it is empty; otherwise it is counted. A range part's
+    members; otherwise it is counted, also when it is empty. A range part's
     worst member is checked exactly, which alone proves it on a sorted
     configuration; enumerated, every member is re-summed, and counted,
     `sample_size` uniform members are. The parts' enumerations, concatenated
@@ -198,7 +198,7 @@ def _certify(
         raise ValueError("explicit mode impossible: partition instance above the size limit")
     if mode == "explicit" and count > EXPLICIT_LIMIT:
         raise ValueError(f"explicit family of {count} exceeds limit {EXPLICIT_LIMIT}")
-    explicit = not on_theorem and (count == 0 or mode != "counted" and count <= EXPLICIT_LIMIT)
+    explicit = not on_theorem and mode != "counted" and count <= EXPLICIT_LIMIT
     provenance, tuples, sampled = [], [], 0
     for name, part in parts:
         how = "theorem" if isinstance(part, int) else "resummed"

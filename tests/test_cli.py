@@ -33,6 +33,18 @@ def test_solve_json(capsys):
     assert obj["upper_bound_only"] is False and obj["bound"] == "exact"
 
 
+def test_solve_json_when_k_divides_n(capsys):
+    """(8,4) is decided by one LP on the star, the first filter of the
+    averaging cut's size that the depth-first walk reaches."""
+    code, out = run_cli(["solve", "--n", "8", "--k", "4"], capsys)
+    assert code == 0
+    assert json.loads(out) == {
+        "A": "35", "bound": "exact", "k": 4, "minimal_elements": [[1, 6, 7, 8]],
+        "n": 8, "nodes": 35, "optimal_config": ["7/4"] + ["-1/4"] * 7,
+        "upper_bound_only": False,
+    }
+
+
 def test_construct_writes_config_and_sidecar(tmp_path, capsys):
     code, out = run_cli(
         ["construct", "--name", "counterexample", "--k", "3", "--out", str(tmp_path)],

@@ -204,8 +204,10 @@ def test_child_frontier_matches_recomputation(n, k):
 @pytest.mark.parametrize("n,k", [(5, 2), (7, 2), (6, 3), (7, 3), (6, 4), (7, 4)])
 def test_exact_A_builds_each_filter_once_in_order(n, k, monkeypatch):
     """Against the filter graph, not the LP: exact_A builds each filter
-    once, each size in increasing sorted-member order, every filter of each
-    size up to the answer's, and gives each the frontier a full scan would."""
+    once, and gives each the frontier a full scan would. Of each size it
+    builds a prefix of that size's filters in sorted-member order: below the
+    averaging cut (walked depth-first), at the answer's size and above it;
+    of each size from the cut up to the answer's, all of them."""
     built = []
     honest_child = solver_mod.child_frontier
 
@@ -222,14 +224,17 @@ def test_exact_A_builds_each_filter_once_in_order(n, k, monkeypatch):
     by_size = {}
     for grown in grown_sets:
         by_size.setdefault(len(grown), []).append(sorted(grown))
-    for size, filters in by_size.items():
-        assert all(a < b for a, b in itertools.pairwise(filters)), size
     reachable = {}
     for members, cand in all_filter_steps(n, k):
         grown = members | {cand}
         reachable.setdefault(len(grown), set()).add(grown)
-    for size in range(2, res.A_value + 1):
-        assert set(g for g in grown_sets if len(g) == size) == reachable[size]
+    every = {size: sorted(sorted(g) for g in filters) for size, filters in reachable.items()}
+    cut = averaging_lower_bound(n, k)
+    assert set(by_size) >= set(range(2, res.A_value + 1))
+    for size, filters in by_size.items():
+        assert filters == every[size][:len(filters)], size
+    for size in range(max(cut, 2), res.A_value):
+        assert by_size[size] == every[size], size
     for grown, child in built:
         assert child == maximal_nonmembers_of(grown, n, k)
 
@@ -238,17 +243,26 @@ def full_system_search(n, k):
     """Best-first search by a heap keyed on (size, sorted members) with a
     `visited` set, on the full system: every frontier recomputed, every LP
     over free x. Returns (A, nodes, LP calls, minimal elements) and the
-    maximal non-member list of each LP-tested node, in test order."""
+    maximal non-member list of each LP-tested node, in test order.
+
+    The heap pops every filter below the averaging cut; `nodes` counts those
+    a depth-first walk meets first. That walk visits filters in the order of
+    their sorted member lists, a list before its extensions, which is the
+    order of those lists as tuples: when the answer has the cut's size, the
+    walk stops at it and has met the smaller filters whose list precedes
+    the answer's; otherwise it has met every one of them."""
     top = tuple(range(1, k + 1))
     start = frozenset([top])
+    cut = averaging_lower_bound(n, k)
     heap, visited = [(1, (top,), start)], {start}
-    nodes = 0
+    below = []
     tested = []
     while heap:
-        size, _, members = heapq.heappop(heap)
-        nodes += 1
+        size, key, members = heapq.heappop(heap)
         frontier = maximal_nonmembers_of(members, n, k)
-        if size >= averaging_lower_bound(n, k):
+        if size < cut:
+            below.append(key)
+        else:
             minimal = minimal_elements_of(members, n)
             rows = full_system(minimal, frontier, n)
             res = solve_free(rows)
@@ -256,7 +270,8 @@ def full_system_search(n, k):
             if res.feasible:
                 assert satisfies(rows, res.point)
                 assert count_nonneg_ksums(Configuration.from_values(res.point), k) == size
-                return (size, nodes, len(tested), tuple(minimal)), tested
+                walked = sum(b < key for b in below) if size == cut else len(below)
+                return (size, walked + len(tested), len(tested), tuple(minimal)), tested
             assert contradicts(rows, res.farkas)
         for cand in frontier:
             grown = members | {cand}
@@ -269,8 +284,9 @@ def full_system_search(n, k):
 @pytest.mark.parametrize("n,k", [
     (5, 2), (7, 2), (9, 2), (6, 3), (7, 3), (6, 4), (7, 4), (7, 5)])
 def test_exact_A_matches_full_system_search(n, k, monkeypatch):
-    """Same answer, node and LP counts as the heap search, and the same
-    filters LP-tested in the same order (told apart by their frontiers)."""
+    """Same answer and LP count as the heap search, its count of the nodes
+    a depth-first walk to the cut meets, and the same filters LP-tested in
+    the same order (told apart by their frontiers)."""
     calls, frontiers = [], []
     honest = solver_mod.solve_feasibility
     honest_system = solver_mod.filter_system
@@ -335,14 +351,14 @@ def test_averaging_lower_bound_cuts_lp_calls(monkeypatch):
 
     monkeypatch.setattr(solver_mod, "solve_feasibility", counted)
     res = exact_A(7, 3)
-    assert (res.A_value, res.nodes_explored) == (10, 53)
+    assert (res.A_value, res.nodes_explored) == (10, 48)
     # Filters smaller than C(5,2) = 10 are expanded without an LP call.
     assert averaging_lower_bound(7, 3) == 10
     assert len(calls) == 12
 
 
 @pytest.mark.parametrize("n,k,nodes,lp_calls", [
-    (10, 3, 14537, 10260), (9, 4, 25103, 3511)])
+    (10, 3, 14537, 10260), (9, 4, 24787, 3511)])
 def test_exact_A_largest_decided_instances(n, k, nodes, lp_calls, monkeypatch):
     """A(10,3) = A(9,4) = 35, with the search's node and LP-call counts."""
     calls = []
@@ -360,15 +376,16 @@ def test_exact_A_largest_decided_instances(n, k, nodes, lp_calls, monkeypatch):
 
 
 def test_exact_A_every_budget_at_7_3():
-    """(7,3) explores 53 nodes; any smaller budget, also one that ends
-    inside a size level, stops after exactly that many nodes."""
+    """(7,3) explores 48 nodes; any smaller budget, also one that ends
+    inside the depth-first walk or among the LP-tested filters, stops after
+    exactly that many nodes."""
     star = binomial(6, 2)
-    for budget in range(53):
+    for budget in range(48):
         res = exact_A(7, 3, budget=budget)
         assert (res.nodes_explored, res.upper_bound_only, res.A_value) == (budget, True, star)
         assert count_nonneg_ksums(res.optimal_config, 3) == star
-    res = exact_A(7, 3, budget=53)
-    assert (res.nodes_explored, res.upper_bound_only, res.A_value) == (53, False, 10)
+    res = exact_A(7, 3, budget=48)
+    assert (res.nodes_explored, res.upper_bound_only, res.A_value) == (48, False, 10)
 
 
 def test_exact_A_computes_each_frontier_once(monkeypatch):
@@ -395,12 +412,40 @@ def test_exact_A_computes_each_frontier_once(monkeypatch):
     monkeypatch.setattr(solver_mod, "child_frontier", checked_child)
     monkeypatch.setattr(solver_mod, "solve_feasibility", counted_lp)
     res = exact_A(7, 3)
-    assert res.nodes_explored == 53
+    assert res.nodes_explored == 48
     # Only the root's frontier is a scan over all k-sets; every other one
     # grows from its parent's and equals that scan.
     assert frontier_calls == [1]
     assert len(steps) >= res.nodes_explored - 1
     assert len(lp_calls) == 12
+
+
+@pytest.mark.parametrize("n,k", [(4, 2), (6, 2), (8, 2), (10, 2), (6, 3), (9, 3), (8, 4)])
+def test_exact_A_walks_straight_to_the_star_when_k_divides_n(n, k, monkeypatch):
+    """When k | n the averaging cut is C(n-1,k-1): the walk expands one
+    filter of each smaller size, and the first filter of the cut's size,
+    the star, is realisable."""
+    calls = []
+    honest = solver_mod.solve_feasibility
+
+    def counted(rows):
+        calls.append(len(rows))
+        return honest(rows)
+
+    monkeypatch.setattr(solver_mod, "solve_feasibility", counted)
+    star = binomial(n - 1, k - 1)
+    res = exact_A(n, k)
+    assert (res.A_value, res.nodes_explored, len(calls)) == (star, star, 1)
+    assert res.minimal_elements == ((1, *range(n - k + 2, n + 1)),)
+    assert not res.upper_bound_only
+
+
+def test_exact_A_budget_at_9_3():
+    res = exact_A(9, 3, budget=27)
+    assert (res.upper_bound_only, res.A_value, res.nodes_explored) == (True, 28, 27)
+    assert count_nonneg_ksums(res.optimal_config, 3) == 28
+    res = exact_A(9, 3, budget=28)
+    assert (res.upper_bound_only, res.A_value, res.nodes_explored) == (False, 28, 28)
 
 
 def test_averaging_lower_bound_below_every_exact_value():

@@ -322,6 +322,19 @@ def test_thm1_few_negatives():
     recheck_family(config, rep.witnesses)
 
 
+@pytest.mark.parametrize("mode,reported", [
+    ("auto", "explicit"), ("counted", "counted"), ("explicit", "explicit")])
+def test_empty_family_is_reported_in_its_mode(mode, reported):
+    # two non-negatives for k = 3: the few_negatives family has no member
+    config = Configuration.from_values([10, 10, -1, -1, -1, -8, -8])
+    rep = extract_thm1(config, 3, mode=mode)
+    assert rep.branch == "few_negatives"
+    assert rep.witnesses.count == rep.guaranteed_count == 0
+    assert (rep.mode, rep.witnesses.is_explicit) == (reported, reported == "explicit")
+    assert rep.sample_size == 0
+    assert rep.provenance == (("few_negatives", "resummed"),)
+
+
 def test_thm1_trim_branch_k2():
     config = Configuration.from_values([1] * 33 + [-4] * 7)
     rep = extract_thm1(config, 2)
