@@ -163,7 +163,6 @@ class FBoundValues:
     old_bound: int
     new_bound: Fraction          # rigorous upper end of the enclosure
     new_bound_float: float       # midpoint, for display only
-    new_interval: RatInterval
     new_smaller_than_old: bool
 
 
@@ -191,7 +190,6 @@ def f_bound_values(k: int) -> FBoundValues:
         old_bound=old,
         new_bound=new_iv.hi,
         new_bound_float=new_iv.midpoint_float(),
-        new_interval=new_iv,
         new_smaller_than_old=smaller,
     )
 

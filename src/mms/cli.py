@@ -413,9 +413,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact tools for the minimum number of non-negative k-sums",
     )
     parser.add_argument("--version", action="version", version=__version__)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None,
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=None,
                         help="RNG seed (default: MMS_SEED env or 0)")
+    common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", type=str, default=None, help="output directory")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -426,14 +427,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.set_defaults(func=cmd_construct)
 
-    p = sub.add_parser("baranyai", parents=[common],
+    p = sub.add_parser("baranyai", parents=[seeded, common],
                        help="construct or validate a parallel-class partition")
     p.add_argument("--n", type=int)
     p.add_argument("--k", type=int)
     p.add_argument("--validate", type=str, default=None, metavar="FILE")
     p.set_defaults(func=cmd_baranyai)
 
-    p = sub.add_parser("witness", parents=[common],
+    p = sub.add_parser("witness", parents=[seeded, common],
                        help="run a certifying extraction on a configuration file")
     p.add_argument("--theorem", type=int, required=True, choices=(1, 2))
     p.add_argument("--config", type=str, required=True)
@@ -472,14 +473,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.set_defaults(func=cmd_fbounds)
 
-    p = sub.add_parser("search", parents=[common],
+    p = sub.add_parser("search", parents=[seeded, common],
                        help="heuristic upper-bound search for A(n,k)")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--strategy", choices=("grid", "anneal"), default="grid")
     p.set_defaults(func=cmd_search)
 
-    p = sub.add_parser("reproduce", parents=[common],
+    p = sub.add_parser("reproduce", parents=[seeded, common],
                        help="re-derive every headline value and write report/paper.json")
     p.add_argument("--workers", type=int, default=1,
                    help="at least 1; recorded in the manifest; the report does not depend on it")

@@ -3,15 +3,14 @@
 A configuration's non-negative family is always an up-set (filter) in the
 dominance order that contains the top subset {1..k}. A(n,k) is the smallest
 size of such a filter that some configuration realises exactly, found by
-growing filters one member at a time: depth-first below the averaging cut,
-then one size level after another. Each candidate is decided by the
-relaxed system R(F) of `filter_system` (total >= 0, maximal non-members
-<= -1), which suffices because every smaller filter has already been
-rejected (see `exact_A`). Strict negativity of the
-non-members is encoded as `sum <= -1`: the system is positively homogeneous
-apart from that normalization, so any configuration with strictly negative
-non-member sums can be scaled to satisfy it, and the two formulations are
-equivalent.
+growing filters one member at a time from one queue (`_search_order`):
+depth-first below the averaging cut, then in increasing size. Each candidate
+is decided by the relaxed system R(F) of `filter_system` (total >= 0,
+maximal non-members <= -1), which suffices because every smaller filter has
+already been rejected (see `exact_A`). Strict negativity of the non-members
+is encoded as `sum <= -1`: the system is positively homogeneous apart from
+that normalization, so any configuration with strictly negative non-member
+sums can be scaled to satisfy it, and the two formulations are equivalent.
 """
 from __future__ import annotations
 
@@ -19,6 +18,7 @@ import itertools
 import math
 import random
 from bisect import bisect_right
+from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -171,19 +171,23 @@ def _children(
     return out
 
 
-def _prefix_walk(root: _Node, cut: int, n: int) -> Iterator[_Node]:
-    """Every filter of size at most `cut` in the canonical-parent tree below
-    `root`, in prefix order: a filter before its children, children in
-    increasing order. Filters smaller than `cut` are expanded once the
-    consumer asks for the next one; those of size `cut` are not. At one size
-    this is the sorted order of their member lists. The stack holds the
-    unvisited children along the current path, and nothing recurses."""
-    stack = [root]
-    while stack:
-        node = stack.pop()
+def _search_order(root: _Node, cut: int, n: int) -> Iterator[_Node]:
+    """The canonical-parent tree below `root` in search order, from one queue.
+    A filter is expanded once the consumer asks for the next one, so the one
+    that ends the search never is. Children of a filter smaller than `cut` go
+    to the front in increasing order (prefix order, depth-first); those of a
+    larger one go to the back, after the rest of its size. Either way the
+    filters of one size come out in the sorted order of their member lists
+    (see `exact_A`), and a visited filter leaves the queue."""
+    queue = deque([root])
+    while queue:
+        node = queue.popleft()
         yield node
+        children = _children(*node, n)
         if len(node[0]) < cut:
-            stack.extend(reversed(_children(*node, n)))
+            queue.extendleft(reversed(children))
+        else:
+            queue.extend(children)
 
 
 def exact_A(n: int, k: int, budget: int = DEFAULT_NODE_BUDGET) -> SolverResult:
@@ -204,15 +208,15 @@ def exact_A(n: int, k: int, budget: int = DEFAULT_NODE_BUDGET) -> SolverResult:
     built parent by parent in candidate order, come out in sorted order: no
     sort, no deduplication and no set of the filters seen.
 
-    Sizes below the averaging cut `averaging_lower_bound(n, k)` are never
-    LP-tested, so they are walked depth-first (`_prefix_walk`): the filters
-    of the cut's size arrive one at a time, in sorted order, and each is
-    tested as it comes. When k | n the cut is A itself (the star's count),
-    and the walk goes straight down to the star. From the cut on, the search
-    goes level by level, each level built from the tested filters of the
-    one before. A node is a filter expanded below the cut or LP-tested, and
-    a budget can stop the search at any node. Each child's maximal
-    non-members grow from its parent's (`child_frontier`), so
+    One queue orders the search (`_search_order`). Sizes below the averaging
+    cut `averaging_lower_bound(n, k)` are never LP-tested, so they are walked
+    depth-first: the filters of the cut's size arrive one at a time, in
+    sorted order, and each is tested as it comes. When k | n the cut is A
+    itself (the star's count), and the walk goes straight down to the star.
+    From the cut on, a rejected filter's children join the back of the
+    queue, after the rest of its size. A node is a filter expanded below the
+    cut or LP-tested, and a budget can stop the search at any node. Each
+    child's maximal non-members grow from its parent's (`child_frontier`), so
     `maximal_nonmembers_of` runs once, at the root.
 
     R(F) drops the minimal-member rows, so a point of it realises some
@@ -242,32 +246,26 @@ def exact_A(n: int, k: int, budget: int = DEFAULT_NODE_BUDGET) -> SolverResult:
     top = tuple(range(1, k + 1))
     lower_cut = averaging_lower_bound(n, k)
     start = frozenset([top])
-    # The first level is the walk down to the cut, a generator and so always
-    # true; every later one is a list, empty once no filter has children.
-    level = _prefix_walk((start, top, maximal_nonmembers_of(start, n, k)), lower_cut, n)
+    root = (start, top, maximal_nonmembers_of(start, n, k))
     nodes = 0
-    while level and nodes < budget:
-        next_level = []
-        for members, last, frontier in itertools.islice(level, budget - nodes):
-            nodes += 1
-            size = len(members)
-            if size < lower_cut:
-                continue  # expanded by the walk
-            res = solve_feasibility(filter_system(frontier, n, k))
-            if res.feasible:
-                # The point realises a filter inside F: equal sizes prove it is F.
-                config = Configuration(values_of_differences(res.point))
-                if count_nonneg_ksums(config, k) != size:
-                    raise AssertionError(
-                        "witness configuration does not realize the filter exactly")
-                return SolverResult(
-                    n=n, k=k, A_value=size,
-                    minimal_elements=tuple(minimal_elements_of(members, n)),
-                    optimal_config=config,
-                    nodes_explored=nodes,
-                )
-            next_level += _children(members, last, frontier, n)
-        level = next_level
+    for members, _, frontier in itertools.islice(_search_order(root, lower_cut, n), budget):
+        nodes += 1
+        size = len(members)
+        if size < lower_cut:
+            continue  # expanded by the walk
+        res = solve_feasibility(filter_system(frontier, n, k))
+        if res.feasible:
+            # The point realises a filter inside F: equal sizes prove it is F.
+            config = Configuration(values_of_differences(res.point))
+            if count_nonneg_ksums(config, k) != size:
+                raise AssertionError(
+                    "witness configuration does not realize the filter exactly")
+            return SolverResult(
+                n=n, k=k, A_value=size,
+                minimal_elements=tuple(minimal_elements_of(members, n)),
+                optimal_config=config,
+                nodes_explored=nodes,
+            )
     # Budget exhausted: fall back to the best constructive upper bound.
     best = _best_construction(n, k)
     scaled = best.config.scaled

@@ -403,26 +403,26 @@ def test_internal_failures_exit_1(monkeypatch, capsys, target, replacement, args
     assert err.startswith("error: internal check failed") and err.count("\n") == 1
 
 
-#: A valid invocation of every subcommand, and the one flag of the three
-#: single-subcommand flags that it owns (None: it owns none of them).
+#: A valid invocation of every subcommand, and the flags of `FLAG_VALUES`
+#: that it owns; every other one of them is a usage error there.
 SUBCOMMAND_ARGS = {
-    "construct": (["construct", "--name", "star", "--n", "9", "--k", "3"], None),
-    "baranyai": (["baranyai", "--n", "6", "--k", "3"], None),
-    "witness": (["witness", "--theorem", "1", "--config", "x.cfg", "--k", "3"], None),
-    "solve": (["solve", "--n", "5", "--k", "2"], "--budget"),
-    "sweep": (["sweep", "--k", "2", "--n-lo", "4", "--n-hi", "5"], "--format"),
-    "check": (["check", "--suite", "thm1", "--n", "270", "--k", "3"], None),
-    "fbounds": (["fbounds", "--k", "3"], None),
-    "search": (["search", "--n", "5", "--k", "2"], None),
-    "reproduce": (["reproduce"], "--workers"),
+    "construct": (["construct", "--name", "star", "--n", "9", "--k", "3"], ()),
+    "baranyai": (["baranyai", "--n", "6", "--k", "3"], ("--seed",)),
+    "witness": (["witness", "--theorem", "1", "--config", "x.cfg", "--k", "3"], ("--seed",)),
+    "solve": (["solve", "--n", "5", "--k", "2"], ("--budget",)),
+    "sweep": (["sweep", "--k", "2", "--n-lo", "4", "--n-hi", "5"], ("--format",)),
+    "check": (["check", "--suite", "thm1", "--n", "270", "--k", "3"], ()),
+    "fbounds": (["fbounds", "--k", "3"], ()),
+    "search": (["search", "--n", "5", "--k", "2"], ("--seed",)),
+    "reproduce": (["reproduce"], ("--workers", "--seed")),
 }
-FLAG_VALUES = {"--budget": "3", "--format": "json", "--workers": "4"}
+FLAG_VALUES = {"--budget": "3", "--format": "json", "--workers": "4", "--seed": "7"}
 
 
 @pytest.mark.parametrize("command,flag", [
     (command, flag)
     for command, (_, owned) in SUBCOMMAND_ARGS.items()
-    for flag in FLAG_VALUES if flag != owned
+    for flag in FLAG_VALUES if flag not in owned
 ])
 def test_flags_of_other_subcommands_are_usage_errors(command, flag, capsys):
     args = SUBCOMMAND_ARGS[command][0] + [flag, FLAG_VALUES[flag]]

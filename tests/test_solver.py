@@ -388,6 +388,38 @@ def test_exact_A_every_budget_at_7_3():
     assert (res.nodes_explored, res.upper_bound_only, res.A_value) == (48, False, 10)
 
 
+def count_expansions(monkeypatch):
+    """The filters passed to `_children`, in call order."""
+    expanded = []
+    honest = solver_mod._children
+
+    def counted(members, last, frontier, n):
+        expanded.append(members)
+        return honest(members, last, frontier, n)
+
+    monkeypatch.setattr(solver_mod, "_children", counted)
+    return expanded
+
+
+@pytest.mark.parametrize("n,k", [(7, 3), (9, 3), (8, 4), (10, 3)])
+def test_exact_A_expands_each_visited_filter_but_the_answer(n, k, monkeypatch):
+    """Children are built only when the search asks for its next node: every
+    visited filter is expanded once, except the feasible one."""
+    expanded = count_expansions(monkeypatch)
+    res = exact_A(n, k)
+    assert not res.upper_bound_only
+    assert len(expanded) == res.nodes_explored - 1
+    assert len(set(expanded)) == len(expanded)
+
+
+def test_exact_A_expands_no_filter_past_the_budget(monkeypatch):
+    """A budget of 30 at (7,3) visits 30 nodes and expands the first 29."""
+    expanded = count_expansions(monkeypatch)
+    res = exact_A(7, 3, budget=30)
+    assert (res.upper_bound_only, res.nodes_explored) == (True, 30)
+    assert len(expanded) == 29
+
+
 def test_exact_A_computes_each_frontier_once(monkeypatch):
     frontier_calls, steps, lp_calls = [], [], []
     honest_frontier = solver_mod.maximal_nonmembers_of
