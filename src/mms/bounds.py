@@ -213,12 +213,16 @@ class PropagationResult:
 def propagate_equality(verified: set[int], k: int, n_max: int) -> PropagationResult:
     """Close a set of equality-verified n under n -> n+k and n -> c*n.
 
-    Inputs are trusted (produced by the solver or the partition argument).
+    Inputs are trusted (produced by the solver or the partition argument),
+    but must be positive: a value <= 0 is a ValueError, as its multiples
+    would never pass n_max.
     When some member of the closure is coprime with k, the corollary
     f(k) <= (k-1) n is reported for the smallest such n.
     """
     if not verified:
         raise ValueError("verified set must be non-empty")
+    if min(verified) < 1:
+        raise ValueError(f"verified values must be positive, got {min(verified)}")
     if k < 2:
         raise ValueError(f"need k >= 2, got k={k}")
     closure: set[int] = set()

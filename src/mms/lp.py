@@ -1,99 +1,65 @@
-"""Exact rational linear feasibility over non-negative variables, with certificates.
+"""Exact linear feasibility over non-negative variables, in ints, with certificates.
 
-Systems are lists of rows `coeffs . x >= rhs` over x >= 0, with int or
-Fraction entries. The solver is a Phase-I simplex with Bland's rule
-(guaranteed termination) that pivots on Python ints, fraction-free in the
-manner of Bareiss (1968) and Avis's lrs: the system is scaled once by the
-least common denominator of all its entries, and the tableau is kept as
-D * B^-1 [A | b] with D = det B > 0, so every division in a pivot is exact.
-It returns either a point x >= 0 that satisfies every row, or Farkas
-multipliers y >= 0 with y^T A <= 0 and y^T b > 0: for any x >= 0 the
-combined row reads y^T A x <= 0 < y^T b, an exact derivation of a
-contradiction. Either is checked on the int system that was pivoted, as the
-tableau's ints over D, and only then returned as Fractions.
+Systems are lists of rows `coeffs . x >= rhs` over x >= 0 with int entries;
+whoever holds a rational system scales it to ints first. The solver is a
+Phase-I simplex with Bland's rule (guaranteed termination) that pivots on
+Python ints, fraction-free in the manner of Bareiss (1968) and Avis's lrs:
+the tableau is kept as D * B^-1 [A | b] with D = det B > 0, so every
+division in a pivot is exact. It returns either a point x >= 0 that
+satisfies every row, or Farkas multipliers y >= 0 with y^T A <= 0 and
+y^T b > 0: for any x >= 0 the combined row reads y^T A x <= 0 < y^T b, an
+exact derivation of a contradiction. Either comes back as the tableau's
+ints over the one denominator D, checked on the system that was pivoted.
 
 `mms.solver` feeds it the relaxed filter system R(F), written in the
 non-negative differences of the sorted values (see `solver.filter_system`):
-integer data, n variables and one row per maximal non-member plus the total
-row, so only the non-member rows need an artificial variable. A system over
-free variables reaches the same solver through the split x = u - v; there
-y^T A <= 0 on both halves means y^T A = 0.
-
-A Fourier-Motzkin eliminator over free variables serves as an independent
-cross-check for small systems; appending the rows x_j >= 0 makes it decide
-the non-negative system.
+n variables and one row per maximal non-member plus the total row, so only
+the non-member rows need an artificial variable, and
+`solver.values_of_differences` turns the answer's point into `Fraction`s.
+A system over free variables reaches the same solver through the split
+x = u - v; there y^T A <= 0 on both halves means y^T A = 0.
 """
 from __future__ import annotations
 
-import itertools
-import math
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 
 
 @dataclass(frozen=True)
 class LinRow:
     """coeffs . x >= rhs"""
 
-    coeffs: tuple[int | Fraction, ...]
-    rhs: int | Fraction
+    coeffs: tuple[int, ...]
+    rhs: int
 
 
 @dataclass(frozen=True)
 class FeasResult:
+    """The verdict and its certificate, `point` or `farkas`, as int
+    numerators over `den` > 0."""
+
     feasible: bool
-    point: tuple[Fraction, ...] | None = None
-    farkas: tuple[Fraction, ...] | None = None
+    point: tuple[int, ...] | None = None
+    farkas: tuple[int, ...] | None = None
+    den: int = 1
 
 
-def _lcd(entries) -> int:
-    """The least common denominator of int or Fraction entries."""
-    return math.lcm(*{x.denominator for x in entries})
-
-
-def _times(vector, den: int) -> list[int]:
-    """The int or Fraction entries times den, a multiple of each of their
-    denominators, as ints."""
-    return [(x * den).numerator for x in vector]
-
-
-def _integral_rows(rows: list[LinRow]) -> list[list[int]]:
-    """Each row as the ints coeffs + [rhs], all rows multiplied by one
-    positive factor. One factor for the whole system keeps the signs of the
-    phase-I reduced costs, hence Bland's pivot path; a factor per row would
-    not."""
-    vectors = [(*r.coeffs, r.rhs) for r in rows]
-    den = _lcd(itertools.chain.from_iterable(vectors))
-    return [_times(v, den) for v in vectors]
-
-
-def _point_holds(system: list[list[int]], xs: list[int], den: int) -> bool:
-    """`check_point` for the point xs / den (den > 0) on the int system."""
+def _point_holds(system: list[tuple[int, ...]], xs: list[int], den: int) -> bool:
+    """The point xs / den (den > 0) is non-negative and satisfies every row
+    coeffs + [rhs] of the system."""
     return all(x >= 0 for x in xs) and all(
         sum(map(operator.mul, row[:-1], xs)) >= row[-1] * den for row in system)
 
 
-def _farkas_holds(system: list[list[int]], ys: list[int]) -> bool:
-    """`check_farkas` for int multipliers on the int system; scaling ys by a
-    positive factor changes none of its three conditions."""
+def _farkas_holds(system: list[tuple[int, ...]], ys: list[int]) -> bool:
+    """The multipliers are >= 0, combine every variable's coefficients to
+    something <= 0, and the right-hand sides to something strictly positive;
+    scaling ys by a positive factor changes none of these."""
     if len(ys) != len(system) or any(y < 0 for y in ys):
         return False
     *columns, rhs = zip(*system)
     return all(sum(map(operator.mul, ys, col)) <= 0 for col in columns) and (
         sum(map(operator.mul, ys, rhs)) > 0)
-
-
-def check_point(rows: list[LinRow], point: tuple[Fraction, ...]) -> bool:
-    """The point is non-negative and satisfies every row."""
-    den = _lcd(point)
-    return _point_holds(_integral_rows(rows), _times(point, den), den)
-
-
-def check_farkas(rows: list[LinRow], mult: tuple[Fraction, ...]) -> bool:
-    """Multipliers must be >= 0, combine every variable's coefficients to
-    something <= 0, and the right-hand sides to something strictly positive."""
-    return _farkas_holds(_integral_rows(rows), _times(mult, _lcd(mult)))
 
 
 def solve_feasibility(rows: list[LinRow]) -> FeasResult:
@@ -102,7 +68,7 @@ def solve_feasibility(rows: list[LinRow]) -> FeasResult:
         return FeasResult(True, point=())
     nvars = len(rows[0].coeffs)
     nrows = len(rows)
-    system = _integral_rows(rows)
+    system = [(*r.coeffs, r.rhs) for r in rows]
     # Row i reads coeffs . x - s_i = rhs with surplus s_i >= 0. A row with
     # rhs <= 0 is negated; its surplus column is then +1 and starts in the
     # basis. Only rows with rhs > 0 get an artificial. Columns:
@@ -173,54 +139,12 @@ def solve_feasibility(rows: list[LinRow]) -> FeasResult:
                 xs[b] = tableau[i][ncols]
         if not _point_holds(system, xs, det):
             raise AssertionError("simplex produced an invalid feasible point")
-        return FeasResult(True, point=tuple(Fraction(x, det) for x in xs))
+        return FeasResult(True, point=tuple(xs), den=det)
 
     # Duals pi off the starting basic columns, where z holds pi_i minus the
     # column's cost (1 for an artificial), mapped back through the row
-    # negations. The whole-system scaling only rescales the surplus and
-    # artificial variables and the phase-I objective, which leaves the duals
-    # of the original rows unchanged.
+    # negations.
     ys = [z[c] + det if s > 0 else -z[c] for s, c in zip(sigma, start)]
     if not _farkas_holds(system, ys):
         raise AssertionError("simplex produced an invalid Farkas certificate")
-    return FeasResult(False, farkas=tuple(Fraction(y, det) for y in ys))
-
-
-FM_MAX_VARS = 8
-
-
-def fourier_motzkin_feasible(rows: list[LinRow]) -> bool:
-    """Independent feasibility verdict over free x by variable elimination
-    (<= 8 vars)."""
-    if not rows:
-        return True
-    nvars = len(rows[0].coeffs)
-    if nvars > FM_MAX_VARS:
-        raise ValueError(f"Fourier-Motzkin limited to {FM_MAX_VARS} variables")
-    system = {(r.coeffs, r.rhs) for r in rows}
-    for v in range(nvars):
-        lower, upper, rest = [], [], []
-        for coeffs, rhs in system:
-            c = coeffs[v]
-            if c > 0:
-                lower.append((coeffs, rhs))
-            elif c < 0:
-                upper.append((coeffs, rhs))
-            else:
-                rest.append((coeffs, rhs))
-        new = set(rest)
-        for lc, lb in lower:
-            for uc, ub in upper:
-                # scale so the eliminated coefficients cancel
-                a, b = lc[v], -uc[v]
-                coeffs = tuple(b * x + a * y for x, y in zip(lc, uc))
-                new.add(_normalized(coeffs, b * lb + a * ub))
-        system = new
-    return all(rhs <= 0 for _, rhs in system)
-
-
-def _normalized(coeffs: tuple, rhs) -> tuple[tuple[Fraction, ...], Fraction]:
-    """The row divided by the absolute value of its first non-zero
-    coefficient, a Fraction even for int rows so that the division is exact."""
-    scale = next((abs(Fraction(c)) for c in coeffs if c != 0), Fraction(1))
-    return tuple(c / scale for c in coeffs), rhs / scale
+    return FeasResult(False, farkas=tuple(ys), den=det)

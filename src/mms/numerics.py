@@ -167,7 +167,11 @@ class Configuration:
 
 
 def ksum(config: Configuration, subset: KSubset) -> Fraction:
-    """Exact sum of the values selected by a subset (1-based indices)."""
+    """Exact sum of the values selected by a subset (1-based indices). A
+    plain tuple will do if it has a k-set's shape (`_is_kset`); any other
+    shape is a ValueError, and an index past n an IndexError."""
+    if not _is_kset(subset):
+        raise ValueError(f"indices must be non-empty, strictly increasing and >= 1: {subset}")
     if subset[-1] > config.n:
         raise IndexError(f"subset index {subset[-1]} out of range for n={config.n}")
     return sum((config.values[i - 1] for i in subset), Fraction(0))

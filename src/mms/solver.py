@@ -131,13 +131,14 @@ def filter_system(
     return rows
 
 
-def values_of_differences(point: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
-    """x_n = -s and x_i = x_{i+1} + d_i, for a point (d_1, ..., d_{n-1}, s)."""
+def values_of_differences(point: tuple[int, ...], den: int) -> tuple[Fraction, ...]:
+    """x_n = -s and x_i = x_{i+1} + d_i, for the point (d_1, ..., d_{n-1}, s)
+    given as int numerators over den > 0 (an LP answer), as Fractions."""
     *diffs, s = point
     values = [-s]
     for d in reversed(diffs):
         values.append(values[-1] + d)
-    return tuple(reversed(values))
+    return tuple(Fraction(v, den) for v in reversed(values))
 
 
 def _best_construction(n: int, k: int) -> NamedConstruction:
@@ -256,7 +257,7 @@ def exact_A(n: int, k: int, budget: int = DEFAULT_NODE_BUDGET) -> SolverResult:
         res = solve_feasibility(filter_system(frontier, n, k))
         if res.feasible:
             # The point realises a filter inside F: equal sizes prove it is F.
-            config = Configuration(values_of_differences(res.point))
+            config = Configuration(values_of_differences(res.point, res.den))
             if count_nonneg_ksums(config, k) != size:
                 raise AssertionError(
                     "witness configuration does not realize the filter exactly")

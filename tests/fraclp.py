@@ -1,18 +1,37 @@
-"""The Fraction simplex that `mms.lp` pivoted with before it went integer.
+"""The Fraction simplex that `mms.lp` pivoted with before it went integer,
+and the tests' conversions between rational systems and `mms.lp`'s ints.
 
 A Phase-I simplex with Bland's rule over x >= 0, every tableau entry a
-`Fraction`, and the certificate checks evaluated in `Fraction`s. The tests
-hold `mms.lp.solve_feasibility`, `check_point` and `check_farkas` to it:
-same verdict, point and Farkas vector, same check results.
+`Fraction`, and the certificate checks evaluated in `Fraction`s; its
+`FeasResult` holds `Fraction`s over `den` = 1. The tests hold
+`mms.lp.solve_feasibility` on `integral(rows)` to it: same verdict, and
+the same point or Farkas vector on `rows` once `certificate` reads the
+ints over `den` as `Fraction`s.
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from mms.lp import FeasResult, LinRow
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+
+def integral(rows: list[LinRow]) -> list[LinRow]:
+    """The system of int or Fraction rows times the least common denominator
+    of all its entries, as int rows. One positive factor for the whole system
+    keeps its points, its Farkas vectors and Bland's pivot path; a factor per
+    row would change the last two."""
+    den = math.lcm(*(Fraction(x).denominator for r in rows for x in (*r.coeffs, r.rhs)))
+    return [LinRow(tuple(int(c * den) for c in r.coeffs), int(r.rhs * den)) for r in rows]
+
+
+def certificate(res: FeasResult) -> tuple[Fraction, ...]:
+    """The point of a feasible result, or else its Farkas vector, as the
+    Fractions that its ints over `den` stand for."""
+    return tuple(Fraction(v, res.den) for v in (res.point if res.feasible else res.farkas))
 
 
 def check_point(rows: list[LinRow], point: tuple[Fraction, ...]) -> bool:

@@ -328,6 +328,13 @@ def test_propagation_examples():
     assert pr.coprime_bound is None
 
 
+@pytest.mark.parametrize("verified", [{0}, {-3}, {4, 0}, {7, -1}])
+def test_propagation_refuses_values_that_are_not_positive(verified):
+    # Every multiple of a value <= 0 stays <= n_max: the closure never ends.
+    with pytest.raises(ValueError, match=f"got {min(verified)}$"):
+        propagate_equality(verified, 2, 10)
+
+
 def test_propagation_cross_checked_with_exact_solver():
     pr = propagate_equality({4, 7}, 2, 10)
     for n in sorted(pr.closure):

@@ -309,6 +309,18 @@ PARTITION_6_3 = json.dumps({"n": 6, "k": 3, "classes": [
     (None, ["search", "--n", "0", "--k", "1"], 2),
     (None, ["search", "--n", "-3", "--k", "2"], 2),
     (None, ["solve", "--n", "5", "--k", "2", "--budget", "-1"], 2),
+    (None, ["construct", "--name", "counterexample", "--k", "1"], 2),
+    (None, ["construct", "--name", "star", "--k", "3"], 2),
+    (None, ["construct", "--name", "star", "--n", "3", "--k", "5"], 2),
+    (None, ["construct", "--name", "mirror", "--n", "3", "--k", "3"], 2),
+    (None, ["construct", "--name", "counterexample", "--k", "3", "--n", "5"], 2),
+    (None, ["fbounds", "--k", "2"], 2),
+    (None, ["solve", "--n", "20", "--k", "3"], 2),
+    (None, ["solve", "--n", "3", "--k", "5"], 2),
+    (None, ["baranyai", "--n", "5", "--k", "2"], 2),
+    (None, ["baranyai", "--n", "200", "--k", "4"], 2),
+    (None, ["search", "--n", "3", "--k", "5"], 2),
+    (None, ["sweep", "--k", "0", "--n-lo", "1", "--n-hi", "3"], 2),
     (CONFIG_9 + "0.5\n", WITNESS_THM2, 3),
     (CONFIG_9 + "1e3\n", WITNESS_THM2, 3),
     (CONFIG_9 + "1_000\n", WITNESS_THM2, 3),
@@ -339,6 +351,11 @@ PARTITION_6_3 = json.dumps({"n": 6, "k": 3, "classes": [
         "check_suite_thm2_k0", "witness_thm1_k0", "witness_thm1_negative_sample",
         "witness_thm2_negative_sample", "sweep_n_lo_above_n_hi", "sweep_n_hi_below_k",
         "search_n0", "search_negative_n", "solve_negative_budget",
+        "construct_counterexample_k1", "construct_star_without_n",
+        "construct_star_k_above_n", "construct_mirror_k_equals_n",
+        "construct_counterexample_wrong_n", "fbounds_k2", "solve_above_cap",
+        "solve_k_above_n", "baranyai_k_not_dividing_n", "baranyai_above_limit",
+        "search_k_above_n", "sweep_k0",
         "config_decimal", "config_exponent", "config_underscore", "config_zero_denominator",
         "config_negative_denominator", "config_missing_denominator",
         "config_missing_numerator", "config_not_utf8", "config_directory",

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -5,21 +6,21 @@ import pytest
 
 import mms.lp as lp_mod
 import mms.solver as solver_mod
-from mms.lp import (
-    LinRow,
-    check_farkas,
-    check_point,
-    fourier_motzkin_feasible,
-    solve_feasibility,
-)
+from mms.lp import LinRow, solve_feasibility
 
 import fraclp
-from freelp import contradicts, nonnegativity_rows, satisfies, solve_free
+from fraclp import certificate, integral
+from freelp import (
+    contradicts,
+    fourier_motzkin_feasible,
+    nonnegativity_rows,
+    satisfies,
+    solve_free,
+)
 
 
 def rows_from_ints(data):
-    return [LinRow(tuple(Fraction(c) for c in coeffs), Fraction(rhs))
-            for coeffs, rhs in data]
+    return [LinRow(tuple(coeffs), rhs) for coeffs, rhs in data]
 
 
 def random_rows(rng, nvars, nrows, coeff, rhs):
@@ -33,7 +34,7 @@ def test_trivial_systems():
     assert solve_feasibility([]).feasible
     assert solve_free([]).feasible
     r = solve_free(rows_from_ints([(((1,)), 5)]))
-    assert r.feasible and r.point[0] >= 5
+    assert r.feasible and r.point[0] >= 5 * r.den
     r = solve_free(rows_from_ints([((1,), 2), ((-1,), -1)]))
     assert not r.feasible
 
@@ -43,16 +44,18 @@ def test_nonnegative_variables():
     rows = rows_from_ints([((-1,), 1)])
     res = solve_feasibility(rows)
     assert not res.feasible and res.farkas == (1,)
-    assert check_farkas(rows, res.farkas)
+    assert fraclp.check_farkas(rows, res.farkas)
     assert solve_free(rows).feasible
-    # check_point rejects a negative coordinate that satisfies every row.
-    assert not check_point(rows_from_ints([((1,), -5)]), (Fraction(-1),))
-    assert check_point(rows_from_ints([((1,), -5)]), (Fraction(0),))
-    # check_farkas accepts y^T A < 0 and rejects y^T A > 0 or y^T b <= 0.
-    assert check_farkas(rows_from_ints([((-2, 0), 1)]), (Fraction(1),))
-    assert not check_farkas(rows_from_ints([((1, 0), 1)]), (Fraction(1),))
-    assert not check_farkas(rows_from_ints([((-1, 0), 0)]), (Fraction(1),))
-    assert not check_farkas(rows, (Fraction(-1),))
+    # The solver's point check, on rows coeffs + (rhs,) and a point over den,
+    # rejects a negative coordinate that satisfies every row.
+    assert not lp_mod._point_holds([(1, -5)], [-1], 1)
+    assert lp_mod._point_holds([(1, -5)], [0], 1)
+    assert not lp_mod._point_holds([(2, 3)], [2], 2)
+    # Its Farkas check accepts y^T A < 0 and rejects y^T A > 0 or y^T b <= 0.
+    assert lp_mod._farkas_holds([(-2, 0, 1)], [1])
+    assert not lp_mod._farkas_holds([(1, 0, 1)], [1])
+    assert not lp_mod._farkas_holds([(-1, 0, 0)], [1])
+    assert not lp_mod._farkas_holds([(-1, 1)], [-1])
 
 
 def test_certificates_verify():
@@ -63,15 +66,15 @@ def test_certificates_verify():
         res = solve_free(rows)
         seen[True, res.feasible] += 1
         if res.feasible:
-            assert satisfies(rows, res.point)
+            assert satisfies(rows, certificate(res))
         else:
             assert contradicts(rows, res.farkas)
         res = solve_feasibility(rows)
         seen[False, res.feasible] += 1
         if res.feasible:
-            assert check_point(rows, res.point)
+            assert fraclp.check_point(rows, certificate(res))
         else:
-            assert check_farkas(rows, res.farkas)
+            assert fraclp.check_farkas(rows, res.farkas)
     assert min(seen.values()) > 20, seen
 
 
@@ -91,11 +94,11 @@ def test_rational_coefficients():
         LinRow((Fraction(-1, 2), Fraction(1)), Fraction(0)),
         LinRow((Fraction(1), Fraction(1)), Fraction(-3)),
     ]
-    res = solve_free(rows)
-    assert res.feasible and satisfies(rows, res.point)
+    res = solve_free(integral(rows))
+    assert res.feasible and satisfies(rows, certificate(res))
     assert fourier_motzkin_feasible(rows)
-    res = solve_feasibility(rows)
-    assert res.feasible and check_point(rows, res.point)
+    res = solve_feasibility(integral(rows))
+    assert res.feasible and fraclp.check_point(rows, certificate(res))
 
 
 def test_degenerate_zero_rows():
@@ -103,7 +106,7 @@ def test_degenerate_zero_rows():
     res = solve_free(rows)
     assert not res.feasible and contradicts(rows, res.farkas)
     res = solve_feasibility(rows)
-    assert not res.feasible and check_farkas(rows, res.farkas)
+    assert not res.feasible and fraclp.check_farkas(rows, res.farkas)
     rows = rows_from_ints([((0, 0), -1), ((1, 1), 0)])
     assert solve_free(rows).feasible
     assert solve_feasibility(rows).feasible
@@ -153,9 +156,12 @@ def random_rational_system(rng):
 
 
 def assert_same_result(rows):
-    res, oracle = solve_feasibility(rows), fraclp.solve_feasibility(rows)
-    assert res == oracle
-    assert all(type(v) is Fraction for v in res.point or res.farkas)
+    """The int kernel on the scaled rows gives the Fraction simplex's verdict
+    and, read over its denominator, its point or Farkas vector on `rows`."""
+    res, oracle = solve_feasibility(integral(rows)), fraclp.solve_feasibility(rows)
+    assert res.feasible == oracle.feasible and res.den > 0
+    assert all(type(v) is int for v in res.point or res.farkas)
+    assert certificate(res) == (oracle.point if oracle.feasible else oracle.farkas)
     return res
 
 
@@ -184,12 +190,21 @@ def test_integer_pivoting_matches_on_exact_A_systems(n, k, monkeypatch):
         assert_same_result(rows)
 
 
+def over_one_den(vector):
+    """Int or Fraction entries as ints over their least common denominator."""
+    den = math.lcm(*(Fraction(v).denominator for v in vector))
+    return [int(v * den) for v in vector], den
+
+
 def test_integer_checks_match_fraction_evaluation():
+    """The solver's int checks on the scaled system agree with the Fraction
+    checks on the rational one."""
     rng = random.Random(41)
     outcomes = {(name, ok): 0 for name in ("point", "farkas") for ok in (True, False)}
     for _ in range(1500):
         rows = random_rational_system(rng)
         nvars = len(rows[0].coeffs)
+        system = [(*r.coeffs, r.rhs) for r in integral(rows)]
         res = fraclp.solve_feasibility(rows)
         candidates = [tuple(random_rational(rng) for _ in range(nvars))]
         if res.feasible:
@@ -197,7 +212,7 @@ def test_integer_checks_match_fraction_evaluation():
             candidates.append(tuple(x + Fraction(rng.randint(-2, 2), rng.randint(1, 3))
                                     for x in res.point))
         for point in candidates:
-            ok = check_point(rows, point)
+            ok = lp_mod._point_holds(system, *over_one_den(point))
             assert ok == fraclp.check_point(rows, point)
             outcomes["point", ok] += 1
         mults = [tuple(abs(random_rational(rng)) for _ in rows),
@@ -208,42 +223,29 @@ def test_integer_checks_match_fraction_evaluation():
             mults.append(tuple(y * rng.randint(1, 3) + Fraction(rng.randint(0, 1), 7)
                                for y in res.farkas))
         for mult in mults:
-            ok = check_farkas(rows, mult)
+            ok = lp_mod._farkas_holds(system, over_one_den(mult)[0])
             assert ok == fraclp.check_farkas(rows, mult)
             outcomes["farkas", ok] += 1
     assert min(outcomes.values()) > 100, outcomes
 
 
-def test_solve_converts_the_rows_to_ints_once(monkeypatch):
-    calls = []
-    honest = lp_mod._integral_rows
-
-    def counted(rows):
-        calls.append(rows)
-        return honest(rows)
-
-    monkeypatch.setattr(lp_mod, "_integral_rows", counted)
-    feasible = rows_from_ints([((1, 1), 1), ((1, -1), 0)])
-    infeasible = [LinRow((Fraction(1, 2), Fraction(-1, 3)), Fraction(1, 6)),
-                  LinRow((Fraction(-1, 2), Fraction(1, 3)), Fraction(0))]
-    for rows, verdict in ((feasible, True), (infeasible, False)):
-        calls.clear()
-        assert solve_feasibility(rows).feasible is verdict
-        assert calls == [rows]
+def fraction_rows(data):
+    return [LinRow(tuple(Fraction(c) for c in coeffs), Fraction(rhs))
+            for coeffs, rhs in data]
 
 
 def test_fourier_motzkin_is_exact_on_int_rows():
     data = [((-3, -5, 4), -7), ((5, 6, -3), 5), ((-2, -5, 4), 2),
             ((-1, 4, -4), -6), ((-4, 1, 6), 2), ((-2, -5, 3), -1)]
-    int_rows = [LinRow(coeffs, rhs) for coeffs, rhs in data]
+    int_rows = rows_from_ints(data)
     assert fourier_motzkin_feasible(int_rows)
-    assert fourier_motzkin_feasible(rows_from_ints(data))
+    assert fourier_motzkin_feasible(fraction_rows(data))
     assert solve_free(int_rows).feasible
     rng = random.Random(3)
     for _ in range(200):
         nvars = rng.randint(1, 4)
         data = [(tuple(rng.randint(-5, 5) for _ in range(nvars)), rng.randint(-6, 6))
                 for _ in range(rng.randint(1, 6))]
-        int_rows = [LinRow(coeffs, rhs) for coeffs, rhs in data]
+        int_rows = rows_from_ints(data)
         assert fourier_motzkin_feasible(int_rows) == fourier_motzkin_feasible(
-            rows_from_ints(data)) == solve_free(int_rows).feasible
+            fraction_rows(data)) == solve_free(int_rows).feasible

@@ -110,6 +110,13 @@ def test_ksum_examples():
         ksum(c, KSubset((5, 6)))
 
 
+@pytest.mark.parametrize("indices", [(0, 1), (1, 1), (2, 1), (), (-1, 2), (1, 3, 2)])
+def test_ksum_refuses_index_tuples_that_are_not_ksets(indices):
+    c = Configuration.from_values([3, 1, -2])
+    with pytest.raises(ValueError, match="strictly increasing"):
+        ksum(c, indices)
+
+
 def test_ksubset_validation():
     with pytest.raises(ValueError):
         KSubset((2, 2))

@@ -9,13 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mms.solver as solver_mod
-from mms.lp import (
-    LinRow,
-    check_farkas,
-    check_point,
-    fourier_motzkin_feasible,
-    solve_feasibility,
-)
+from mms.lp import LinRow, solve_feasibility
 from mms.numerics import Configuration, binomial, count_nonneg_ksums, count_nonneg_scaled
 from mms.solver import (
     admissible_picks,
@@ -33,7 +27,15 @@ from mms.solver import (
     verify_conjecture_range,
 )
 
-from freelp import contradicts, nonnegativity_rows, satisfies, solve_free
+import fraclp
+from fraclp import certificate
+from freelp import (
+    contradicts,
+    fourier_motzkin_feasible,
+    nonnegativity_rows,
+    satisfies,
+    solve_free,
+)
 from genconfig import nonneg_members
 
 
@@ -76,16 +78,14 @@ def full_system(minimal, max_nonmembers, n):
     total >= 0, minimal members >= 0, maximal non-members <= -1. Its
     feasibility is exactly "the filter is some configuration's non-negative
     family"."""
-    zero, one = Fraction(0), Fraction(1)
-
     def row(plus, minus, rhs):
-        return LinRow(tuple(one if j in plus else -one if j in minus else zero
+        return LinRow(tuple(1 if j in plus else -1 if j in minus else 0
                             for j in range(1, n + 1)), rhs)
 
-    rows = [row((i,), (i + 1,), zero) for i in range(1, n)]
-    rows.append(row(range(1, n + 1), (), zero))
-    rows += [row(a, (), zero) for a in minimal]
-    rows += [row((), b, one) for b in max_nonmembers]
+    rows = [row((i,), (i + 1,), 0) for i in range(1, n)]
+    rows.append(row(range(1, n + 1), (), 0))
+    rows += [row(a, (), 0) for a in minimal]
+    rows += [row((), b, 1) for b in max_nonmembers]
     return rows
 
 
@@ -109,7 +109,7 @@ def test_lp_feasible_examples():
     assert all(v >= 0 for v in res.point)
     res = solve_feasibility(relaxed_rows(all_members, n, k))
     assert res.feasible
-    assert all(v >= 0 for v in values_of_differences(res.point))
+    assert all(v >= 0 for v in values_of_differences(res.point, res.den))
     # up-closure of {(1,2)} alone: infeasible
     for rows, solve in ((filter_rows(up_closure([(1, 2)], n), n, k), solve_free),
                         (relaxed_rows(up_closure([(1, 2)], n), n, k), solve_feasibility)):
@@ -119,11 +119,12 @@ def test_lp_feasible_examples():
     # up-closure of {(2,3)}: feasible
     res = solve_free(filter_rows(up_closure([(2, 3)], n), n, k))
     assert res.feasible
-    count = count_nonneg_ksums(Configuration(res.point), k)
+    count = count_nonneg_ksums(Configuration(certificate(res)), k)
     assert count == 3
     res = solve_feasibility(relaxed_rows(up_closure([(2, 3)], n), n, k))
     assert res.feasible
-    assert count_nonneg_ksums(Configuration(values_of_differences(res.point)), k) == 3
+    assert count_nonneg_ksums(
+        Configuration(values_of_differences(res.point, res.den)), k) == 3
 
 
 def test_filter_system_is_the_substituted_relaxation():
@@ -134,7 +135,8 @@ def test_filter_system_is_the_substituted_relaxation():
         subsets = list(itertools.combinations(range(1, n + 1), k))
         for _ in range(20):
             point = tuple(Fraction(rng.randint(0, 9), rng.randint(1, 4)) for _ in range(n))
-            x = values_of_differences(point)
+            den = math.lcm(*(d.denominator for d in point))
+            x = values_of_differences(tuple(int(d * den) for d in point), den)
             assert list(x) == sorted(x, reverse=True) and x[-1] == -point[-1]
             chosen = rng.sample(subsets, 3)
             total, *rows = filter_system(chosen, n, k)
@@ -159,7 +161,7 @@ def test_certificates_recheck_and_fm_crosscheck():
         rows = filter_rows(members, n, k)
         res = solve_free(rows)
         if res.feasible:
-            assert satisfies(rows, res.point)
+            assert satisfies(rows, certificate(res))
         else:
             assert contradicts(rows, res.farkas)
         assert fourier_motzkin_feasible(rows) == res.feasible
@@ -167,9 +169,9 @@ def test_certificates_recheck_and_fm_crosscheck():
         relaxed = relaxed_rows(members, n, k)
         rel = solve_feasibility(relaxed)
         if rel.feasible:
-            assert check_point(relaxed, rel.point)
+            assert fraclp.check_point(relaxed, certificate(rel))
         else:
-            assert check_farkas(relaxed, rel.farkas)
+            assert fraclp.check_farkas(relaxed, rel.farkas)
         assert rel.feasible or not res.feasible
         assert fourier_motzkin_feasible(relaxed + nonnegativity_rows(n)) == rel.feasible
         checked += 1
@@ -268,8 +270,8 @@ def full_system_search(n, k):
             res = solve_free(rows)
             tested.append(frontier)
             if res.feasible:
-                assert satisfies(rows, res.point)
-                assert count_nonneg_ksums(Configuration.from_values(res.point), k) == size
+                assert satisfies(rows, certificate(res))
+                assert count_nonneg_ksums(Configuration.from_values(certificate(res)), k) == size
                 walked = sum(b < key for b in below) if size == cut else len(below)
                 return (size, walked + len(tested), len(tested), tuple(minimal)), tested
             assert contradicts(rows, res.farkas)
