@@ -1,7 +1,8 @@
 """Exact linear feasibility over non-negative variables, in ints, with certificates.
 
 Systems are lists of rows `coeffs . x >= rhs` over x >= 0 with int entries;
-whoever holds a rational system scales it to ints first. The solver is a
+whoever holds a rational system scales it to ints first, and any other
+entry is a ValueError once it spoils a certificate. The solver is a
 Phase-I simplex with Bland's rule (guaranteed termination) that pivots on
 Python ints, fraction-free in the manner of Bareiss (1968) and Avis's lrs:
 the tableau is kept as D * B^-1 [A | b] with D = det B > 0, so every
@@ -62,6 +63,19 @@ def _farkas_holds(system: list[tuple[int, ...]], ys: list[int]) -> bool:
         sum(map(operator.mul, ys, rhs)) > 0)
 
 
+def _refuse_non_int(system: list[tuple[int, ...]]) -> None:
+    """Raise ValueError naming the first entry that is not an int. The
+    pivots' exact divisions floor such entries, so a certificate that fails
+    its check on that system is the input's fault, not the simplex's; only
+    the failure paths call this."""
+    for i, row in enumerate(system):
+        for j, v in enumerate(row):
+            if not isinstance(v, int):
+                entry = "rhs" if j == len(row) - 1 else f"coefficient {j}"
+                raise ValueError(
+                    f"row {i} {entry} is {v!r}, not an int: scale the system to ints first")
+
+
 def solve_feasibility(rows: list[LinRow]) -> FeasResult:
     """Decide `A x >= b` over x >= 0, in exact integer arithmetic."""
     if not rows:
@@ -115,6 +129,7 @@ def solve_feasibility(rows: list[LinRow]) -> FeasResult:
                         b * best_a == best_b * a and basis[i] < basis[leave]):
                     leave, best_b, best_a = i, b, a
         if leave is None:
+            _refuse_non_int(system)
             raise AssertionError("phase-I objective unbounded -- impossible")
         # Bareiss step: the pivot row stays, every other row r becomes
         # (piv * r - r[enter] * prow) / det, an exact division, and the
@@ -138,6 +153,7 @@ def solve_feasibility(rows: list[LinRow]) -> FeasResult:
             if b < nvars:
                 xs[b] = tableau[i][ncols]
         if not _point_holds(system, xs, det):
+            _refuse_non_int(system)
             raise AssertionError("simplex produced an invalid feasible point")
         return FeasResult(True, point=tuple(xs), den=det)
 
@@ -146,5 +162,6 @@ def solve_feasibility(rows: list[LinRow]) -> FeasResult:
     # negations.
     ys = [z[c] + det if s > 0 else -z[c] for s, c in zip(sigma, start)]
     if not _farkas_holds(system, ys):
+        _refuse_non_int(system)
         raise AssertionError("simplex produced an invalid Farkas certificate")
     return FeasResult(False, farkas=tuple(ys), den=det)

@@ -393,8 +393,12 @@ class SweepRow:
     lower: int
     upper: int
     a_value: int | None
-    equals_target: bool | None
     witness_config: Configuration | None
+
+    @property
+    def equals_target(self) -> bool | None:
+        """Whether A(n,k) = C(n-1,k-1); None while the row is undecided."""
+        return None if self.verdict == "undecided" else self.verdict == "equality"
 
 
 def verify_conjecture_range(
@@ -403,12 +407,16 @@ def verify_conjecture_range(
     k: int,
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> list[SweepRow]:
-    """Per-n verdict against the target C(n-1, k-1).
+    """Per-n verdict against the target C(n-1, k-1), read off bounds on A(n,k).
 
-    Equality is proven by the exact solver, or by `averaging_lower_bound`
-    meeting the star count when k | n; a counterexample verdict carries a
-    configuration whose exact count beats the target. An empty range
-    (no n with max(n_lo, k) <= n <= n_hi) is a ValueError.
+    `lower` is `averaging_lower_bound`, never above the target; `upper` is
+    the count of `_best_construction`. Where they leave the target open and
+    C(n,k) <= `EXACT_SOLVER_CAP`, `exact_A` runs under `node_budget`, and
+    if it finishes, lower = upper = a_value = A(n,k). The verdict is
+    "counterexample" if upper < target, "equality" if lower == target, and
+    "undecided" otherwise. `witness_config` realises `upper` (None on
+    equality rows). An empty range (no n with max(n_lo, k) <= n <= n_hi)
+    is a ValueError.
     """
     ns = range(max(n_lo, k), n_hi + 1)
     if not ns:
@@ -416,35 +424,19 @@ def verify_conjecture_range(
             f"empty range: no n with max(n_lo, k) = {max(n_lo, k)} <= n <= n_hi = {n_hi}")
     out = []
     for n in ns:
-        target = binomial(n - 1, k - 1)
-        best = _best_construction(n, k)
-        upper, witness = best.predicted_count, best.config
+        best = _best_construction(n, k)  # first: it refuses k < 1
+        upper, witness, a_value = best.predicted_count, best.config, None
         lower = averaging_lower_bound(n, k)
-        a_value = None
-        if upper < target:
-            verdict = "counterexample"
-            equals = False
-        elif lower == target:
-            verdict = "equality"
-            equals = True
-            witness = None
-        elif binomial(n, k) <= EXACT_SOLVER_CAP:
+        target = binomial(n - 1, k - 1)
+        if lower < target <= upper and binomial(n, k) <= EXACT_SOLVER_CAP:
             res = exact_A(n, k, budget=node_budget)
-            if res.upper_bound_only:
-                verdict = "undecided"
-                equals = None
-            else:
-                a_value = res.A_value
-                lower = upper = a_value
-                equals = a_value == target
-                verdict = "equality" if equals else "counterexample"
-                witness = None if equals else res.optimal_config
-        else:
-            verdict = "undecided"
-            equals = None
-            witness = None
+            if not res.upper_bound_only:
+                a_value = lower = upper = res.A_value
+                witness = res.optimal_config
+        verdict = ("counterexample" if upper < target
+                   else "equality" if lower == target else "undecided")
         out.append(SweepRow(
-            n=n, k=k, verdict=verdict, lower=lower, upper=upper,
-            a_value=a_value, equals_target=equals, witness_config=witness,
+            n=n, k=k, verdict=verdict, lower=lower, upper=upper, a_value=a_value,
+            witness_config=None if verdict == "equality" else witness,
         ))
     return out

@@ -229,6 +229,33 @@ def test_integer_checks_match_fraction_evaluation():
     assert min(outcomes.values()) > 100, outcomes
 
 
+def test_unscaled_fraction_rows_are_refused_not_blamed_on_the_simplex():
+    """Fraction rows that skip `integral` either come back with a certificate
+    that holds on them, or are a ValueError naming an entry; never an
+    AssertionError."""
+    rng = random.Random(23)
+
+    def entry():
+        return Fraction(rng.randint(-6, 6), rng.randint(1, 6))
+
+    outcomes = {"point": 0, "farkas": 0, "refused": 0}
+    for _ in range(300):
+        rows = [LinRow(tuple(entry() for _ in range(3)), entry()) for _ in range(4)]
+        try:
+            res = solve_feasibility(rows)
+        except ValueError as exc:
+            assert "not an int" in str(exc)
+            outcomes["refused"] += 1
+            continue
+        if res.feasible:
+            assert fraclp.check_point(rows, certificate(res))
+            outcomes["point"] += 1
+        else:
+            assert fraclp.check_farkas(rows, certificate(res))
+            outcomes["farkas"] += 1
+    assert min(outcomes.values()) > 20, outcomes
+
+
 def fraction_rows(data):
     return [LinRow(tuple(Fraction(c) for c in coeffs), Fraction(rhs))
             for coeffs, rhs in data]

@@ -593,6 +593,30 @@ def test_verify_conjecture_range_budget_exhaustion():
     assert rows[0].equals_target is None
     assert rows[0].upper == binomial(6, 1)  # star fallback
     assert count_nonneg_ksums(rows[0].witness_config, 2) == rows[0].upper
+    # Above the cap the solver never starts: the row reads the same as a
+    # spent budget, with the construction as its witness.
+    for n, k in [(11, 3), (10, 4)]:
+        assert binomial(n, k) > solver_mod.EXACT_SOLVER_CAP
+        (row,) = verify_conjecture_range(n, n, k)
+        assert row.verdict == "undecided" and row.equals_target is None
+        assert row.a_value is None and row.lower < binomial(n - 1, k - 1) <= row.upper
+        assert count_nonneg_ksums(row.witness_config, k) == row.upper
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_sweep_verdict_is_read_off_the_bounds(k):
+    for r in verify_conjecture_range(1, 16, k):
+        target = binomial(r.n - 1, k - 1)
+        assert r.lower <= target and r.lower <= r.upper
+        assert r.verdict == ("counterexample" if r.upper < target
+                             else "equality" if r.lower == target else "undecided")
+        assert r.equals_target == {
+            "equality": True, "counterexample": False, "undecided": None}[r.verdict]
+        if r.a_value is not None:
+            assert r.lower == r.upper == r.a_value
+        assert (r.witness_config is None) == (r.verdict == "equality")
+        if r.witness_config is not None:
+            assert count_nonneg_ksums(r.witness_config, k) == r.upper
 
 
 def test_verify_conjecture_range_k3():
