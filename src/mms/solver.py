@@ -251,64 +251,52 @@ def exact_A(n: int, k: int, budget: int = DEFAULT_NODE_BUDGET) -> SolverResult:
     nodes = 0
     for members, _, frontier in itertools.islice(_search_order(root, lower_cut, n), budget):
         nodes += 1
-        size = len(members)
-        if size < lower_cut:
+        if len(members) < lower_cut:
             continue  # expanded by the walk
         res = solve_feasibility(filter_system(frontier, n, k))
         if res.feasible:
             # The point realises a filter inside F: equal sizes prove it is F.
-            config = Configuration(values_of_differences(res.point, res.den))
-            if count_nonneg_ksums(config, k) != size:
-                raise AssertionError(
-                    "witness configuration does not realize the filter exactly")
-            return SolverResult(
-                n=n, k=k, A_value=size,
-                minimal_elements=tuple(minimal_elements_of(members, n)),
-                optimal_config=config,
-                nodes_explored=nodes,
-            )
-    # Budget exhausted: fall back to the best constructive upper bound.
-    best = _best_construction(n, k)
-    scaled = best.config.scaled
-    members = frozenset(c for c in itertools.combinations(range(1, n + 1), k)
-                        if sum(scaled[i - 1] for i in c) >= 0)
-    if count_nonneg_ksums(best.config, k) != len(members):
-        raise AssertionError("counter disagrees with the enumerated member set")
+            config, exact = Configuration(values_of_differences(res.point, res.den)), True
+            break
+    else:
+        # Budget exhausted: fall back to the best constructive upper bound.
+        config, exact = _best_construction(n, k).config, False
+        scaled = config.scaled
+        members = frozenset(c for c in itertools.combinations(range(1, n + 1), k)
+                            if sum(scaled[i - 1] for i in c) >= 0)
+    if count_nonneg_ksums(config, k) != len(members):
+        raise AssertionError("configuration does not realize the filter exactly")
     return SolverResult(
         n=n, k=k, A_value=len(members),
         minimal_elements=tuple(minimal_elements_of(members, n)),
-        optimal_config=best.config,
+        optimal_config=config,
         nodes_explored=nodes,
-        upper_bound_only=True,
+        upper_bound_only=not exact,
     )
 
 
 # --- heuristic upper-bound search -----------------------------------------
 
-def admissible_picks(values: tuple[int, ...], k: int) -> list[tuple[int, ...]]:
-    """The pick vectors of k-subsets over the distinct `values` (two or three,
-    strictly decreasing) with a non-negative sum: every (a, b) or (a, b, c)
-    with a + b (+ c) = k and a*values[0] + b*values[1] (+ c*values[2]) >= 0."""
-    if len(values) == 2:
-        hi, lo = values
-        return [(a, k - a) for a in range(k + 1) if a * hi + (k - a) * lo >= 0]
-    hi, mid, lo = values
-    return [(a, b, k - a - b) for a in range(k + 1) for b in range(k + 1 - a)
-            if a * hi + b * mid + (k - a - b) * lo >= 0]
+def admissible_picks(values: tuple[int, int], k: int) -> list[tuple[int, int]]:
+    """The pick vectors of k-subsets over two distinct values hi > lo with a
+    non-negative sum: every (a, k - a) with a*hi + (k - a)*lo >= 0."""
+    hi, lo = values
+    return [(a, k - a) for a in range(k + 1) if a * hi + (k - a) * lo >= 0]
 
 
 def grid_candidates(
     n: int, k: int,
-) -> Iterator[tuple[int, tuple[int, ...], tuple[int, ...]]]:
+) -> Iterator[tuple[int, tuple[int, int], tuple[int, int]]]:
     """Yield (count, values, multiplicities) for each candidate of the grid
-    search, in search order: `values` distinct and decreasing, each taken
-    `multiplicities` times, and `count` its number of non-negative k-sums.
+    search, in search order: two distinct integers hi > lo in [-(n-1), n-1],
+    taken m and n - m times (1 <= m < n) with a non-negative total, and
+    `count` its number of non-negative k-sums.
 
-    A candidate's count depends only on how many values each run gives, so
-    it is the sum of prod C(m_i, a_i) over the value pattern's
-    `admissible_picks`, listed once per pattern: the run decomposition of
-    `count_nonneg_scaled` outside the multiplicity loops, exact, with the
-    binomials read from one table C(m, a), m <= n, a <= k.
+    A candidate's count depends only on the multiplicities, so it is
+    sum C(m, a) * C(n - m, k - a) over the pair's `admissible_picks`, listed
+    once per pair: the run decomposition of `count_nonneg_scaled` outside
+    the multiplicity loop, exact, with the binomials read from one table
+    C(m, a), m <= n, a <= k.
     """
     table = [[math.comb(m, a) for m in range(n + 1)] for a in range(k + 1)]
     for hi in range(n - 1, -n, -1):
@@ -319,16 +307,6 @@ def grid_candidates(
                     break  # sum decreases with m here; the rest are negative
                 rest = n - m
                 yield sum(x[m] * y[rest] for x, y in cols), (hi, lo), (m, rest)
-    for hi, mid, lo in itertools.combinations(range(6, -7, -1), 3):
-        cols = [(table[a], table[b], table[c])
-                for a, b, c in admissible_picks((hi, mid, lo), k)]
-        for m1 in range(1, n - 1):
-            for m2 in range(1, n - m1):
-                m3 = n - m1 - m2
-                if hi * m1 + mid * m2 + lo * m3 < 0:
-                    continue
-                yield (sum(x[m1] * y[m2] * z[m3] for x, y, z in cols),
-                       (hi, mid, lo), (m1, m2, m3))
 
 
 def search_upper_bound(
@@ -339,10 +317,10 @@ def search_upper_bound(
 ) -> tuple[int, Configuration]:
     """Heuristically minimize the non-negative k-sum count; exact per candidate.
 
-    `grid` sweeps integer configurations with at most three distinct values
-    (two-value patterns over [-(n-1), n-1], three-value over [-6, 6]) and
-    counts each exactly from its multiplicities by the admissible pick
-    patterns of its value tuple (`grid_candidates`); `anneal` runs seeded
+    `grid` sweeps integer configurations with two distinct values in
+    [-(n-1), n-1] and counts each exactly from its two multiplicities by the
+    admissible pick patterns of its value pair (`grid_candidates`), the
+    shape of both the star and the 3k+1 counterexample; `anneal` runs seeded
     simulated annealing from the star pattern, with values clamped to
     [-max(n, 8), max(n, 8)], counting by `count_nonneg_scaled`. Either way
     the answer is recounted by the general kernel before it is returned.

@@ -411,10 +411,17 @@ def test_unwritable_out_is_a_usage_error(tmp_path, capsys, command, out):
     # an enclosure that never narrows leaves the comparison undecided
     ("mms.bounds.new_f_bound_interval",
      lambda k, terms: RatInterval(Fraction(0), Fraction(10**100)), ["fbounds", "--k", "3"]),
-], ids=["solve_invalid_farkas_certificate", "fbounds_undecided_comparison"])
-def test_internal_failures_exit_1(monkeypatch, capsys, target, replacement, args):
+    # the 3k+1 counterexample at k = 3 taken as inside the theorem's range:
+    # its 35 members fall short of C(9,2) = 36
+    ("mms.witness.thm1_threshold", lambda k: 0,
+     ["witness", "--theorem", "1", "--config", "{file}", "--k", "3"]),
+], ids=["solve_invalid_farkas_certificate", "fbounds_undecided_comparison",
+        "witness_count_below_target_in_theorem_range"])
+def test_internal_failures_exit_1(monkeypatch, capsys, tmp_path, target, replacement, args):
+    config = tmp_path / "counterexample.cfg"
+    config.write_text("3\n" * 7 + "-7\n" * 3)
     monkeypatch.setattr(target, replacement)
-    assert main(args) == 1
+    assert main([a.format(file=config) for a in args]) == 1
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: internal check failed") and err.count("\n") == 1

@@ -524,13 +524,21 @@ def test_grid_counts_match_the_general_kernel():
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_pick_pattern_count_property(data):
-    values = sorted(data.draw(st.sets(st.integers(-30, 30), min_size=2, max_size=3)), reverse=True)
-    mults = data.draw(st.lists(st.integers(1, 8), min_size=len(values), max_size=len(values)))
+    values = sorted(data.draw(st.sets(st.integers(-30, 30), min_size=2, max_size=2)), reverse=True)
+    mults = data.draw(st.lists(st.integers(1, 8), min_size=2, max_size=2))
     k = data.draw(st.integers(1, sum(mults)))
     counted = sum(
         math.prod(binomial(m, a) for m, a in zip(mults, picks))
         for picks in admissible_picks(tuple(values), k))
     assert counted == count_nonneg_scaled(expand(values, mults), k)
+
+
+@pytest.mark.parametrize("n,k", [
+    (n, k) for k in range(2, 12) for n in range(k, 14) if binomial(n, k) <= 84])
+def test_grid_count_is_A_wherever_exact_A_decides(n, k):
+    """Two values suffice on every instance decided here: the grid's count
+    is A(n,k) itself."""
+    assert search_upper_bound(n, k, "grid")[0] == exact_A(n, k).A_value
 
 
 def test_search_upper_bound_examples():

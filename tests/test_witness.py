@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from mms.constructions import star_config
+from mms.constructions import mms_counterexample, star_config
 from mms.numerics import Configuration, KSubset, SubsetFamily, binomial, count_nonneg_ksums, ksum
 from mms.partition import partition_lower_bound_witnesses
 from mms.witness import (
@@ -320,6 +320,17 @@ def test_thm1_few_negatives():
     assert rep.branch == "few_negatives"
     assert rep.witnesses.count == binomial(37, 2)
     recheck_family(config, rep.witnesses)
+
+
+def test_a_count_below_the_target_inside_the_theorem_range_is_refused(monkeypatch):
+    # the 3k+1 counterexample at k = 3 has 3 negatives, so few_negatives gives
+    # C(7,3) = 35 members, one short of C(9,2) = 36; it can only be reached by
+    # claiming that n = 10 lies inside the theorem's range
+    config = mms_counterexample(3).config
+    assert extract_thm1(config, 3).branch == "few_negatives"
+    monkeypatch.setattr("mms.witness.thm1_threshold", lambda k: 0)
+    with pytest.raises(AssertionError, match="count fell below the target inside the theorem range"):
+        extract_thm1(config, 3)
 
 
 @pytest.mark.parametrize("mode,reported", [
