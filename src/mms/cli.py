@@ -44,7 +44,7 @@ from .numerics import (
 from .partition import baranyai_partition, validate_partition
 from .reproduce import run_reproduction
 from .solver import DEFAULT_NODE_BUDGET, exact_A, search_upper_bound, verify_conjecture_range
-from .witness import extract_thm1, extract_thm2
+from .witness import DEFAULT_SAMPLE_SIZE, extract_thm1, extract_thm2
 
 
 def _dump_json(obj) -> str:
@@ -86,7 +86,7 @@ def _resolve_seed(args) -> int:
 
 
 class UnreadableInput(Exception):
-    """An input file that cannot be read as UTF-8 text: malformed input (exit 3)."""
+    """An input file that cannot be read or parsed: malformed input (exit 3)."""
 
 
 def _read_input(path: str) -> str:
@@ -121,12 +121,10 @@ def cmd_construct(args) -> int:
     if name == "counterexample":
         built = mms_counterexample(args.k)
         if args.n is not None and args.n != built.n:
-            print(f"error: counterexample fixes n = 3k+1 = {built.n}", file=sys.stderr)
-            return 2
+            raise ValueError(f"counterexample fixes n = 3k+1 = {built.n}")
     else:
         if args.n is None:
-            print("error: --n is required for star/mirror", file=sys.stderr)
-            return 2
+            raise ValueError("--n is required for star/mirror")
         built = (star_config if name == "star" else mirror_config)(args.n, args.k)
     out_dir = Path(args.out or ".")
     stem = f"{built.name}_n{built.n}_k{args.k}"
@@ -170,15 +168,13 @@ def cmd_baranyai(args) -> int:
                 raise ValueError(f"n and k must be integers, got n={n!r}, k={k!r}")
             diagnostic = validate_partition(n, k, tuple(
                 tuple(_read_block(b) for b in cls) for cls in data["classes"]))
-        except (ValueError, KeyError, TypeError) as exc:
-            print(f"error: malformed partition file {args.validate}: {exc!r}", file=sys.stderr)
-            return 3
+        except (ValueError, KeyError, TypeError, RecursionError) as exc:
+            raise UnreadableInput(f"malformed partition file {args.validate}: {exc!r}") from None
         _emit(args, {"valid": diagnostic is None, "diagnostic": diagnostic},
               "baranyai_validate.json")
         return 0 if diagnostic is None else 1
     if args.n is None or args.k is None:
-        print("error: --n and --k are required unless --validate is given", file=sys.stderr)
-        return 2
+        raise ValueError("--n and --k are required unless --validate is given")
     seed = _resolve_seed(args)
     obj = {
         "n": args.n,
@@ -305,8 +301,7 @@ def cmd_check(args) -> int:
         return _run_suite(args)
     name = args.inequality
     if name is None:
-        print("error: check needs --inequality NAME or --suite thm1|thm2", file=sys.stderr)
-        return 2
+        raise ValueError("check needs --inequality NAME or --suite thm1|thm2")
     _refuse_flags(args, "--inequality", "n", "k")
     func, rational_keys, integer_keys = INEQUALITIES[name]
     keys = rational_keys + integer_keys
@@ -319,8 +314,7 @@ def cmd_check(args) -> int:
 def _run_suite(args) -> int:
     n, k = args.n, args.k
     if n is None or k is None:
-        print("error: --suite requires --n and --k", file=sys.stderr)
-        return 2
+        raise ValueError("--suite requires --n and --k")
     reports = []
     if args.suite == "thm1":
         reports.append(thm1_threshold_check(n, k))
@@ -440,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", type=str, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--mode", choices=("auto", "explicit", "counted"), default="auto")
-    p.add_argument("--sample", type=int, default=1000)
+    p.add_argument("--sample", type=int, default=DEFAULT_SAMPLE_SIZE)
     p.set_defaults(func=cmd_witness)
 
     p = sub.add_parser("solve", parents=[common], help="exact A(n,k) at desk scale")

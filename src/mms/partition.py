@@ -4,13 +4,13 @@ The resulting partition has C(n-1, k-1) classes of n/k pairwise-disjoint
 k-sets each; picking one non-negative block per class certifies the lower
 bound A(n,k) >= C(n-1, k-1) on any configuration with non-negative total sum.
 
-Construction: round-robin circle method for k = 2; for every other k the
-classic inductive argument on the ground-set size (Baranyai 1975), realized
-with an integral assignment step: greedy plus shortest augmenting paths
-found breadth first, on integer part-type ids. The assignment always
-succeeds -- the fractional relaxation is exactly feasible and the constraint
-matrix is integral -- so no backtracking or restarts are needed. A seeded RNG
-only shuffles the greedy order, so output is deterministic given (n, k, seed).
+Construction, for every k: the classic inductive argument on the ground-set
+size (Baranyai 1975), realized with an integral assignment step: greedy plus
+shortest augmenting paths found breadth first, on integer part-type ids. The
+assignment always succeeds -- the fractional relaxation is exactly feasible
+and the constraint matrix is integral -- so no backtracking or restarts are
+needed. A seeded RNG only shuffles the greedy order, so output is
+deterministic given (n, k, seed).
 """
 from __future__ import annotations
 
@@ -26,20 +26,6 @@ PARTITION_SIZE_LIMIT = 10**4
 
 class PartitionSizeError(ValueError):
     """Instance exceeds the desk-scale partition limit."""
-
-
-def _circle_pairs(n: int) -> list[list[tuple[int, int]]]:
-    """Round-robin 1-factorization of K_n for even n: n-1 rounds of n/2 pairs."""
-    rounds = []
-    m = n - 1
-    for r in range(m):
-        pairs = [(min(n, r + 1), max(n, r + 1))]
-        for i in range(1, n // 2):
-            a = (r + i) % m + 1
-            b = (r - i) % m + 1
-            pairs.append((min(a, b), max(a, b)))
-        rounds.append(pairs)
-    return rounds
 
 
 def _inductive_partition(n: int, k: int, rng: random.Random) -> list[list[tuple[int, ...]]]:
@@ -161,8 +147,7 @@ def baranyai_partition(n: int, k: int, seed: int = 0) -> tuple[tuple[tuple[int, 
     if binomial(n, k) > PARTITION_SIZE_LIMIT:
         raise PartitionSizeError(
             f"C({n},{k}) = {binomial(n, k)} exceeds limit {PARTITION_SIZE_LIMIT}")
-    raw = _circle_pairs(n) if k == 2 else _inductive_partition(n, k, random.Random(seed))
-    return tuple(tuple(sorted(cls)) for cls in raw)
+    return tuple(tuple(sorted(cls)) for cls in _inductive_partition(n, k, random.Random(seed)))
 
 
 def validate_partition(n: int, k: int, classes) -> str | None:

@@ -280,6 +280,7 @@ PARTITION_6_3 = json.dumps({"n": 6, "k": 3, "classes": [
             "--inequality", "thm1_threshold"], 2),
     (None, ["check", "--suite", "thm1", "--n", "270", "--k", "3", "--params", "n=1", "k=1"], 2),
     (None, ["check", "--suite", "thm1", "--n", "270", "--k", "3", "--params"], 2),
+    (None, ["check", "--suite", "thm1"], 2),
     (None, ["check", "--inequality", "thm1_threshold", "--params", "n=270", "k=3",
             "--n", "270"], 2),
     (None, ["check", "--inequality", "thm1_threshold", "--params", "n=270", "k=3",
@@ -332,6 +333,7 @@ PARTITION_6_3 = json.dumps({"n": 6, "k": 3, "classes": [
     (DIRECTORY, WITNESS_THM2, 3),
     (NOT_UTF8, ["baranyai", "--validate", "{file}"], 3),
     (DIRECTORY, ["baranyai", "--validate", "{file}"], 3),
+    ("[" * 100000 + "]" * 100000, ["baranyai", "--validate", "{file}"], 3),
     (CONFIG_9, ["solve", "--n", "5", "--k", "2", "--out", "{file}"], 2),
     (CONFIG_9, ["solve", "--n", "5", "--k", "2", "--out", "{file}/sub"], 2),
     (None, ["reproduce", "--workers", "0", "--out", "{file}"], 2),
@@ -342,7 +344,8 @@ PARTITION_6_3 = json.dumps({"n": 6, "k": 3, "classes": [
         "validate_float_n", "validate_float_k",
         "baranyai_without_k", "validate_with_n", "validate_with_k", "validate_with_seed",
         "validate_with_n_k_seed", "check_suite_with_inequality", "check_suite_with_params",
-        "check_suite_with_empty_params", "check_inequality_with_n", "check_inequality_with_k",
+        "check_suite_with_empty_params", "check_suite_without_n_k", "check_inequality_with_n",
+        "check_inequality_with_k",
         "check_without_inequality", "check_missing_param", "check_fractional_n",
         "check_fractional_p", "check_fractional_m", "check_zero_denominator",
         "check_exponent_n", "check_decimal_p", "check_exponent_p",
@@ -359,7 +362,8 @@ PARTITION_6_3 = json.dumps({"n": 6, "k": 3, "classes": [
         "config_decimal", "config_exponent", "config_underscore", "config_zero_denominator",
         "config_negative_denominator", "config_missing_denominator",
         "config_missing_numerator", "config_not_utf8", "config_directory",
-        "validate_not_utf8", "validate_directory", "out_names_a_file", "out_below_a_file",
+        "validate_not_utf8", "validate_directory", "validate_deep_nesting",
+        "out_names_a_file", "out_below_a_file",
         "reproduce_workers_0", "reproduce_negative_workers"])
 def test_malformed_input_exit_codes(tmp_path, capsys, file_text, args, code):
     path = tmp_path / "input.json"

@@ -48,11 +48,12 @@ def test_partitions_valid(n, k):
         assert all(list(b) == sorted(b) for b in cls)
 
 
-#: The instances of the inductive build (k >= 3) that the witness routes
-#: can reach: for 3 <= k <= 7 every multiple n of k with C(n,k) within the
-#: size limit (n <= 39, 20, 15, 12, 14 for k = 3, ..., 7; above that only
-#: n = k fits), and the one-class (40, 40).
-INDUCTIVE_INSTANCES = [
+#: Instances of the inductive build that the witness routes can reach:
+#: for k = 2 every even n <= 40 and n = 140, the largest n with C(n,2)
+#: within the size limit; for 3 <= k <= 7 every multiple n of k with C(n,k)
+#: within the limit (n <= 39, 20, 15, 12, 14 for k = 3, ..., 7; above that
+#: only n = k fits); and the one-class (40, 40).
+INDUCTIVE_INSTANCES = [(n, 2) for n in range(2, 41, 2)] + [(140, 2)] + [
     (n, k) for k in range(3, 8) for n in range(k, 60, k)
     if binomial(n, k) <= PARTITION_SIZE_LIMIT
 ] + [(40, 40)]
@@ -117,11 +118,16 @@ def test_single_class_for_n_equals_k():
 
 
 def test_deterministic_given_seed():
-    a = baranyai_partition.__wrapped__(9, 3, seed=42)
-    b = baranyai_partition.__wrapped__(9, 3, seed=42)
-    assert a == b
-    c = baranyai_partition.__wrapped__(9, 3, seed=43)
-    assert validate_partition(9, 3, c) is None
+    for n, k in [(9, 3), (8, 2)]:
+        a = baranyai_partition.__wrapped__(n, k, seed=42)
+        b = baranyai_partition.__wrapped__(n, k, seed=42)
+        assert a == b
+        c = baranyai_partition.__wrapped__(n, k, seed=43)
+        assert validate_partition(n, k, c) is None
+
+
+def test_seed_picks_the_k2_partition():
+    assert baranyai_partition(8, 2, 0) != baranyai_partition(8, 2, 1)
 
 
 def test_build_leaves_recursion_limit_unchanged():
