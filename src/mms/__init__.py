@@ -45,7 +45,6 @@ from .witness import (
     eq2_bound,
     extract_thm1,
     extract_thm2,
-    substitution_family,
 )
 
 __all__ = [
@@ -76,7 +75,6 @@ __all__ = [
     "propagate_equality",
     "search_upper_bound",
     "star_config",
-    "substitution_family",
     "thm1_threshold_check",
     "thm2_stage_check",
     "unimodal_gap_lb",

@@ -40,6 +40,7 @@ from .numerics import (
     format_config,
     parse_config_text,
     parse_rational,
+    quoted,
 )
 from .partition import baranyai_partition, validate_partition
 from .reproduce import run_reproduction
@@ -150,11 +151,15 @@ def _refuse_flags(args, mode: str, *dests: str) -> None:
         raise ValueError(f"{', '.join(given)} cannot be combined with {mode}")
 
 
-def _read_block(block) -> tuple[int, ...]:
-    """A block of a partition file: a list of JSON integers shaped as a k-set."""
-    if (not isinstance(block, list) or any(type(i) is not int for i in block)
-            or not _is_kset(tuple(block))):
-        raise ValueError(f"block {block!r} is not a strictly increasing list of integers >= 1")
+def _read_block(block, c: int, b: int) -> tuple[int, ...]:
+    """Block b of class c (0-based) of a partition file: a list of JSON
+    integers shaped as a k-set. A message names the block by position and
+    length, not by content, so it stays short whatever the file holds."""
+    if not isinstance(block, list):
+        raise ValueError(f"class {c} block {b} is a JSON {type(block).__name__}, not a list")
+    if any(type(i) is not int for i in block) or not _is_kset(tuple(block)):
+        raise ValueError(f"class {c} block {b} (length {len(block)}) is not a strictly "
+                         "increasing list of integers >= 1")
     return tuple(block)
 
 
@@ -165,9 +170,10 @@ def cmd_baranyai(args) -> int:
             data = json.loads(_read_input(args.validate))
             n, k = data["n"], data["k"]
             if type(n) is not int or type(k) is not int:
-                raise ValueError(f"n and k must be integers, got n={n!r}, k={k!r}")
+                raise ValueError(f"n and k must be integers, got n={n!r:.40}, k={k!r:.40}")
             diagnostic = validate_partition(n, k, tuple(
-                tuple(_read_block(b) for b in cls) for cls in data["classes"]))
+                tuple(_read_block(block, c, b) for b, block in enumerate(cls))
+                for c, cls in enumerate(data["classes"])))
         except (ValueError, KeyError, TypeError, RecursionError) as exc:
             raise UnreadableInput(f"malformed partition file {args.validate}: {exc!r}") from None
         _emit(args, {"valid": diagnostic is None, "diagnostic": diagnostic},
@@ -209,7 +215,7 @@ def cmd_witness(args) -> int:
     }
     if report.witnesses.is_explicit and args.out:
         buf = io.StringIO()
-        csv.writer(buf).writerows(report.witnesses.sorted_members())
+        csv.writer(buf).writerows(report.witnesses.members.index_tuples)
         name = f"witnesses_thm{args.theorem}_n{config.n}_k{args.k}.csv"
         csv_path = _write_out(Path(args.out), name, buf.getvalue(), newline="")
         obj["witnesses_path"] = str(csv_path)
@@ -272,17 +278,18 @@ def _parse_params(pairs: list[str], keys: tuple[str, ...]) -> dict[str, Fraction
     out = {}
     for pair in pairs:
         if "=" not in pair:
-            raise ValueError(f"expected key=value, got {pair!r}")
+            raise ValueError(f"expected key=value, got {quoted(pair)}")
         key, _, value = pair.partition("=")
         key = key.strip()
         if key not in keys:
-            raise ValueError(f"--params {pair!r}: unknown key, expected one of {', '.join(keys)}")
+            raise ValueError(
+                f"--params {quoted(pair)}: unknown key, expected one of {', '.join(keys)}")
         if key in out:
-            raise ValueError(f"--params {pair!r}: {key} is given more than once")
+            raise ValueError(f"--params {quoted(pair)}: {key} is given more than once")
         try:
             out[key] = parse_rational(value.strip())
         except ValueError as exc:
-            raise ValueError(f"--params {pair!r}: {exc}") from None
+            raise ValueError(f"--params {quoted(pair)}: {exc}") from None
     return out
 
 
@@ -388,8 +395,11 @@ def cmd_reproduce(args) -> int:
 
 
 def cmd_search(args) -> int:
-    seed = _resolve_seed(args)
-    count, config = search_upper_bound(args.n, args.k, args.strategy, seed)
+    if args.strategy == "grid":  # deterministic: reads neither --seed nor MMS_SEED
+        _refuse_flags(args, "--strategy grid", "seed")
+        count, config = search_upper_bound(args.n, args.k, "grid")
+    else:
+        count, config = search_upper_bound(args.n, args.k, "anneal", _resolve_seed(args))
     obj = {
         "n": args.n,
         "k": args.k,

@@ -4,11 +4,11 @@ Everything here is pure and exact. Values are `fractions.Fraction`; counts are
 Python ints (arbitrary precision). No floats anywhere in this module.
 
 A k-set is its sorted index tuple (`KSubset` validates one). An explicit
-`SubsetFamily` keeps its members as one sorted tuple of distinct plain index
-tuples behind a read-only set view (`SortedKSets`), not as `KSubset`
-objects: the cyclic garbage collector stops tracking tuples of ints, but not
-instances of a tuple subclass, so 10^5 live `KSubset`s would be traversed
-again by every full collection.
+`SubsetFamily` is read through `members`, a read-only set view
+(`SortedKSets`) over one sorted tuple of distinct plain index tuples,
+`members.index_tuples`, not `KSubset` objects: the cyclic garbage collector
+stops tracking tuples of ints, but not instances of a tuple subclass, so
+10^5 live `KSubset`s would be traversed again by every full collection.
 """
 from __future__ import annotations
 
@@ -85,10 +85,6 @@ class KSubset(tuple):
     @property
     def indices(self) -> tuple[int, ...]:
         return self
-
-    @property
-    def k(self) -> int:
-        return len(self)
 
 
 #: Builds a KSubset without the shape check, for index tuples already known
@@ -250,9 +246,9 @@ class SortedKSets(Set):
 class SubsetFamily:
     """A family of k-subsets of [n]: explicit members, or an exact count only.
 
-    Explicit members are a `SortedKSets` (any other iterable of k-sets is
-    converted); construction checks, in one pass each, that every one has
-    size k and ends at or below n.
+    Built by `explicit` or `counted`; explicit `members` are a `SortedKSets`.
+    Construction checks, in one pass each, that every member has size k and
+    ends at or below n.
     """
 
     n: int
@@ -263,21 +259,19 @@ class SubsetFamily:
     def __post_init__(self):
         if self.count < 0:
             raise ValueError("count must be non-negative")
-        members = self.members
-        if members is None:
+        if self.members is None:
             return
-        if not isinstance(members, SortedKSets):
-            members = SortedKSets(members)
-            object.__setattr__(self, "members", members)
-        if len(members) != self.count:
+        if not isinstance(self.members, SortedKSets):
+            raise TypeError(f"members must be a SortedKSets or None, not "
+                            f"{type(self.members).__name__}; build a family from k-sets "
+                            "with SubsetFamily.explicit")
+        tuples = self.members.index_tuples
+        if len(tuples) != self.count:
             raise ValueError("count must equal number of enumerated members")
-        tuples = members.index_tuples
-        if not tuples:
-            return
-        if set(map(len, tuples)) != {self.k}:
+        if set(map(len, tuples)) - {self.k}:
             bad = next(ix for ix in tuples if len(ix) != self.k)
             raise ValueError(f"member {bad} has wrong size (expected k={self.k})")
-        if max(map(operator.itemgetter(-1), tuples)) > self.n:
+        if max(map(operator.itemgetter(-1), tuples), default=0) > self.n:
             bad = next(ix for ix in tuples if ix[-1] > self.n)
             raise ValueError(f"member {bad} out of range for n={self.n}")
 
@@ -294,17 +288,6 @@ class SubsetFamily:
     @property
     def is_explicit(self) -> bool:
         return self.members is not None
-
-    def sorted_members(self) -> list[tuple[int, ...]]:
-        """The members as plain index tuples, in the stored (increasing) order."""
-        if self.members is None:
-            raise ValueError("family is counted-only; no explicit members")
-        return list(self.members.index_tuples)
-
-    def __contains__(self, subset: KSubset) -> bool:
-        if self.members is None:
-            raise ValueError("family is counted-only; no membership test")
-        return subset in self.members
 
 
 def count_nonneg_scaled(values, k: int) -> int:
@@ -350,15 +333,20 @@ def count_nonneg_ksums(config: Configuration, k: int) -> int:
 _RATIONAL_LINE = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
+def quoted(text: str) -> str:
+    """`repr(text)`; past 40 characters, the first 40 quoted and the length."""
+    return repr(text) if len(text) <= 40 else f"{text[:40]!r}... ({len(text)} characters)"
+
+
 def parse_rational(line: str) -> Fraction:
     """A `p/q` or a bare integer `p` as above: one config line, or one value
     of `mms check --params`."""
     match = _RATIONAL_LINE.fullmatch(line)
     if match is None:
-        raise ValueError(f"not a rational p/q or integer: {line!r}")
+        raise ValueError(f"not a rational p/q or integer: {quoted(line)}")
     num, den = int(match[1]), int(match[2] or 1)  # ValueError past int()'s digit limit
     if den == 0:
-        raise ValueError(f"zero denominator: {line!r}")
+        raise ValueError(f"zero denominator: {quoted(line)}")
     return Fraction(num, den)
 
 

@@ -1,15 +1,16 @@
 """Certifying witness extraction: explicit or exactly-counted families of
 non-negative k-subsets with guaranteed cardinalities.
 
-Both extraction routes share the same discipline: every branch condition is
-re-checked in exact arithmetic before any witness is emitted, and every
-emitted family is certified in one pass over its disjoint parts. A part is a
-`RangeFamily`, whose minimum-sum member is checked exactly; the first route's
-partition witnesses, re-summed where they are built; or, for that partition
-part above the partition size limit, a count that rests on the theorem
-alone. Explicit families are re-summed member by member; counted ones are
-spot-checked on a seeded uniform sample. Each report lists how every part
-was certified. A violated check raises instead of emitting unsound output.
+The two extraction routes, `extract_thm1` and `extract_thm2`, are the only
+producers of certified families. Both re-check every branch condition in exact
+arithmetic before any witness is emitted, and certify every emitted family in
+one pass over its disjoint parts. A part is a `RangeFamily`, whose minimum-sum
+member is checked exactly; the first route's partition witnesses, re-summed
+where they are built; or, for that partition part above the partition size
+limit, a count that rests on the theorem alone. Explicit families are
+re-summed member by member; counted ones are spot-checked on a seeded uniform
+sample. Each report lists how every part was certified. A violated check
+raises instead of emitting unsound output.
 
 `log` means the natural logarithm throughout; the k(4e ln k)^k threshold
 arises from k^(k/ln k) = e^k, which only holds base-e.
@@ -26,10 +27,7 @@ from fractions import Fraction
 from .bounds import thm1_threshold, thm2_threshold_exceeded
 from .intervals import decide_less, ln_interval
 from .numerics import Configuration, SortedKSets, SubsetFamily, binomial
-from .partition import (
-    PARTITION_SIZE_LIMIT,
-    partition_lower_bound_witnesses,
-)
+from .partition import PARTITION_SIZE_LIMIT, partition_lower_bound_witnesses
 
 #: Families up to this size are enumerated; larger ones are counted+sampled.
 EXPLICIT_LIMIT = 10**6
@@ -39,10 +37,6 @@ DEFAULT_SAMPLE_SIZE = 1000
 class RangeInfeasibleError(ValueError):
     """Medium-range indices exceed the surviving working set (possible
     outside the theorem's n-range)."""
-
-
-class NonCentralStageError(ValueError):
-    """Requested a substitution family at a stage whose maximum is not central."""
 
 
 class WitnessSoundnessError(AssertionError):
@@ -329,7 +323,7 @@ def extract_thm1(
         # re-summed exactly inside; trimmed position i is position i + 1 here
         trimmed = Configuration(config.values[1:m + 1])
         inner = partition_lower_bound_witnesses(trimmed, k)
-        partition = [tuple(i + 1 for i in s) for s in inner.sorted_members()]
+        partition = [tuple(i + 1 for i in s) for s in inner.members.index_tuples]
         if len(partition) != part_count:
             raise AssertionError("partition witness count mismatch")
     else:
@@ -379,12 +373,6 @@ def two_range_parameters(n: int, k: int) -> tuple[int, int]:
     return a, _floor_over_ln(Fraction(n, 2), k)
 
 
-def _stage_family(n: int, k: int, stage: int) -> RangeFamily:
-    """One of x_1..x_stage plus k-1 of the rest of the stage working set."""
-    bottom = n - (stage - 1) * (k - 1)
-    return RangeFamily.of((1, stage, 1), (stage + 1, bottom, k - 1))
-
-
 def extract_thm2(
     config: Configuration,
     k: int,
@@ -420,7 +408,8 @@ def extract_thm2(
         bottom = n - (i - 1) * (k - 1)
         if config.scaled_range_sum(i, bottom) < 0:
             raise AssertionError(f"working set sum negative at stage {i} -- bug")
-        family = _stage_family(n, k, i)
+        # one of x_1..x_i plus k-1 of the rest of the stage working set
+        family = RangeFamily.of((1, i, 1), (i + 1, bottom, k - 1))
         central = family.worst_sum(config) >= 0
         trace.append(StageTrace(
             stage_index=i, surviving_top=i, removed_bottom=(i - 1) * (k - 1),
@@ -444,25 +433,3 @@ def extract_thm2(
                    (("two_range_family", RangeFamily(parts)),), mode, rng, sample_size,
                    tuple(trace), notes=(f"a={a}, j={j}",))
 
-
-def substitution_family(config: Configuration, stage: int, k: int) -> SubsetFamily:
-    """The explicit stage family: {x_j} union S for every j <= stage and
-    every (k-1)-subset S of the stage working set minus its maximum.
-
-    Requires the stage maximum to be central there; each witness is then
-    non-negative because x_j >= x_stage. Stage 1 is exactly the family of
-    all k-subsets through index 1.
-    """
-    n = config.n
-    if stage < 1:
-        raise ValueError(f"stage must be >= 1, got {stage}")
-    if n - (stage - 1) * (k - 1) - stage + 1 < k:
-        raise ValueError(f"stage {stage} working set smaller than k")
-    family = _stage_family(n, k, stage)
-    worst = family.worst_sum(config)
-    if worst < 0:
-        raise NonCentralStageError(
-            f"stage {stage} maximum is not central (worst sum {worst} < 0)")
-    witnesses, _, _ = _certify(
-        config, k, (("central_at_stage_i", family),), "explicit", None, 0)
-    return witnesses

@@ -334,6 +334,10 @@ PARTITION_6_3 = json.dumps({"n": 6, "k": 3, "classes": [
     (NOT_UTF8, ["baranyai", "--validate", "{file}"], 3),
     (DIRECTORY, ["baranyai", "--validate", "{file}"], 3),
     ("[" * 100000 + "]" * 100000, ["baranyai", "--validate", "{file}"], 3),
+    ('{"n": 6, "k": 3, "classes": [[%s]]}' % list(range(200000, 0, -1)),
+     ["baranyai", "--validate", "{file}"], 3),
+    (CONFIG_9 + "9" * 5000 + ".5\n", WITNESS_THM2, 3),
+    (None, ["search", "--n", "5", "--k", "2", "--seed", "7"], 2),
     (CONFIG_9, ["solve", "--n", "5", "--k", "2", "--out", "{file}"], 2),
     (CONFIG_9, ["solve", "--n", "5", "--k", "2", "--out", "{file}/sub"], 2),
     (None, ["reproduce", "--workers", "0", "--out", "{file}"], 2),
@@ -363,6 +367,7 @@ PARTITION_6_3 = json.dumps({"n": 6, "k": 3, "classes": [
         "config_negative_denominator", "config_missing_denominator",
         "config_missing_numerator", "config_not_utf8", "config_directory",
         "validate_not_utf8", "validate_directory", "validate_deep_nesting",
+        "validate_huge_block", "config_huge_line", "search_grid_with_seed",
         "out_names_a_file", "out_below_a_file",
         "reproduce_workers_0", "reproduce_negative_workers"])
 def test_malformed_input_exit_codes(tmp_path, capsys, file_text, args, code):
@@ -379,6 +384,7 @@ def test_malformed_input_exit_codes(tmp_path, capsys, file_text, args, code):
         assert json.loads(out)["valid"] is False
     else:
         assert err.startswith("error:") and err.count("\n") == 1
+    assert len(err.encode()) <= 500, err[:1000]  # bounded, however large the input
 
 
 #: A valid invocation of every subcommand that writes under --out.

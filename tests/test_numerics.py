@@ -14,6 +14,7 @@ from mms.numerics import (
     ConfigParseError,
     Configuration,
     KSubset,
+    SortedKSets,
     SubsetFamily,
     binomial,
     count_nonneg_ksums,
@@ -22,6 +23,7 @@ from mms.numerics import (
     is_central,
     ksum,
     parse_config_text,
+    parse_rational,
     trusted_ksubset,
 )
 
@@ -88,6 +90,14 @@ def test_string_values_follow_the_config_line_grammar():
     assert c.values == (Fraction(1, 2), Fraction(-2, 3))
 
 
+def test_a_long_line_is_quoted_by_its_head_and_length():
+    for line in ("9" * 5000 + ".5", "1/" + "0" * 4000):  # 4000: under the digit limit
+        with pytest.raises(ValueError) as exc:
+            parse_rational(line)
+        message = str(exc.value)
+        assert f"{line[:40]!r}... ({len(line)} characters)" in message and len(message) < 100
+
+
 @settings(max_examples=200)
 @given(st.lists(
     st.one_of(
@@ -131,7 +141,7 @@ def test_ksubset_validation():
 def test_ksubset_is_its_sorted_index_tuple():
     s = KSubset((1, 4, 6))
     assert s == (1, 4, 6) and hash(s) == hash((1, 4, 6))
-    assert s.indices == (1, 4, 6) and s.k == 3
+    assert s.indices == (1, 4, 6) and len(s) == 3
     assert 4 in s and 2 not in s and list(s) == [1, 4, 6]
     assert {(1, 4, 6)} == {s}
     for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
@@ -297,11 +307,11 @@ def test_is_central_monotone_in_index():
 def test_subset_family_invariants():
     fam = SubsetFamily.explicit(5, 2, [KSubset((1, 2)), KSubset((1, 3))])
     assert fam.count == 2 and fam.is_explicit
-    assert KSubset((1, 2)) in fam
+    assert KSubset((1, 2)) in fam.members
     counted = SubsetFamily.counted(100, 3, 10**9)
     assert not counted.is_explicit
     with pytest.raises(ValueError):
-        SubsetFamily(5, 2, frozenset([KSubset((1, 2))]), 2)
+        SubsetFamily(5, 2, SortedKSets([KSubset((1, 2))]), 2)
     with pytest.raises(ValueError):
         SubsetFamily.explicit(5, 2, [KSubset((1, 2, 3))])
     with pytest.raises(ValueError):
@@ -313,7 +323,7 @@ def test_subset_family_invariants():
     with pytest.raises(ValueError, match=r"member \(3, 7\) out of range"):
         SubsetFamily.explicit(6, 2, good + [KSubset((3, 7))])
     fam = SubsetFamily.explicit(6, 2, reversed(good))
-    assert fam.sorted_members() == sorted(itertools.combinations(range(1, 7), 2))
+    assert fam.members.index_tuples == tuple(itertools.combinations(range(1, 7), 2))
 
 
 def test_subset_family_keeps_plain_sorted_tuples():
@@ -321,8 +331,11 @@ def test_subset_family_keeps_plain_sorted_tuples():
     assert fam.count == 3 and fam.members.index_tuples == ((1, 2), (1, 3), (2, 5))
     assert all(type(ix) is tuple for ix in fam.members.index_tuples)
     assert [type(s) for s in fam.members] == [KSubset] * 3
-    assert (2, 5) in fam and KSubset((2, 5)) in fam and (2, 4) not in fam
-    assert SubsetFamily(6, 2, frozenset(fam.members), 3) == fam  # any set is converted
+    assert (2, 5) in fam.members and KSubset((2, 5)) in fam.members
+    assert (2, 4) not in fam.members
+    for other in (frozenset(fam.members), list(fam.members.index_tuples)):
+        with pytest.raises(TypeError, match=r"SubsetFamily\.explicit"):
+            SubsetFamily(6, 2, other, 3)
     for bad in ((2, 1), (0, 1), (3, 3)):
         with pytest.raises(ValueError, match=re.escape(f"member {bad} is not a k-set")):
             SubsetFamily.explicit(6, 2, [(1, 2), bad])

@@ -9,14 +9,12 @@ from mms.constructions import mms_counterexample, star_config
 from mms.numerics import Configuration, KSubset, SubsetFamily, binomial, count_nonneg_ksums, ksum
 from mms.partition import partition_lower_bound_witnesses
 from mms.witness import (
-    NonCentralStageError,
     _certify,
     RangeFamily,
     WitnessSoundnessError,
     eq2_bound,
     extract_thm1,
     extract_thm2,
-    substitution_family,
     two_range_parameters,
 )
 
@@ -119,8 +117,6 @@ def test_a_negative_member_is_named(monkeypatch):
     monkeypatch.setattr(RangeFamily, "members", _one_negative(RangeFamily.members, (2, 3)))
     with pytest.raises(WitnessSoundnessError, match=r"witness \(2, 3\) has negative sum"):
         extract_thm1(config, 2, mode="explicit")
-    with pytest.raises(WitnessSoundnessError, match=r"\(2, 3\)"):
-        substitution_family(config, 1, 2)
 
 
 def test_a_negative_sample_is_named(monkeypatch):
@@ -148,8 +144,6 @@ def test_an_enumeration_that_is_not_the_family_is_refused(monkeypatch, change, m
     monkeypatch.setattr(RangeFamily, "members", _reordered(RangeFamily.members, change))
     with pytest.raises(AssertionError, match=message):
         extract_thm1(config, 2, mode="explicit")
-    with pytest.raises(AssertionError, match=message):
-        substitution_family(config, 1, 2)
 
 
 def test_parts_out_of_order_or_overlapping_are_refused():
@@ -157,7 +151,7 @@ def test_parts_out_of_order_or_overlapping_are_refused():
     zone = RangeFamily(((1, 1, 1), (2, 6, 1)))
     rest = [(2, 3), (2, 4)]  # re-summed where they were built
     family, provenance, _ = _certify(ones, 2, (("zone", zone), ("rest", rest)), "auto", None, 0)
-    assert family.sorted_members() == list(zone.members()) + rest
+    assert family.members.index_tuples == (*zone.members(), *rest)
     assert provenance == (("zone", "resummed"), ("rest", "resummed"))
     with pytest.raises(AssertionError, match=r"\(1, 2\) does not follow \(2, 4\)"):
         _certify(ones, 2, (("rest", rest), ("zone", zone)), "auto", None, 0)
@@ -195,13 +189,13 @@ def test_member_views_match_the_frozenset_route():
         _assert_view_matches(certified.members, oracle)
         assert certified == explicit
         outside = (n + 1,) * k
-        assert outside not in certified and "x" not in certified.members
+        assert outside not in certified.members and "x" not in certified.members
         checked += 1
     for n, k in ((6, 2), (9, 3), (12, 4), (10, 5)):
         config = random_configuration(rng, n)
         fam = partition_lower_bound_witnesses(config, k)
-        _assert_view_matches(fam.members, frozenset(map(KSubset, fam.sorted_members())))
-        assert fam.sorted_members() == sorted(tuple(s) for s in fam.members)
+        _assert_view_matches(fam.members, frozenset(map(KSubset, fam.members.index_tuples)))
+        assert list(fam.members.index_tuples) == sorted(tuple(s) for s in fam.members)
     assert checked == 200
 
 
@@ -209,12 +203,14 @@ def test_certifying_adds_no_collector_tracked_object_per_member():
     """Members are held as plain int tuples, which the cyclic collector stops
     tracking; a wrapper object per member would stay tracked."""
     config = Configuration.from_values([1] * 200)
-    substitution_family(config, 1, 3)  # warm every cache on the path
+    extract_thm1(config, 3, mode="explicit")  # warm every cache on the path
     gc.collect()
     before = len(gc.get_objects())
-    fam = substitution_family(config, 1, 3)
+    report = extract_thm1(config, 3, mode="explicit")
     gc.collect()
     added = len(gc.get_objects()) - before
+    fam = report.witnesses
+    assert report.branch == "central_at_top" and fam.is_explicit
     assert fam.count == binomial(199, 2) >= 10**4
     assert added < 20, added
 
@@ -268,27 +264,27 @@ def test_explicit_branch_families_match_brute_force():
 @pytest.mark.parametrize("k", (2, 3, 4))
 @pytest.mark.parametrize("pattern", PATTERNS)
 def test_explicit_families_match_an_independent_enumeration(pattern, k):
-    """Both extractions and every stage's substitution family against all
-    k-subsets of [n] filtered by the family's index ranges and re-summed as
-    Fractions: a stage family with a negative member must be refused."""
+    """Both extractions against all k-subsets of [n] filtered by the family's
+    index ranges and re-summed as Fractions; every stage that the second
+    traces is central exactly when its filtered family has no negative
+    member."""
     rng = random.Random(10 * PATTERNS.index(pattern) + k)
     for _ in range(3):
         n = rng.randint(4 * k, 4 * k + 10)
         config = random_configuration(rng, n, pattern)
         every = list(itertools.combinations(range(1, n + 1), k))
-        for rep in (extract_thm1(config, k), extract_thm2(config, k)):
+        thm2 = extract_thm2(config, k)
+        for rep in (extract_thm1(config, k), thm2):
             if rep.witnesses.is_explicit:
                 expected = reference_members(config, k, rep)
                 assert all(ksum(config, c) >= 0 for c in expected), rep.branch
                 assert rep.witnesses.members == expected, rep.branch
-        for stage in range(1, n // (2 * k) + 1):
+        assert [t.stage_index for t in thm2.trace] == list(range(1, len(thm2.trace) + 1))
+        for t in thm2.trace:
+            stage = t.stage_index
             bottom = n - (stage - 1) * (k - 1)
-            expected = {c for c in every if c[0] <= stage < c[1] and c[-1] <= bottom}
-            if any(ksum(config, c) < 0 for c in expected):
-                with pytest.raises(NonCentralStageError):
-                    substitution_family(config, stage, k)
-            else:
-                assert substitution_family(config, stage, k).members == expected
+            expected = [c for c in every if c[0] <= stage < c[1] and c[-1] <= bottom]
+            assert t.central == all(ksum(config, c) >= 0 for c in expected), stage
 
 
 # --- first route ---------------------------------------------------------------
@@ -527,30 +523,6 @@ def test_two_range_parameters_rigorous():
         assert a == min(math.ceil(k / math.log(k)), k)
         assert j == int(5200 / (2 * math.log(k)))
         assert 1 <= a < k
-
-
-# --- substitution families --------------------------------------------------------
-
-def test_substitution_stage_one_equals_top_family():
-    fam = substitution_family(star_config(10, 2).config, 1, 2)
-    assert fam.count == 9
-    assert all(1 in s for s in fam.members)
-    rep = extract_thm1(star_config(10, 2).config, 2)
-    assert fam.members == rep.witnesses.members
-
-
-def test_substitution_stage_two():
-    config = Configuration.from_values([5] * 99 + [-400])
-    fam = substitution_family(config, 2, 3)
-    assert fam.count == 2 * binomial(96, 2)
-    assert len({s.indices for s in fam.members}) == fam.count
-    recheck_family(config, fam)
-
-
-def test_substitution_rejects_non_central_stage():
-    config = Configuration.from_values([1] * 2600 + [-1] * 2600)
-    with pytest.raises(NonCentralStageError):
-        substitution_family(config, 1, 3)
 
 
 # --- soundness sweep (the smaller in-module version) -------------------------------
