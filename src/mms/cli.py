@@ -493,23 +493,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _fail(message: str, code: int) -> int:
+    """Print one `error:` line and return `code`. A message past 200
+    characters is cut to its first 200 and its length, as `quoted` does, so
+    a line stays short however large the input it names."""
+    if len(message) > 200:
+        message = f"{message[:200]}... ({len(message)} characters)"
+    print(f"error: {message}", file=sys.stderr)
+    return code
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
     except ConfigParseError as exc:
-        print(f"error: malformed configuration: {exc}", file=sys.stderr)
-        return 3
-    except (FileNotFoundError, UnreadableInput) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (ValueError, NotImplementedError, UnwritableOutput) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _fail(f"malformed configuration: {exc}", 3)
+    except UnreadableInput as exc:
+        return _fail(str(exc), 3)
+    except (ValueError, UnwritableOutput) as exc:
+        return _fail(str(exc), 2)
     except (AssertionError, UndecidedComparison) as exc:
-        print(f"error: internal check failed ({type(exc).__name__}): {exc}", file=sys.stderr)
-        return 1
+        return _fail(f"internal check failed ({type(exc).__name__}): {exc}", 1)
 
 
 if __name__ == "__main__":

@@ -45,6 +45,20 @@ def binomial(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
+def binomial_at_most(n: int, r: int, cap: int) -> int | None:
+    """C(n, r) when it is at most `cap`, else None (0 <= r <= n).
+
+    C(n, i) grows with i up to n/2 and is at least 2^i there, so the loop
+    stops after about log2(cap) steps, however large n and r are.
+    """
+    value = 1
+    for i in range(min(r, n - r)):
+        value = value * (n - i) // (i + 1)
+        if value > cap:
+            return None
+    return value
+
+
 def as_rational(value: RationalLike) -> Fraction:
     """Coerce an int, Fraction or string to an exact Fraction; a string is
     read as one config line (`parse_rational`), surrounding whitespace

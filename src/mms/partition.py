@@ -18,7 +18,7 @@ import itertools
 import random
 from functools import lru_cache
 
-from .numerics import Configuration, KSubset, SubsetFamily, binomial
+from .numerics import Configuration, KSubset, SubsetFamily, binomial, binomial_at_most
 
 #: Instances with C(n,k) above this are refused (desk-scale guard).
 PARTITION_SIZE_LIMIT = 10**4
@@ -144,9 +144,8 @@ def baranyai_partition(n: int, k: int, seed: int = 0) -> tuple[tuple[tuple[int, 
     """
     if k < 1 or n < 1 or n % k != 0:
         raise ValueError(f"need k | n with k, n >= 1, got n={n}, k={k}")
-    if binomial(n, k) > PARTITION_SIZE_LIMIT:
-        raise PartitionSizeError(
-            f"C({n},{k}) = {binomial(n, k)} exceeds limit {PARTITION_SIZE_LIMIT}")
+    if binomial_at_most(n, k, PARTITION_SIZE_LIMIT) is None:
+        raise PartitionSizeError(f"C({n},{k}) exceeds limit {PARTITION_SIZE_LIMIT}")
     return tuple(tuple(sorted(cls)) for cls in _inductive_partition(n, k, random.Random(seed)))
 
 
@@ -168,7 +167,7 @@ def validate_partition(n: int, k: int, classes) -> str | None:
         for b in cls:
             if len(b) != k:
                 return f"class {ci}: block {b} has size {len(b)}"
-    expected = _binomial_at_most(n - 1, k - 1, len(classes))
+    expected = binomial_at_most(n - 1, k - 1, len(classes))
     if expected != len(classes):
         relation = f"> {len(classes)}" if expected is None else f"= {expected}"
         return f"expected C({n - 1},{k - 1}) {relation} classes, found {len(classes)}"
@@ -186,20 +185,6 @@ def validate_partition(n: int, k: int, classes) -> str | None:
             return f"class {ci} does not partition [n]"
     # C(n-1,k-1) classes of n/k distinct blocks: all C(n,k) k-sets
     return None
-
-
-def _binomial_at_most(n: int, r: int, cap: int) -> int | None:
-    """C(n, r) when it is at most `cap`, else None (0 <= r <= n).
-
-    C(n, i) grows with i up to n/2 and is at least 2^i there, so the loop
-    stops after about log2(cap) steps, however large n and r are.
-    """
-    value = 1
-    for i in range(min(r, n - r)):
-        value = value * (n - i) // (i + 1)
-        if value > cap:
-            return None
-    return value
 
 
 def partition_lower_bound_witnesses(

@@ -15,7 +15,6 @@ sums can be scaled to satisfy it, and the two formulations are equivalent.
 from __future__ import annotations
 
 import itertools
-import math
 import random
 from bisect import bisect_right
 from collections import deque
@@ -28,6 +27,7 @@ from .lp import LinRow, solve_feasibility
 from .numerics import (
     Configuration,
     binomial,
+    binomial_at_most,
     count_nonneg_ksums,
     count_nonneg_scaled,
 )
@@ -241,9 +241,8 @@ def exact_A(n: int, k: int, budget: int = DEFAULT_NODE_BUDGET) -> SolverResult:
         raise ValueError(f"need 1 <= k <= n, got n={n}, k={k}")
     if budget < 0:
         raise ValueError(f"budget must be non-negative, got {budget}")
-    if binomial(n, k) > EXACT_SOLVER_CAP:
-        raise ValueError(
-            f"C({n},{k}) = {binomial(n, k)} exceeds exact solver cap {EXACT_SOLVER_CAP}")
+    if binomial_at_most(n, k, EXACT_SOLVER_CAP) is None:
+        raise ValueError(f"C({n},{k}) exceeds exact solver cap {EXACT_SOLVER_CAP}")
     top = tuple(range(1, k + 1))
     lower_cut = averaging_lower_bound(n, k)
     start = frozenset([top])
@@ -277,38 +276,6 @@ def exact_A(n: int, k: int, budget: int = DEFAULT_NODE_BUDGET) -> SolverResult:
 
 # --- heuristic upper-bound search -----------------------------------------
 
-def admissible_picks(values: tuple[int, int], k: int) -> list[tuple[int, int]]:
-    """The pick vectors of k-subsets over two distinct values hi > lo with a
-    non-negative sum: every (a, k - a) with a*hi + (k - a)*lo >= 0."""
-    hi, lo = values
-    return [(a, k - a) for a in range(k + 1) if a * hi + (k - a) * lo >= 0]
-
-
-def grid_candidates(
-    n: int, k: int,
-) -> Iterator[tuple[int, tuple[int, int], tuple[int, int]]]:
-    """Yield (count, values, multiplicities) for each candidate of the grid
-    search, in search order: two distinct integers hi > lo in [-(n-1), n-1],
-    taken m and n - m times (1 <= m < n) with a non-negative total, and
-    `count` its number of non-negative k-sums.
-
-    A candidate's count depends only on the multiplicities, so it is
-    sum C(m, a) * C(n - m, k - a) over the pair's `admissible_picks`, listed
-    once per pair: the run decomposition of `count_nonneg_scaled` outside
-    the multiplicity loop, exact, with the binomials read from one table
-    C(m, a), m <= n, a <= k.
-    """
-    table = [[math.comb(m, a) for m in range(n + 1)] for a in range(k + 1)]
-    for hi in range(n - 1, -n, -1):
-        for lo in range(hi - 1, -n, -1):
-            cols = [(table[a], table[b]) for a, b in admissible_picks((hi, lo), k)]
-            for m in range(n - 1, 0, -1):
-                if hi * m + lo * (n - m) < 0:
-                    break  # sum decreases with m here; the rest are negative
-                rest = n - m
-                yield sum(x[m] * y[rest] for x, y in cols), (hi, lo), (m, rest)
-
-
 def search_upper_bound(
     n: int,
     k: int,
@@ -317,13 +284,19 @@ def search_upper_bound(
 ) -> tuple[int, Configuration]:
     """Heuristically minimize the non-negative k-sum count; exact per candidate.
 
-    `grid` sweeps integer configurations with two distinct values in
-    [-(n-1), n-1] and counts each exactly from its two multiplicities by the
-    admissible pick patterns of its value pair (`grid_candidates`), the
-    shape of both the star and the 3k+1 counterexample; `anneal` runs seeded
-    simulated annealing from the star pattern, with values clamped to
-    [-max(n, 8), max(n, 8)], counting by `count_nonneg_scaled`. Either way
-    the answer is recounted by the general kernel before it is returned.
+    `grid` returns the best two-value configuration, the shape of both the
+    star and the 3k+1 counterexample. Unless hi > 0 > lo, a non-negative
+    total makes all C(n, k) k-sums non-negative. With m copies of hi and
+    n - m of lo, a k-subset holding a copies of hi is non-negative iff
+    a >= k*|lo|/(hi + |lo|), and a non-negative total caps that threshold
+    at k*m/n, reached at (hi, lo) = (n - m, -m). So the count for m is at
+    least f(m) = sum over a >= ceil(k*m/n) of C(m, a) * C(n - m, k - a),
+    with equality there, and one scan over m finds the minimum: from the
+    star (m = 1), each m = 2..n-1 replaces the best only if f(m) is
+    strictly lower. `anneal` runs seeded simulated annealing from the star
+    pattern, with values clamped to [-max(n, 8), max(n, 8)], counting by
+    `count_nonneg_scaled`. Either way the answer is recounted by the
+    general kernel before it is returned.
     """
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got n={n}, k={k}")
@@ -332,10 +305,10 @@ def search_upper_bound(
     best_count = binomial(n - 1, k - 1)
     best_values = list(star_config(n, k).config.scaled)
     if strategy == "grid":
-        for c, values, mults in grid_candidates(n, k):
+        for m in range(2, n):
+            c = sum(binomial(m, a) * binomial(n - m, k - a) for a in range(-(-k * m // n), k + 1))
             if c < best_count:
-                best_count = c
-                best_values = [v for v, m in zip(values, mults) for _ in range(m)]
+                best_count, best_values = c, [n - m] * m + [-m] * (n - m)
     else:
         rng = random.Random(seed)
         bound = max(n, 8)
@@ -406,7 +379,7 @@ def verify_conjecture_range(
         upper, witness, a_value = best.predicted_count, best.config, None
         lower = averaging_lower_bound(n, k)
         target = binomial(n - 1, k - 1)
-        if lower < target <= upper and binomial(n, k) <= EXACT_SOLVER_CAP:
+        if lower < target <= upper and binomial_at_most(n, k, EXACT_SOLVER_CAP) is not None:
             res = exact_A(n, k, budget=node_budget)
             if not res.upper_bound_only:
                 a_value = lower = upper = res.A_value

@@ -14,6 +14,8 @@ from mms.bounds import f_bound_values
 from mms.cli import main
 from mms.intervals import RatInterval
 from mms.numerics import binomial, parse_config_text
+from mms.partition import PARTITION_SIZE_LIMIT
+from mms.solver import EXACT_SOLVER_CAP
 
 from genconfig import nonneg_members
 
@@ -243,6 +245,8 @@ DIRECTORY = object()
 #: A file that is not UTF-8.
 NOT_UTF8 = b"\xff\xfe1\n"
 WITNESS_THM2 = ["witness", "--theorem", "2", "--config", "{file}", "--k", "2"]
+#: A 4,000-digit integer, short of Python's 4,300-digit conversion limit.
+HUGE = "9" * 4000
 #: A 4-point partition file around the given classes.
 PARTITION_4_2 = '{{"n": 4, "k": 2, "classes": {}}}'
 #: A valid (6, 3) partition file.
@@ -342,6 +346,14 @@ PARTITION_6_3 = json.dumps({"n": 6, "k": 3, "classes": [
     (CONFIG_9, ["solve", "--n", "5", "--k", "2", "--out", "{file}/sub"], 2),
     (None, ["reproduce", "--workers", "0", "--out", "{file}"], 2),
     (None, ["reproduce", "--workers", "-3", "--out", "{file}"], 2),
+    (None, ["solve", "--n", "2000000", "--k", "1000000"], 2),
+    (None, ["baranyai", "--n", "2000000", "--k", "1000000"], 2),
+    (None, ["check", "--inequality", "thm1_threshold", "--params", f"n={HUGE}/7", "k=3"], 2),
+    (None, ["check", "--suite", "thm1", "--n", "270", "--k", f"-{HUGE}"], 2),
+    (None, ["sweep", "--k", "5", "--n-lo", "2", "--n-hi", f"-{HUGE}"], 2),
+    (None, ["fbounds", "--k", f"-{HUGE}"], 2),
+    (None, ["search", "--n", "5", "--k", f"-{HUGE}"], 2),
+    (None, ["construct", "--name", "star", "--n", "5", "--k", f"-{HUGE}"], 2),
 ], ids=["validate_without_classes", "validate_bad_json", "validate_unsorted_block_in_class",
         "validate_unsorted_block", "validate_index_zero", "validate_duplicated_class",
         "validate_huge_n", "validate_huge_binomial", "validate_bool_n", "validate_bool_k",
@@ -369,7 +381,10 @@ PARTITION_6_3 = json.dumps({"n": 6, "k": 3, "classes": [
         "validate_not_utf8", "validate_directory", "validate_deep_nesting",
         "validate_huge_block", "config_huge_line", "search_grid_with_seed",
         "out_names_a_file", "out_below_a_file",
-        "reproduce_workers_0", "reproduce_negative_workers"])
+        "reproduce_workers_0", "reproduce_negative_workers",
+        "solve_huge_binomial", "baranyai_huge_binomial",
+        "check_huge_param", "check_suite_huge_k", "sweep_huge_n_hi", "fbounds_huge_k",
+        "search_huge_k", "construct_huge_k"])
 def test_malformed_input_exit_codes(tmp_path, capsys, file_text, args, code):
     path = tmp_path / "input.json"
     if file_text is DIRECTORY:
@@ -385,6 +400,16 @@ def test_malformed_input_exit_codes(tmp_path, capsys, file_text, args, code):
     else:
         assert err.startswith("error:") and err.count("\n") == 1
     assert len(err.encode()) <= 500, err[:1000]  # bounded, however large the input
+
+
+@pytest.mark.parametrize("command,cap", [("solve", EXACT_SOLVER_CAP),
+                                         ("baranyai", PARTITION_SIZE_LIMIT)])
+def test_a_huge_binomial_is_refused_by_naming_the_cap(capsys, command, cap):
+    """The refusal stops counting C(n, k) once it passes the cap, and names
+    C(n, k) and the cap, not the value."""
+    assert main([command, "--n", "2000000", "--k", "1000000"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: C(2000000,1000000) exceeds ") and err.endswith(f" {cap}\n")
 
 
 #: A valid invocation of every subcommand that writes under --out.

@@ -12,14 +12,12 @@ import mms.solver as solver_mod
 from mms.lp import LinRow, solve_feasibility
 from mms.numerics import Configuration, binomial, count_nonneg_ksums, count_nonneg_scaled
 from mms.solver import (
-    admissible_picks,
     averaging_lower_bound,
     child_frontier,
     cover_dominated,
     cover_dominators,
     exact_A,
     filter_system,
-    grid_candidates,
     maximal_nonmembers_of,
     minimal_elements_of,
     search_upper_bound,
@@ -510,27 +508,72 @@ def expand(values, mults):
     return [v for v, m in zip(values, mults) for _ in range(m)]
 
 
+def value_pair_sweep(n, k):
+    """The grid search that the scan over m replaced, kept as an oracle:
+    yield (count, values, multiplicities) for every pair of integers
+    hi > lo in [-(n-1), n-1], taken m and n - m times (1 <= m < n) with a
+    non-negative total, counted from the pick vectors (a, k - a) with
+    a*hi + (k - a)*lo >= 0."""
+    for hi in range(n - 1, -n, -1):
+        for lo in range(hi - 1, -n, -1):
+            picks = [(a, k - a) for a in range(k + 1) if a * hi + (k - a) * lo >= 0]
+            for m in range(n - 1, 0, -1):
+                if hi * m + lo * (n - m) < 0:
+                    break  # sum decreases with m here; the rest are negative
+                rest = n - m
+                count = sum(binomial(m, a) * binomial(rest, b) for a, b in picks)
+                yield count, (hi, lo), (m, rest)
+
+
 def test_grid_counts_match_the_general_kernel():
     for k in range(1, 5):
         for n in range(k, 13):
             seen = 0
-            for count, values, mults in grid_candidates(n, k):
+            for count, values, mults in value_pair_sweep(n, k):
                 assert len(values) == len(mults) and sum(mults) == n and min(mults) >= 1
                 assert count == count_nonneg_scaled(expand(values, mults), k), (n, k, values, mults)
                 seen += 1
             assert seen > 0 or n == 1
 
 
+@pytest.mark.parametrize("k", range(1, 6))
+def test_two_value_minimum_matches_the_value_pair_sweep(k):
+    """The scan's count is the least of the star's and every value pair's."""
+    for n in range(k, 25):
+        best = min([binomial(n - 1, k - 1), *(c for c, _, _ in value_pair_sweep(n, k))])
+        assert search_upper_bound(n, k, "grid")[0] == best, (n, k)
+
+
+def two_value_floor(n, k, m):
+    """f(m): the non-negative k-sums of (n - m, -m) taken m and n - m times."""
+    return sum(binomial(m, a) * binomial(n - m, k - a) for a in range(k + 1) if a * n >= k * m)
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.data())
-def test_pick_pattern_count_property(data):
-    values = sorted(data.draw(st.sets(st.integers(-30, 30), min_size=2, max_size=2)), reverse=True)
-    mults = data.draw(st.lists(st.integers(1, 8), min_size=2, max_size=2))
-    k = data.draw(st.integers(1, sum(mults)))
-    counted = sum(
-        math.prod(binomial(m, a) for m, a in zip(mults, picks))
-        for picks in admissible_picks(tuple(values), k))
-    assert counted == count_nonneg_scaled(expand(values, mults), k)
+def test_two_value_count_is_smallest_at_a_zero_total(data):
+    """With m copies of hi > 0 and n - m of lo < 0 and a non-negative total,
+    at least f(m) k-sums are non-negative, and (n - m, -m) has exactly f(m)."""
+    n = data.draw(st.integers(2, 16))
+    k = data.draw(st.integers(1, n))
+    m = data.draw(st.integers(1, n - 1))
+    lo = data.draw(st.integers(-30, -1))
+    least = -(lo * (n - m) // m)  # ceil((n - m) * |lo| / m)
+    hi = data.draw(st.integers(least, least + 60))
+    assert m * hi + (n - m) * lo >= 0
+    floor = two_value_floor(n, k, m)
+    assert count_nonneg_scaled(expand((hi, lo), (m, n - m)), k) >= floor
+    assert count_nonneg_scaled(expand((n - m, -m), (m, n - m)), k) == floor
+
+
+@pytest.mark.parametrize("k", range(3, 9))
+def test_grid_returns_the_3k_plus_1_counterexample(k):
+    """At n = 3k+1 the scan stops at 3 taken 3k-2 times and -(3k-2) taken
+    3 times, the classical counterexample."""
+    n = 3 * k + 1
+    count, config = search_upper_bound(n, k, "grid")
+    assert config == Configuration.from_values([3] * (3 * k - 2) + [-(3 * k - 2)] * 3)
+    assert count == two_value_floor(n, k, 3 * k - 2) < binomial(n - 1, k - 1)
 
 
 @pytest.mark.parametrize("n,k", [
@@ -566,8 +609,8 @@ SEARCH_REFERENCE = {
     (13, 4, "anneal"): (220, [12] + [-1] * 12),
     (20, 3, "grid"): (171, [19] + [-1] * 19),
     (24, 5, "grid"): (8855, [23] + [-1] * 23),
-    (12, 5, "grid"): (246, [10] * 5 + [-7] * 7),
-    (10, 4, "grid"): (70, [8] * 3 + [-3] * 7),
+    (12, 5, "grid"): (246, [7] * 5 + [-5] * 7),
+    (10, 4, "grid"): (70, [7] * 3 + [-3] * 7),
 }
 
 
