@@ -293,10 +293,12 @@ def search_upper_bound(
     least f(m) = sum over a >= ceil(k*m/n) of C(m, a) * C(n - m, k - a),
     with equality there, and one scan over m finds the minimum: from the
     star (m = 1), each m = 2..n-1 replaces the best only if f(m) is
-    strictly lower. `anneal` runs seeded simulated annealing from the star
-    pattern, with values clamped to [-max(n, 8), max(n, 8)], counting by
-    `count_nonneg_scaled`. Either way the answer is recounted by the
-    general kernel before it is returned.
+    strictly lower. `anneal` runs 4000 steps of seeded simulated annealing
+    from the star pattern, with values clamped to [-max(n, 8), max(n, 8)].
+    A step edits one value in place and is undone if rejected; a count
+    depends only on the sorted multiset, so each distinct multiset goes
+    through `count_nonneg_scaled` once per call. Either way the answer is
+    recounted by the general kernel before it is returned.
     """
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got n={n}, k={k}")
@@ -313,21 +315,29 @@ def search_upper_bound(
         rng = random.Random(seed)
         bound = max(n, 8)
         cur = list(best_values)
+        cur_sum = sum(cur)
         cur_count = best_count
+        counts: dict[tuple[int, ...], int] = {}
         temperature = 2.0
         for step in range(4000):
             temperature *= 0.999
-            cand = list(cur)
             pos = rng.randrange(n)
-            cand[pos] += rng.choice((-3, -2, -1, 1, 2, 3))
-            cand[pos] = max(-bound, min(bound, cand[pos]))
-            if sum(cand) < 0:
+            old = cur[pos]
+            new = max(-bound, min(bound, old + rng.choice((-3, -2, -1, 1, 2, 3))))
+            if cur_sum + new - old < 0:
                 continue
-            c = count_nonneg_scaled(sorted(cand, reverse=True), k)
+            cur[pos] = new
+            key = tuple(sorted(cur, reverse=True))
+            c = counts.get(key)
+            if c is None:
+                c = counts[key] = count_nonneg_scaled(key, k)
             if c <= cur_count or rng.random() < pow(2.0, -(c - cur_count) / max(temperature, 1e-9)):
-                cur, cur_count = cand, c
+                cur_sum += new - old
+                cur_count = c
                 if c < best_count:
-                    best_count, best_values = c, list(cand)
+                    best_count, best_values = c, list(cur)
+            else:
+                cur[pos] = old
     config = Configuration.from_values(best_values)
     if count_nonneg_ksums(config, k) != best_count:
         raise AssertionError("candidate count disagrees with the recount")

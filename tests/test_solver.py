@@ -621,10 +621,65 @@ def test_search_matches_reference(n, k, strategy):
         count, Configuration.from_values(values))
 
 
+def anneal_oracle(n, k, seed):
+    """The annealing loop that the in-place, memoised one replaced, kept as
+    an oracle: each step copies the list, re-sums it, sorts it and counts
+    it afresh."""
+    best_count = binomial(n - 1, k - 1)
+    best_values = [n - 1] + [-1] * (n - 1)
+    rng = random.Random(seed)
+    bound = max(n, 8)
+    cur = list(best_values)
+    cur_count = best_count
+    temperature = 2.0
+    for step in range(4000):
+        temperature *= 0.999
+        cand = list(cur)
+        pos = rng.randrange(n)
+        cand[pos] += rng.choice((-3, -2, -1, 1, 2, 3))
+        cand[pos] = max(-bound, min(bound, cand[pos]))
+        if sum(cand) < 0:
+            continue
+        c = count_nonneg_scaled(sorted(cand, reverse=True), k)
+        if c <= cur_count or rng.random() < pow(2.0, -(c - cur_count) / max(temperature, 1e-9)):
+            cur, cur_count = cand, c
+            if c < best_count:
+                best_count, best_values = c, list(cand)
+    return best_count, Configuration.from_values(best_values)
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_anneal_follows_the_oracle_trajectory(n):
+    for k in range(1, min(5, n) + 1):
+        for seed in range(8):
+            assert search_upper_bound(n, k, "anneal", seed) == anneal_oracle(n, k, seed), (n, k, seed)
+
+
+def test_anneal_pinned_run_leaves_the_star():
+    """A seeded run that ends below the star's C(4, 2) = 6, so a changed
+    trajectory shows here."""
+    assert search_upper_bound(5, 3, "anneal", 0) == (
+        3, Configuration.from_values([7, 7, -3, -5, -6]))
+
+
+def test_anneal_counts_each_multiset_once(monkeypatch):
+    seen = []
+
+    def counting(values, k):
+        seen.append(tuple(values))
+        return count_nonneg_scaled(values, k)
+
+    monkeypatch.setattr(solver_mod, "count_nonneg_scaled", counting)
+    assert search_upper_bound(13, 4, "anneal", 0) == (220, Configuration.from_values([12] + [-1] * 12))
+    assert all(list(v) == sorted(v, reverse=True) for v in seen)
+    assert len(set(seen)) == len(seen) == 349  # the old loop counted 2,272 times
+
+
 def test_search_deterministic_given_seed():
-    a = search_upper_bound(8, 3, "anneal", 5)
-    b = search_upper_bound(8, 3, "anneal", 5)
+    a = search_upper_bound(7, 4, "anneal", 1)
+    b = search_upper_bound(7, 4, "anneal", 1)
     assert a == b
+    assert a[0] < binomial(6, 3)  # leaves the star
 
 
 def test_verify_conjecture_range_k2():
