@@ -162,7 +162,7 @@ class FBoundValues:
     k: int
     old_bound: int
     new_bound: Fraction          # rigorous upper end of the enclosure
-    new_bound_float: float       # midpoint, for display only
+    new_bound_float: float | None  # midpoint, for display only; None beyond float range
     new_smaller_than_old: bool
 
 

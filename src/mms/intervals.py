@@ -11,6 +11,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 
+#: Longest series `decide_less` tries before it gives up.
+MAX_TERMS = 4096
+
+
 class UndecidedComparison(RuntimeError):
     """Intervals overlap at the highest precision tried."""
 
@@ -53,8 +57,12 @@ class RatInterval:
             raise ValueError("power only supported on non-negative intervals")
         return RatInterval(self.lo**m, self.hi**m)
 
-    def midpoint_float(self) -> float:
-        return float((self.lo + self.hi) / 2)
+    def midpoint_float(self) -> float | None:
+        """The midpoint as a float, or None beyond the float range."""
+        try:
+            return float((self.lo + self.hi) / 2)
+        except OverflowError:
+            return None
 
     def strictly_less_than(self, other) -> bool | None:
         """True/False when decided, None when the intervals overlap."""
@@ -66,7 +74,7 @@ class RatInterval:
         return None
 
 
-def e_interval(terms: int = 24) -> RatInterval:
+def e_interval(terms: int) -> RatInterval:
     """Enclosure of e from the factorial series; tail < 1/(terms! * terms)."""
     lo = sum((Fraction(1, math.factorial(i)) for i in range(terms + 1)), Fraction(0))
     return RatInterval(lo, lo + Fraction(1, math.factorial(terms) * terms))
@@ -87,7 +95,7 @@ def _atanh_interval(z: Fraction, terms: int) -> RatInterval:
     return RatInterval(s, s + tail)
 
 
-def ln_interval(x, terms: int = 24) -> RatInterval:
+def ln_interval(x, terms: int) -> RatInterval:
     """Enclosure of ln(x) for rational x > 0.
 
     The argument is reduced to [1, 2) by powers of two, then
@@ -109,21 +117,19 @@ def ln_interval(x, terms: int = 24) -> RatInterval:
     return ln2.scale(halvings) + ln_r
 
 
-def decide_less(
-    make_lhs, rhs, start_terms: int = 16, max_terms: int = 4096
-) -> bool:
+def decide_less(make_lhs, rhs, start_terms: int = 16) -> bool:
     """Adaptive strict comparison of an enclosure with a rational: is the
     value enclosed by `make_lhs` below `rhs`?
 
     `make_lhs` maps a precision (series length) to a RatInterval; precision
-    doubles until the enclosure lies on one side of `rhs`.
+    doubles until the enclosure lies on one side of `rhs`, up to `MAX_TERMS`.
     """
     terms = start_terms
-    while terms <= max_terms:
+    while terms <= MAX_TERMS:
         verdict = make_lhs(terms).strictly_less_than(rhs)
         if verdict is not None:
             return verdict
         terms *= 2
     raise UndecidedComparison(
-        f"comparison undecided at precision {max_terms}; "
+        f"comparison undecided at precision {MAX_TERMS}; "
         "the two sides may be equal")

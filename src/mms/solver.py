@@ -22,7 +22,6 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .constructions import NamedConstruction, mms_counterexample, star_config
 from .lp import LinRow, solve_feasibility
 from .numerics import (
     Configuration,
@@ -141,12 +140,6 @@ def values_of_differences(point: tuple[int, ...], den: int) -> tuple[Fraction, .
     return tuple(Fraction(v, den) for v in reversed(values))
 
 
-def _best_construction(n: int, k: int) -> NamedConstruction:
-    star = star_config(n, k)
-    ce = mms_counterexample(k) if n == 3 * k + 1 and k > 2 else star
-    return min(star, ce, key=lambda c: c.predicted_count)
-
-
 def averaging_lower_bound(n: int, k: int) -> int:
     """A(n,k) >= C(m-1,k-1) for m = n - (n mod k), as the top m values sum to >= 0."""
     return binomial(n - n % k - 1, k - 1)
@@ -233,9 +226,9 @@ def exact_A(n: int, k: int, budget: int = DEFAULT_NODE_BUDGET) -> SolverResult:
     such a cover has a non-negative weighted sum, so some non-member is
     non-negative.
 
-    If the node budget runs out the best known construction is returned
-    flagged `upper_bound_only`; a budget of 0 asks for that construction
-    only, and a negative budget is a ValueError.
+    If the node budget runs out, the grid search's configuration
+    (`search_upper_bound`) is returned flagged `upper_bound_only`; a budget
+    of 0 asks for that bound only, and a negative budget is a ValueError.
     """
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got n={n}, k={k}")
@@ -258,8 +251,8 @@ def exact_A(n: int, k: int, budget: int = DEFAULT_NODE_BUDGET) -> SolverResult:
             config, exact = Configuration(values_of_differences(res.point, res.den)), True
             break
     else:
-        # Budget exhausted: fall back to the best constructive upper bound.
-        config, exact = _best_construction(n, k).config, False
+        # Budget exhausted: fall back to the grid's upper bound.
+        config, exact = search_upper_bound(n, k)[1], False
         scaled = config.scaled
         members = frozenset(c for c in itertools.combinations(range(1, n + 1), k)
                             if sum(scaled[i - 1] for i in c) >= 0)
@@ -305,7 +298,7 @@ def search_upper_bound(
     if strategy not in ("grid", "anneal"):
         raise ValueError(f"unknown strategy {strategy!r}")
     best_count = binomial(n - 1, k - 1)
-    best_values = list(star_config(n, k).config.scaled)
+    best_values = [n - 1] + [-1] * (n - 1)
     if strategy == "grid":
         for m in range(2, n):
             c = sum(binomial(m, a) * binomial(n - m, k - a) for a in range(-(-k * m // n), k + 1))
@@ -370,10 +363,10 @@ def verify_conjecture_range(
 ) -> list[SweepRow]:
     """Per-n verdict against the target C(n-1, k-1), read off bounds on A(n,k).
 
-    `lower` is `averaging_lower_bound`, never above the target; `upper` is
-    the count of `_best_construction`. Where they leave the target open and
-    C(n,k) <= `EXACT_SOLVER_CAP`, `exact_A` runs under `node_budget`, and
-    if it finishes, lower = upper = a_value = A(n,k). The verdict is
+    `lower` is `averaging_lower_bound` and `upper` the grid search's count
+    (`search_upper_bound`), neither above the target. Where `lower` is below
+    it and C(n,k) <= `EXACT_SOLVER_CAP`, `exact_A` runs under `node_budget`,
+    and if it finishes, lower = upper = a_value = A(n,k). The verdict is
     "counterexample" if upper < target, "equality" if lower == target, and
     "undecided" otherwise. `witness_config` realises `upper` (None on
     equality rows). An empty range (no n with max(n_lo, k) <= n <= n_hi)
@@ -385,11 +378,11 @@ def verify_conjecture_range(
             f"empty range: no n with max(n_lo, k) = {max(n_lo, k)} <= n <= n_hi = {n_hi}")
     out = []
     for n in ns:
-        best = _best_construction(n, k)  # first: it refuses k < 1
-        upper, witness, a_value = best.predicted_count, best.config, None
+        upper, witness = search_upper_bound(n, k)  # first: it refuses k < 1
+        a_value = None
         lower = averaging_lower_bound(n, k)
         target = binomial(n - 1, k - 1)
-        if lower < target <= upper and binomial_at_most(n, k, EXACT_SOLVER_CAP) is not None:
+        if lower < target and binomial_at_most(n, k, EXACT_SOLVER_CAP) is not None:
             res = exact_A(n, k, budget=node_budget)
             if not res.upper_bound_only:
                 a_value = lower = upper = res.A_value

@@ -233,6 +233,17 @@ def test_fbounds_prints_an_integer_upper_bound(capsys):
     assert obj["new_smaller_than_old"] is True
 
 
+@pytest.mark.parametrize("k", [175, 200])
+def test_fbounds_beyond_the_float_range_prints_null(k, capsys):
+    # k (4 e ln k)^k passes the largest float between k = 174 and 175
+    code, out = run_cli(["fbounds", "--k", str(k)], capsys)
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["new_bound_float"] is None
+    assert int(obj["new_bound_upper"]) > sys.float_info.max
+    assert obj["new_smaller_than_old"] is True
+
+
 def test_invalid_parameters_exit_2(capsys):
     code = main(["baranyai", "--n", "7", "--k", "2"])
     assert code == 2
@@ -512,10 +523,12 @@ def test_sweep_lower_column_is_the_averaging_bound(capsys):
         m = n - n % 3
         assert int(row["lower"]) >= binomial(m - 1, 2)
     # Rows neither decided exactly nor by k | n report the bound itself.
-    for n in (10, 11, 13, 14, 16):
+    for n in (11, 13, 14, 16):
         m = n - n % 3
         assert rows[n]["lower"] == str(binomial(m - 1, 2)), n
     assert [rows[n]["verdict"] for n in (11, 13, 14, 16)] == ["undecided"] * 4
+    # Row 10 is decided exactly: the grid's 35 is below the target 36.
+    assert rows[10]["lower"] == rows[10]["upper"] == rows[10]["A"] == "35"
 
 
 def test_seed_resolution_env(tmp_path, capsys, monkeypatch):
@@ -598,10 +611,10 @@ GOLDEN_DIGESTS = {
         "1613d31e09525dd258041af64efca8230daa51f80b6e6b010c60cfd61ce21d0c"),
     "sweep_csv": (
         ["sweep", "--k", "3", "--n-lo", "4", "--n-hi", "12"], None, 0,
-        "6cae31006a613579b5cc6a8e2879cae36e267bddd13f08a002722dc3facf9eeb"),
+        "29fdd5044a40e85b11c2b5dcef3907ad3318c519b4b5d9ad89add26f6f87f28b"),
     "sweep_json": (
         ["sweep", "--k", "3", "--n-lo", "4", "--n-hi", "12", "--format", "json"], None, 0,
-        "ad451564135fc6a52dd6059c0a449e70e5429a6434738d701a7bc32532982681"),
+        "7376bd7fa4182056a9477af963539dce9ef1c1b70ffedb3b8d29823d86f17674"),
     "check_thm2_stage": (
         ["check", "--inequality", "thm2_stage", "--params", "n=5200", "k=3", "p=7"], None, 0,
         "00143f1f8a8197f0bb2d310445fcf0079671a1026ba86db8fb784b97d6f7397d"),

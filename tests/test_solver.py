@@ -378,12 +378,14 @@ def test_exact_A_largest_decided_instances(n, k, nodes, lp_calls, monkeypatch):
 def test_exact_A_every_budget_at_7_3():
     """(7,3) explores 48 nodes; any smaller budget, also one that ends
     inside the depth-first walk or among the LP-tested filters, stops after
-    exactly that many nodes."""
-    star = binomial(6, 2)
+    exactly that many nodes and falls back to the grid's configuration."""
+    grid = Configuration.from_values([2] * 5 + [-5] * 2)
+    assert search_upper_bound(7, 3) == (10, grid)
     for budget in range(48):
         res = exact_A(7, 3, budget=budget)
-        assert (res.nodes_explored, res.upper_bound_only, res.A_value) == (budget, True, star)
-        assert count_nonneg_ksums(res.optimal_config, 3) == star
+        assert (res.nodes_explored, res.upper_bound_only, res.A_value) == (budget, True, 10)
+        assert res.optimal_config == grid
+        assert count_nonneg_ksums(res.optimal_config, 3) == 10
     res = exact_A(7, 3, budget=48)
     assert (res.nodes_explored, res.upper_bound_only, res.A_value) == (48, False, 10)
 
@@ -697,16 +699,34 @@ def test_verify_conjecture_range_budget_exhaustion():
     rows = verify_conjecture_range(7, 7, 2, node_budget=2)
     assert rows[0].verdict == "undecided"
     assert rows[0].equals_target is None
-    assert rows[0].upper == binomial(6, 1)  # star fallback
+    assert rows[0].upper == binomial(6, 1)  # the grid's count, the star's here
     assert count_nonneg_ksums(rows[0].witness_config, 2) == rows[0].upper
     # Above the cap the solver never starts: the row reads the same as a
-    # spent budget, with the construction as its witness.
-    for n, k in [(11, 3), (10, 4)]:
+    # spent budget, with the grid's configuration as its witness.
+    for n, k in [(11, 3), (13, 3)]:
         assert binomial(n, k) > solver_mod.EXACT_SOLVER_CAP
         (row,) = verify_conjecture_range(n, n, k)
         assert row.verdict == "undecided" and row.equals_target is None
         assert row.a_value is None and row.lower < binomial(n - 1, k - 1) <= row.upper
         assert count_nonneg_ksums(row.witness_config, k) == row.upper
+
+
+@pytest.mark.parametrize("n_lo,n_hi,k,uppers", [
+    (10, 14, 5, {11: 126, 12: 246, 13: 405, 14: 550}),
+    (8, 12, 4, {9: 35, 10: 70, 11: 92}),
+])
+def test_sweep_reads_counterexamples_off_the_grid(n_lo, n_hi, k, uppers):
+    """Every row but the k | n ones is a counterexample at the grid's count,
+    which its witness realises exactly; at (9,4) `exact_A` meets that count."""
+    rows = {r.n: r for r in verify_conjecture_range(n_lo, n_hi, k)}
+    for n, row in rows.items():
+        if n in uppers:
+            assert row.verdict == "counterexample" and row.equals_target is False, n
+            assert row.upper == uppers[n] < binomial(n - 1, k - 1), n
+            assert row.upper == search_upper_bound(n, k)[0], n
+            assert count_nonneg_ksums(row.witness_config, k) == row.upper, n
+        else:
+            assert n % k == 0 and row.verdict == "equality", n
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
