@@ -6,7 +6,8 @@ An internal check that fails (an invalid LP certificate or witness recount,
 or an interval comparison left undecided) is a check failure: exit 1 with a
 one-line message.
 Counts and rationals that may exceed 64 bits are emitted as decimal strings,
-a rational as `str` renders a Fraction: p, or p/q in lowest terms.
+a rational as `str` renders a Fraction: p, or p/q in lowest terms, with no
+cap on the number of digits (`_num`).
 """
 from __future__ import annotations
 
@@ -20,6 +21,7 @@ import os
 import sys
 import time
 from dataclasses import asdict
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -46,6 +48,15 @@ from .partition import baranyai_partition, validate_partition
 from .reproduce import run_reproduction
 from .solver import DEFAULT_NODE_BUDGET, exact_A, search_upper_bound, verify_conjecture_range
 from .witness import DEFAULT_SAMPLE_SIZE, extract_thm1, extract_thm2
+
+
+def _num(value: int | Fraction) -> str:
+    """`str(value)` for an int or a Fraction (p, or p/q in lowest terms), of
+    any length: `str(int)` stops at 4,300 digits, `str(Decimal(int))` does
+    not."""
+    if isinstance(value, Fraction) and value.denominator != 1:
+        return f"{_num(value.numerator)}/{_num(value.denominator)}"
+    return str(Decimal(int(value)))
 
 
 def _dump_json(obj) -> str:
@@ -102,15 +113,15 @@ def _load_config(path: str) -> Configuration:
 
 
 def _bound_report_json(report) -> dict:
-    params = {key: value if isinstance(value, bool) or value is None else str(value)
+    params = {key: value if value is None or isinstance(value, (bool, str)) else _num(value)
               for key, value in report.parameters.items()}
     return {
         "name": report.name,
         "holds": report.holds,
         "strict": report.strict,
-        "lhs": str(report.lhs),
-        "rhs": str(report.rhs),
-        "margin": str(report.margin),
+        "lhs": _num(report.lhs),
+        "rhs": _num(report.rhs),
+        "margin": _num(report.margin),
         "parameters": params,
     }
 
@@ -134,7 +145,7 @@ def cmd_construct(args) -> int:
         "name": built.name,
         "n": built.n,
         "k": args.k,
-        "predicted_count": str(built.predicted_count),
+        "predicted_count": _num(built.predicted_count),
         "prediction_formula": built.prediction_formula,
         "config_path": str(cfg_path),
     }
@@ -202,8 +213,8 @@ def cmd_witness(args) -> int:
         "k": args.k,
         "theorem": args.theorem,
         "branch": report.branch,
-        "guaranteed_count": str(report.guaranteed_count),
-        "witnesses_count": str(report.witnesses.count),
+        "guaranteed_count": _num(report.guaranteed_count),
+        "witnesses_count": _num(report.witnesses.count),
         "certified": report.certified,
         "provenance": dict(report.provenance),
         "mode": report.mode,
@@ -228,11 +239,11 @@ def cmd_solve(args) -> int:
     obj = {
         "n": result.n,
         "k": result.k,
-        "A": str(result.A_value),
+        "A": _num(result.A_value),
         "upper_bound_only": result.upper_bound_only,
         "bound": "upper" if result.upper_bound_only else "exact",
         "nodes": result.nodes_explored,
-        "optimal_config": [str(v) for v in result.optimal_config.values],
+        "optimal_config": [_num(v) for v in result.optimal_config.values],
         "minimal_elements": [list(m) for m in result.minimal_elements],
     }
     _emit(args, obj, f"solve_n{args.n}_k{args.k}.json")
@@ -244,8 +255,8 @@ SWEEP_COLUMNS = ("n", "k", "verdict", "lower", "upper", "A", "equals_target")
 
 def cmd_sweep(args) -> int:
     rows = [
-        dict(zip(SWEEP_COLUMNS, (r.n, r.k, r.verdict, str(r.lower), str(r.upper),
-                                 None if r.a_value is None else str(r.a_value),
+        dict(zip(SWEEP_COLUMNS, (r.n, r.k, r.verdict, _num(r.lower), _num(r.upper),
+                                 None if r.a_value is None else _num(r.a_value),
                                  r.equals_target)))
         for r in verify_conjecture_range(args.n_lo, args.n_hi, args.k)
     ]
@@ -349,8 +360,8 @@ def cmd_fbounds(args) -> int:
     fb = f_bound_values(args.k)
     obj = {
         "k": fb.k,
-        "old_bound": str(fb.old_bound),
-        "new_bound_upper": str(math.ceil(fb.new_bound)),
+        "old_bound": _num(fb.old_bound),
+        "new_bound_upper": _num(math.ceil(fb.new_bound)),
         "new_bound_float": fb.new_bound_float,
         "new_smaller_than_old": fb.new_smaller_than_old,
     }
@@ -404,8 +415,8 @@ def cmd_search(args) -> int:
         "n": args.n,
         "k": args.k,
         "strategy": args.strategy,
-        "count": str(count),
-        "config": [str(v) for v in config.values],
+        "count": _num(count),
+        "config": [_num(v) for v in config.values],
     }
     _emit(args, obj, f"search_n{args.n}_k{args.k}.json")
     return 0
@@ -451,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET,
-                   help="search nodes before falling back to an upper bound")
+                   help="nodes to visit before stopping at an upper bound")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("sweep", parents=[common],

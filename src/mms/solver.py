@@ -2,23 +2,24 @@
 
 A configuration's non-negative family is always an up-set (filter) in the
 dominance order that contains the top subset {1..k}. A(n,k) is the smallest
-size of such a filter that some configuration realises exactly, found by
-growing filters one member at a time from one queue (`_search_order`):
-depth-first below the averaging cut, then in increasing size. Each candidate
-is decided by the relaxed system R(F) of `filter_system` (total >= 0,
-maximal non-members <= -1), which suffices because every smaller filter has
-already been rejected (see `exact_A`). Strict negativity of the non-members
-is encoded as `sum <= -1`: the system is positively homogeneous apart from
-that normalization, so any configuration with strictly negative non-member
-sums can be scaled to satisfy it, and the two formulations are equivalent.
+size of such a filter that some configuration realises exactly. `exact_A`
+starts from the grid search's count and configuration as the incumbent and
+walks the filters below it depth-first, growing them one member at a time
+from one stack. Each one from the averaging cut on is tested with the
+relaxed system R(F) of `filter_system` (total >= 0, maximal non-members
+<= -1): an infeasible R(F) refutes F, and a feasible one gives a point that
+realises a filter inside F, a new incumbent (see `exact_A`). When the walk
+ends, every smaller filter is refuted and the incumbent's count is A.
+Strict negativity of the non-members is encoded as `sum <= -1`: the system
+is positively homogeneous apart from that normalization, so any
+configuration with strictly negative non-member sums can be scaled to
+satisfy it, and the two formulations are equivalent.
 """
 from __future__ import annotations
 
 import itertools
 import random
 from bisect import bisect_right
-from collections import deque
-from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -165,70 +166,53 @@ def _children(
     return out
 
 
-def _search_order(root: _Node, cut: int, n: int) -> Iterator[_Node]:
-    """The canonical-parent tree below `root` in search order, from one queue.
-    A filter is expanded once the consumer asks for the next one, so the one
-    that ends the search never is. Children of a filter smaller than `cut` go
-    to the front in increasing order (prefix order, depth-first); those of a
-    larger one go to the back, after the rest of its size. Either way the
-    filters of one size come out in the sorted order of their member lists
-    (see `exact_A`), and a visited filter leaves the queue."""
-    queue = deque([root])
-    while queue:
-        node = queue.popleft()
-        yield node
-        children = _children(*node, n)
-        if len(node[0]) < cut:
-            queue.extendleft(reversed(children))
-        else:
-            queue.extend(children)
-
-
 def exact_A(n: int, k: int, budget: int = DEFAULT_NODE_BUDGET) -> SolverResult:
     """Minimum up-closure size over realisable filters = A(n,k), exactly.
 
-    Filters containing the top subset {1..k} (non-negative whenever the total
-    sum is) are LP-tested in increasing size, each size in the lexicographic
-    order of its filters' sorted member lists; the first one whose relaxed
-    system R(F) (`filter_system`) is feasible is optimal. Each filter F
-    other than {top} is built once, from its canonical parent F - {m}, where
-    m is the lexicographically largest member of F (reverse search,
-    Avis-Fukuda 1996). Every set that m dominates is lexicographically
-    larger than m, so none is in F, and F - {m} is a filter that still holds
-    the top subset. The covers of m from above are smaller members of F, so
-    m is a maximal non-member of F - {m}. And sorted(F) = sorted(F - {m}) +
-    [m]. So the children of a filter are the sets of its sorted frontier
-    after its largest member `last` (`_children`), and filters of one size,
-    built parent by parent in candidate order, come out in sorted order: no
-    sort, no deduplication and no set of the filters seen.
+    The grid search (`search_upper_bound`) gives the incumbent: a count and
+    a configuration realising it, so A <= best. If the averaging cut
+    `averaging_lower_bound(n, k)` meets it, A = best and no node is visited.
+    Otherwise a depth-first walk refutes every filter smaller than best
+    that contains the top subset {1..k} (non-negative whenever the total
+    sum is); when it ends, A = best, realised by the incumbent.
 
-    One queue orders the search (`_search_order`). Sizes below the averaging
-    cut `averaging_lower_bound(n, k)` are never LP-tested, so they are walked
-    depth-first: the filters of the cut's size arrive one at a time, in
-    sorted order, and each is tested as it comes. When k | n the cut is A
-    itself (the star's count), and the walk goes straight down to the star.
-    From the cut on, a rejected filter's children join the back of the
-    queue, after the rest of its size. A node is a filter expanded below the
-    cut or LP-tested, and a budget can stop the search at any node. Each
-    child's maximal non-members grow from its parent's (`child_frontier`), so
-    `maximal_nonmembers_of` runs once, at the root.
+    Each filter F other than {top} is built once, from its canonical parent
+    F - {m}, where m is the lexicographically largest member of F (reverse
+    search, Avis-Fukuda 1996). Every set that m dominates is
+    lexicographically larger than m, so none is in F, and F - {m} is a
+    filter that still holds the top subset. The covers of m from above are
+    smaller members of F, so m is a maximal non-member of F - {m}. And
+    sorted(F) = sorted(F - {m}) + [m]. So the children of a filter are the
+    sets of its sorted frontier after its largest member `last`
+    (`_children`): no deduplication and no set of the filters seen. One
+    stack holds the walk, children pushed in reverse, so the filters of one
+    size come in the sorted order of their member lists. A filter is
+    expanded only if its children are smaller than best, and a popped
+    filter no smaller than best (after best fell) is skipped. Filters below the cut are
+    unrealisable and are only expanded; from the cut on, each visited
+    filter is LP-tested. A node is a visited filter, and a budget can stop
+    the walk at any node. Each child's maximal non-members grow from its
+    parent's (`child_frontier`), so `maximal_nonmembers_of` runs once, at
+    the root.
 
-    R(F) drops the minimal-member rows, so a point of it realises some
-    filter G subset of F that contains the top subset. Every smaller filter
-    was rejected earlier (below the cut, or with an infeasible R(G)), so
-    G = F; the recount of the witness checks this on every answer. The
-    sign s = -x_n >= 0 loses nothing: every filter but the full family has
-    the bottom k-set as a non-member, so x_n < 0, and the full family is
-    realised by zero. An infeasible R(F) comes with Farkas weights: scaled
-    by the total row's, they put weight at most n/k on maximal non-members
-    and cover every prefix {1..j} at least j times, a fractional cover in the
-    sense of Alon-Huang-Sudakov; for sorted x with x_n <= 0 and total >= 0
-    such a cover has a non-negative weighted sum, so some non-member is
-    non-negative.
+    The relaxed system R(F) (`filter_system`) drops the minimal-member
+    rows, so a point of it realises some filter G subset of F that
+    contains the top subset. A feasible R(F) therefore makes the point the
+    incumbent and its recount (`count_nonneg_ksums`), |G| <= |F|, the new
+    best; a recount above |F| is an AssertionError. The sign s = -x_n >= 0
+    loses nothing: every filter but the full family has the bottom k-set
+    as a non-member, so x_n < 0, and the full family is realised by zero.
+    An infeasible R(F) comes with Farkas weights: scaled by the total
+    row's, they put weight at most n/k on maximal non-members and cover
+    every prefix {1..j} at least j times, a fractional cover in the sense
+    of Alon-Huang-Sudakov; for sorted x with x_n <= 0 and total >= 0 such
+    a cover has a non-negative weighted sum, so some non-member is
+    non-negative, and F is not realisable.
 
-    If the node budget runs out, the grid search's configuration
-    (`search_upper_bound`) is returned flagged `upper_bound_only`; a budget
-    of 0 asks for that bound only, and a negative budget is a ValueError.
+    If the node budget runs out while a filter smaller than best is left
+    unvisited, the same incumbent is returned flagged `upper_bound_only`; a
+    budget of 0 visits no node, and a negative budget is a ValueError. `minimal_elements` and a cross-check
+    of the count come from one scan of the answer's configuration.
     """
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got n={n}, k={k}")
@@ -236,34 +220,37 @@ def exact_A(n: int, k: int, budget: int = DEFAULT_NODE_BUDGET) -> SolverResult:
         raise ValueError(f"budget must be non-negative, got {budget}")
     if binomial_at_most(n, k, EXACT_SOLVER_CAP) is None:
         raise ValueError(f"C({n},{k}) exceeds exact solver cap {EXACT_SOLVER_CAP}")
+    best, config = search_upper_bound(n, k)
+    cut = averaging_lower_bound(n, k)
     top = tuple(range(1, k + 1))
-    lower_cut = averaging_lower_bound(n, k)
     start = frozenset([top])
-    root = (start, top, maximal_nonmembers_of(start, n, k))
+    stack = [(start, top, maximal_nonmembers_of(start, n, k))] if cut < best else []
     nodes = 0
-    for members, _, frontier in itertools.islice(_search_order(root, lower_cut, n), budget):
+    while stack and nodes < budget:
+        members, last, frontier = stack.pop()
+        if len(members) >= best:
+            continue  # no smaller than the incumbent
         nodes += 1
-        if len(members) < lower_cut:
-            continue  # expanded by the walk
-        res = solve_feasibility(filter_system(frontier, n, k))
-        if res.feasible:
-            # The point realises a filter inside F: equal sizes prove it is F.
-            config, exact = Configuration(values_of_differences(res.point, res.den)), True
-            break
-    else:
-        # Budget exhausted: fall back to the grid's upper bound.
-        config, exact = search_upper_bound(n, k)[1], False
-        scaled = config.scaled
-        members = frozenset(c for c in itertools.combinations(range(1, n + 1), k)
-                            if sum(scaled[i - 1] for i in c) >= 0)
-    if count_nonneg_ksums(config, k) != len(members):
+        if len(members) >= cut:
+            res = solve_feasibility(filter_system(frontier, n, k))
+            if res.feasible:
+                config = Configuration(values_of_differences(res.point, res.den))
+                best = count_nonneg_ksums(config, k)
+                if best > len(members):
+                    raise AssertionError("LP point realises no filter inside F")
+        if len(members) + 1 < best:
+            stack.extend(reversed(_children(members, last, frontier, n)))
+    scaled = config.scaled
+    members = frozenset(c for c in itertools.combinations(range(1, n + 1), k)
+                        if sum(scaled[i - 1] for i in c) >= 0)
+    if len(members) != best:
         raise AssertionError("configuration does not realize the filter exactly")
     return SolverResult(
-        n=n, k=k, A_value=len(members),
+        n=n, k=k, A_value=best,
         minimal_elements=tuple(minimal_elements_of(members, n)),
         optimal_config=config,
         nodes_explored=nodes,
-        upper_bound_only=not exact,
+        upper_bound_only=any(len(node[0]) < best for node in stack),
     )
 
 
@@ -346,8 +333,12 @@ class SweepRow:
     verdict: str  # "equality" | "counterexample" | "undecided"
     lower: int
     upper: int
-    a_value: int | None
     witness_config: Configuration | None
+
+    @property
+    def a_value(self) -> int | None:
+        """A(n,k) where the bounds meet, else None."""
+        return self.upper if self.lower == self.upper else None
 
     @property
     def equals_target(self) -> bool | None:
@@ -366,7 +357,8 @@ def verify_conjecture_range(
     `lower` is `averaging_lower_bound` and `upper` the grid search's count
     (`search_upper_bound`), neither above the target. Where `lower` is below
     it and C(n,k) <= `EXACT_SOLVER_CAP`, `exact_A` runs under `node_budget`,
-    and if it finishes, lower = upper = a_value = A(n,k). The verdict is
+    and if it finishes, lower = upper = A(n,k). `a_value` is A(n,k) on every
+    row where lower == upper, whichever bound closed the gap. The verdict is
     "counterexample" if upper < target, "equality" if lower == target, and
     "undecided" otherwise. `witness_config` realises `upper` (None on
     equality rows). An empty range (no n with max(n_lo, k) <= n <= n_hi)
@@ -379,18 +371,17 @@ def verify_conjecture_range(
     out = []
     for n in ns:
         upper, witness = search_upper_bound(n, k)  # first: it refuses k < 1
-        a_value = None
         lower = averaging_lower_bound(n, k)
         target = binomial(n - 1, k - 1)
         if lower < target and binomial_at_most(n, k, EXACT_SOLVER_CAP) is not None:
             res = exact_A(n, k, budget=node_budget)
             if not res.upper_bound_only:
-                a_value = lower = upper = res.A_value
+                lower = upper = res.A_value
                 witness = res.optimal_config
         verdict = ("counterexample" if upper < target
                    else "equality" if lower == target else "undecided")
         out.append(SweepRow(
-            n=n, k=k, verdict=verdict, lower=lower, upper=upper, a_value=a_value,
+            n=n, k=k, verdict=verdict, lower=lower, upper=upper,
             witness_config=None if verdict == "equality" else witness,
         ))
     return out

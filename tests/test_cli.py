@@ -3,14 +3,15 @@ import json
 import os
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
 import jsonschema
 import pytest
 
-from mms import __version__, schemas
-from mms.bounds import f_bound_values
+from mms import __version__, cli, schemas
+from mms.bounds import f_bound_values, thm1_threshold_check
 from mms.cli import main
 from mms.intervals import RatInterval
 from mms.numerics import binomial, parse_config_text
@@ -36,13 +37,13 @@ def test_solve_json(capsys):
 
 
 def test_solve_json_when_k_divides_n(capsys):
-    """(8,4) is decided by one LP on the star, the first filter of the
-    averaging cut's size that the depth-first walk reaches."""
+    """(8,4) is decided without a node: the averaging cut C(7,3) = 35 meets
+    the grid's count, which the star realises."""
     code, out = run_cli(["solve", "--n", "8", "--k", "4"], capsys)
     assert code == 0
     assert json.loads(out) == {
         "A": "35", "bound": "exact", "k": 4, "minimal_elements": [[1, 6, 7, 8]],
-        "n": 8, "nodes": 35, "optimal_config": ["7/4"] + ["-1/4"] * 7,
+        "n": 8, "nodes": 0, "optimal_config": ["7"] + ["-1"] * 7,
         "upper_bound_only": False,
     }
 
@@ -438,6 +439,48 @@ WRITING_ARGS = {
 }
 
 
+def test_fbounds_past_the_int_to_str_digit_limit(capsys):
+    # old_bound has 4,301 digits at k = 1,370, one past str(int)'s limit
+    code, out = run_cli(["fbounds", "--k", "1370"], capsys)
+    assert code == 0
+    obj = json.loads(out)
+    assert len(obj["old_bound"]) == 4301
+    k = 1370
+    assert int(Decimal(obj["old_bound"])) == (k - 1) * (k**k + k**2) + k
+    assert obj["new_smaller_than_old"] is True
+
+
+def test_check_prints_a_rational_past_the_digit_limit(capsys):
+    """n = 10 is far below the threshold at k = 2000, so the check fails
+    (exit 1, not a usage error), and its lhs is a p/q of thousands of
+    digits, printed exactly."""
+    code, out = run_cli(
+        ["check", "--inequality", "thm1_threshold", "--params", "n=10", "k=2000"], capsys)
+    assert code == 1
+    obj = json.loads(out)
+    num, _, den = obj["lhs"].partition("/")
+    assert len(num) > 4300
+    lhs = Fraction(int(Decimal(num)), int(Decimal(den or "1")))
+    assert lhs == thm1_threshold_check(10, 2000).lhs
+    assert obj["parameters"]["n"] == "10" and obj["holds"] is False
+
+
+@pytest.mark.parametrize("value,text", [
+    (0, "0"), (-7, "-7"), (Fraction(6, 2), "3"), (Fraction(-3, 4), "-3/4"),
+    (10**4400 + 1, "1" + "0" * 4399 + "1"),
+    (Fraction(1, 3 * 10**4400), "1/3" + "0" * 4400),
+], ids=["zero", "negative", "whole_fraction", "fraction", "huge_int", "huge_denominator"])
+def test_numbers_print_as_str_would_without_its_digit_limit(value, text):
+    assert cli._num(value) == text
+
+
+def test_sweep_fills_A_wherever_the_bounds_meet(capsys):
+    # the averaging bound 126 meets the grid's count at (11,5), below C(10,4) = 210
+    code, out = run_cli(["sweep", "--k", "5", "--n-lo", "11", "--n-hi", "11"], capsys)
+    assert code == 0
+    assert out.splitlines()[1] == "11,5,counterexample,126,126,126,False"
+
+
 @pytest.mark.parametrize("out", ["{file}", "{file}/sub"], ids=["a_file", "below_a_file"])
 @pytest.mark.parametrize("command", WRITING_ARGS)
 def test_unwritable_out_is_a_usage_error(tmp_path, capsys, command, out):
@@ -453,7 +496,8 @@ def test_unwritable_out_is_a_usage_error(tmp_path, capsys, command, out):
 
 
 @pytest.mark.parametrize("target,replacement,args", [
-    ("mms.lp._farkas_holds", lambda system, ys: False, ["solve", "--n", "5", "--k", "2"]),
+    # (7,2) refutes three filters by LP: the averaging cut 5 is below A = 6
+    ("mms.lp._farkas_holds", lambda system, ys: False, ["solve", "--n", "7", "--k", "2"]),
     # an enclosure that never narrows leaves the comparison undecided
     ("mms.bounds.new_f_bound_interval",
      lambda k, terms: RatInterval(Fraction(0), Fraction(10**100)), ["fbounds", "--k", "3"]),
@@ -503,10 +547,10 @@ def test_flags_of_other_subcommands_are_usage_errors(command, flag, capsys):
 
 
 def test_subcommand_flags_still_work(capsys):
-    code, out = run_cli(["solve", "--n", "8", "--k", "2", "--budget", "3"], capsys)
+    code, out = run_cli(["solve", "--n", "9", "--k", "2", "--budget", "3"], capsys)
     assert code == 0
     obj = json.loads(out)
-    assert obj["upper_bound_only"] is True and obj["A"] == "7"
+    assert obj["upper_bound_only"] is True and obj["A"] == "8"
     assert obj["bound"] == "upper"
     code, out = run_cli(
         ["sweep", "--k", "2", "--n-lo", "4", "--n-hi", "5", "--format", "json"], capsys)
@@ -608,13 +652,13 @@ GOLDEN_DIGESTS = {
         "aa36dc7e1dd1c27cd821c80b9483c6778c47f65ef134bb03d91b6d974157cc51"),
     "solve_8_3": (
         ["solve", "--n", "8", "--k", "3"], None, 0,
-        "1613d31e09525dd258041af64efca8230daa51f80b6e6b010c60cfd61ce21d0c"),
+        "df43cb0c7da440e2a378f8d787bad29e6d9f3d963422bee307ad212e882ad1c1"),
     "sweep_csv": (
         ["sweep", "--k", "3", "--n-lo", "4", "--n-hi", "12"], None, 0,
-        "29fdd5044a40e85b11c2b5dcef3907ad3318c519b4b5d9ad89add26f6f87f28b"),
+        "eff419aa7f9bc10ba377373a26f79e41d84bceeb7cdb50719aa2813f35724599"),
     "sweep_json": (
         ["sweep", "--k", "3", "--n-lo", "4", "--n-hi", "12", "--format", "json"], None, 0,
-        "7376bd7fa4182056a9477af963539dce9ef1c1b70ffedb3b8d29823d86f17674"),
+        "a61bf6fcb4d58a07ae2f5e93a23cb11eba159c15896edb9950ec19c405b72942"),
     "check_thm2_stage": (
         ["check", "--inequality", "thm2_stage", "--params", "n=5200", "k=3", "p=7"], None, 0,
         "00143f1f8a8197f0bb2d310445fcf0079671a1026ba86db8fb784b97d6f7397d"),

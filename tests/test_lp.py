@@ -174,8 +174,10 @@ def test_integer_pivoting_matches_the_fraction_simplex():
     assert 500 < sum(verdicts) < 2000
 
 
-@pytest.mark.parametrize("n,k", [(7, 3), (8, 3)])
+@pytest.mark.parametrize("n,k", [(7, 3), (8, 3), (7, 4)])
 def test_integer_pivoting_matches_on_exact_A_systems(n, k, monkeypatch):
+    """Every system exact_A solves; none at (7,3), where the averaging cut
+    meets the grid's count."""
     systems = []
     honest = solver_mod.solve_feasibility
 
@@ -185,7 +187,7 @@ def test_integer_pivoting_matches_on_exact_A_systems(n, k, monkeypatch):
 
     monkeypatch.setattr(solver_mod, "solve_feasibility", recorded)
     solver_mod.exact_A(n, k)
-    assert len(systems) == {(7, 3): 12, (8, 3): 180}[n, k]
+    assert len(systems) == {(7, 3): 0, (8, 3): 168, (7, 4): 41}[n, k]
     for rows in systems:
         assert_same_result(rows)
 

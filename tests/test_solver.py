@@ -203,11 +203,10 @@ def test_child_frontier_matches_recomputation(n, k):
 
 @pytest.mark.parametrize("n,k", [(5, 2), (7, 2), (6, 3), (7, 3), (6, 4), (7, 4)])
 def test_exact_A_builds_each_filter_once_in_order(n, k, monkeypatch):
-    """Against the filter graph, not the LP: exact_A builds each filter
-    once, and gives each the frontier a full scan would. Of each size it
-    builds a prefix of that size's filters in sorted-member order: below the
-    averaging cut (walked depth-first), at the answer's size and above it;
-    of each size from the cut up to the answer's, all of them."""
+    """Against the filter graph, not the LP: where the averaging cut is below
+    A, exact_A builds every filter of each size 2 .. A - 1 once, in
+    sorted-member order, each with the frontier a full scan would give, and
+    no other filter. Where the cut is A it builds none."""
     built = []
     honest_child = solver_mod.child_frontier
 
@@ -229,12 +228,8 @@ def test_exact_A_builds_each_filter_once_in_order(n, k, monkeypatch):
         grown = members | {cand}
         reachable.setdefault(len(grown), set()).add(grown)
     every = {size: sorted(sorted(g) for g in filters) for size, filters in reachable.items()}
-    cut = averaging_lower_bound(n, k)
-    assert set(by_size) >= set(range(2, res.A_value + 1))
-    for size, filters in by_size.items():
-        assert filters == every[size][:len(filters)], size
-    for size in range(max(cut, 2), res.A_value):
-        assert by_size[size] == every[size], size
+    walked = averaging_lower_bound(n, k) < res.A_value
+    assert by_size == {size: every[size] for size in range(2, res.A_value) if walked}
     for grown, child in built:
         assert child == maximal_nonmembers_of(grown, n, k)
 
@@ -242,37 +237,27 @@ def test_exact_A_builds_each_filter_once_in_order(n, k, monkeypatch):
 def full_system_search(n, k):
     """Best-first search by a heap keyed on (size, sorted members) with a
     `visited` set, on the full system: every frontier recomputed, every LP
-    over free x. Returns (A, nodes, LP calls, minimal elements) and the
-    maximal non-member list of each LP-tested node, in test order.
-
-    The heap pops every filter below the averaging cut; `nodes` counts those
-    a depth-first walk meets first. That walk visits filters in the order of
-    their sorted member lists, a list before its extensions, which is the
-    order of those lists as tuples: when the answer has the cut's size, the
-    walk stops at it and has met the smaller filters whose list precedes
-    the answer's; otherwise it has met every one of them."""
+    over free x, from the averaging cut on. Returns A, the minimal elements
+    of the first realisable filter in that order, and (size, maximal
+    non-members) of every filter smaller than A."""
     top = tuple(range(1, k + 1))
     start = frozenset([top])
     cut = averaging_lower_bound(n, k)
     heap, visited = [(1, (top,), start)], {start}
-    below = []
-    tested = []
+    popped = []
     while heap:
-        size, key, members = heapq.heappop(heap)
+        size, _, members = heapq.heappop(heap)
         frontier = maximal_nonmembers_of(members, n, k)
-        if size < cut:
-            below.append(key)
-        else:
+        if size >= cut:
             minimal = minimal_elements_of(members, n)
             rows = full_system(minimal, frontier, n)
             res = solve_free(rows)
-            tested.append(frontier)
             if res.feasible:
                 assert satisfies(rows, certificate(res))
                 assert count_nonneg_ksums(Configuration.from_values(certificate(res)), k) == size
-                walked = sum(b < key for b in below) if size == cut else len(below)
-                return (size, walked + len(tested), len(tested), tuple(minimal)), tested
+                return size, tuple(minimal), [(s, f) for s, f in popped if s < size]
             assert contradicts(rows, res.farkas)
+        popped.append((size, frontier))
         for cand in frontier:
             grown = members | {cand}
             if grown not in visited:
@@ -284,9 +269,10 @@ def full_system_search(n, k):
 @pytest.mark.parametrize("n,k", [
     (5, 2), (7, 2), (9, 2), (6, 3), (7, 3), (6, 4), (7, 4), (7, 5)])
 def test_exact_A_matches_full_system_search(n, k, monkeypatch):
-    """Same answer and LP count as the heap search, its count of the nodes
-    a depth-first walk to the cut meets, and the same filters LP-tested in
-    the same order (told apart by their frontiers)."""
+    """Same A and minimal elements as the heap search. Where the averaging
+    cut is below A, the walk visits every filter smaller than A and LP-tests
+    each one from the cut on once (told apart by their frontiers); where the
+    cut is A it visits none."""
     calls, frontiers = [], []
     honest = solver_mod.solve_feasibility
     honest_system = solver_mod.filter_system
@@ -296,15 +282,47 @@ def test_exact_A_matches_full_system_search(n, k, monkeypatch):
         return honest(rows)
 
     def recorded(max_nonmembers, n, k):
-        frontiers.append(list(max_nonmembers))
+        frontiers.append(tuple(max_nonmembers))
         return honest_system(max_nonmembers, n, k)
 
     monkeypatch.setattr(solver_mod, "solve_feasibility", counted)
     monkeypatch.setattr(solver_mod, "filter_system", recorded)
     res = exact_A(n, k)
-    summary, tested = full_system_search(n, k)
-    assert (res.A_value, res.nodes_explored, len(calls), res.minimal_elements) == summary
-    assert frontiers == tested
+    a_value, minimal, smaller = full_system_search(n, k)
+    cut = averaging_lower_bound(n, k)
+    tested = {tuple(f) for size, f in smaller if size >= cut}
+    assert (res.A_value, res.minimal_elements) == (a_value, minimal)
+    assert res.nodes_explored == (len(smaller) if cut < a_value else 0)
+    assert len(calls) == len(frontiers) == len(tested)
+    assert set(frontiers) == tested
+
+
+@pytest.mark.parametrize("n,k,a_value", [(7, 3, 10), (8, 3, 16), (9, 5, 35)])
+def test_exact_A_refines_a_loose_incumbent(n, k, a_value, monkeypatch):
+    """Started from the star instead of the grid's count, the walk lowers
+    the incumbent through feasible LPs to the heap search's A and the grid
+    run's minimal elements. The heap search takes about 30 s at (9,5), so
+    its A = 35 is pinned there."""
+    grid = exact_A(n, k)
+    star = Configuration.from_values([n - 1] + [-1] * (n - 1))
+    feasible = []
+    honest = solver_mod.solve_feasibility
+
+    def recorded(rows):
+        res = honest(rows)
+        feasible.append(res.feasible)
+        return res
+
+    monkeypatch.setattr(solver_mod, "search_upper_bound",
+                        lambda n, k: (binomial(n - 1, k - 1), star))
+    monkeypatch.setattr(solver_mod, "solve_feasibility", recorded)
+    res = exact_A(n, k)
+    assert not res.upper_bound_only and any(feasible)
+    assert res.A_value == grid.A_value == a_value < binomial(n - 1, k - 1)
+    if n * k < 40:
+        assert full_system_search(n, k)[0] == a_value
+    assert res.minimal_elements == grid.minimal_elements
+    assert count_nonneg_ksums(res.optimal_config, k) == res.A_value
 
 
 def test_exact_A_spot_values():
@@ -318,9 +336,9 @@ def test_exact_A_spot_values():
 
 
 def test_exact_A_result_invariants():
-    res = exact_A(6, 2)
+    res = exact_A(7, 2)
     assert count_nonneg_ksums(res.optimal_config, 2) == res.A_value
-    assert up_closure(res.minimal_elements, 6) == member_indices(res.optimal_config, 2)
+    assert up_closure(res.minimal_elements, 7) == member_indices(res.optimal_config, 2)
     assert list(res.minimal_elements) == sorted(res.minimal_elements)
     assert not res.upper_bound_only
     assert res.nodes_explored >= 1
@@ -333,12 +351,12 @@ def test_exact_A_baranyai_consistency():
 
 
 def test_exact_A_budget_flag():
-    res = exact_A(8, 2, budget=3)
+    res = exact_A(9, 2, budget=3)
     assert res.upper_bound_only
-    assert res.A_value == 7  # star construction upper bound
+    assert res.A_value == 8  # the grid's count, the star's here
     count = count_nonneg_ksums(res.optimal_config, 2)
     assert count == res.A_value
-    assert up_closure(res.minimal_elements, 8) == member_indices(res.optimal_config, 2)
+    assert up_closure(res.minimal_elements, 9) == member_indices(res.optimal_config, 2)
 
 
 def test_averaging_lower_bound_cuts_lp_calls(monkeypatch):
@@ -350,17 +368,18 @@ def test_averaging_lower_bound_cuts_lp_calls(monkeypatch):
         return honest(rows)
 
     monkeypatch.setattr(solver_mod, "solve_feasibility", counted)
-    res = exact_A(7, 3)
-    assert (res.A_value, res.nodes_explored) == (10, 48)
-    # Filters smaller than C(5,2) = 10 are expanded without an LP call.
-    assert averaging_lower_bound(7, 3) == 10
-    assert len(calls) == 12
+    res = exact_A(8, 3)
+    assert (res.A_value, res.nodes_explored) == (16, 216)
+    # The 48 filters smaller than C(5,2) = 10 are expanded without an LP call.
+    assert averaging_lower_bound(8, 3) == 10
+    assert len(calls) == 168
 
 
 @pytest.mark.parametrize("n,k,nodes,lp_calls", [
-    (10, 3, 14537, 10260), (9, 4, 24787, 3511)])
+    (10, 3, 12690, 8413), (9, 4, 0, 0)])
 def test_exact_A_largest_decided_instances(n, k, nodes, lp_calls, monkeypatch):
-    """A(10,3) = A(9,4) = 35, with the search's node and LP-call counts."""
+    """A(10,3) = A(9,4) = 35, with the walk's node and LP-call counts. At
+    (9,4) the averaging cut C(7,3) = 35 meets the grid's count."""
     calls = []
     honest = solver_mod.solve_feasibility
 
@@ -375,51 +394,60 @@ def test_exact_A_largest_decided_instances(n, k, nodes, lp_calls, monkeypatch):
     assert count_nonneg_ksums(res.optimal_config, k) == 35
 
 
-def test_exact_A_every_budget_at_7_3():
-    """(7,3) explores 48 nodes; any smaller budget, also one that ends
-    inside the depth-first walk or among the LP-tested filters, stops after
-    exactly that many nodes and falls back to the grid's configuration."""
-    grid = Configuration.from_values([2] * 5 + [-5] * 2)
-    assert search_upper_bound(7, 3) == (10, grid)
-    for budget in range(48):
-        res = exact_A(7, 3, budget=budget)
-        assert (res.nodes_explored, res.upper_bound_only, res.A_value) == (budget, True, 10)
+def test_exact_A_every_budget_at_8_3():
+    """(8,3) visits 216 nodes; any smaller budget, also one that ends below
+    the averaging cut or among the LP-tested filters, stops after exactly
+    that many nodes with the grid's configuration, flagged as a bound."""
+    grid = Configuration.from_values([5] * 3 + [-3] * 5)
+    assert search_upper_bound(8, 3) == (16, grid)
+    for budget in range(216):
+        res = exact_A(8, 3, budget=budget)
+        assert (res.nodes_explored, res.upper_bound_only, res.A_value) == (budget, True, 16)
         assert res.optimal_config == grid
-        assert count_nonneg_ksums(res.optimal_config, 3) == 10
-    res = exact_A(7, 3, budget=48)
-    assert (res.nodes_explored, res.upper_bound_only, res.A_value) == (48, False, 10)
+    res = exact_A(8, 3, budget=216)
+    assert (res.nodes_explored, res.upper_bound_only, res.A_value) == (216, False, 16)
+    assert res.optimal_config == grid
 
 
 def count_expansions(monkeypatch):
-    """The filters passed to `_children`, in call order."""
+    """The filters passed to `_children`, in call order, each with the sizes
+    of the children built."""
     expanded = []
     honest = solver_mod._children
 
     def counted(members, last, frontier, n):
-        expanded.append(members)
-        return honest(members, last, frontier, n)
+        children = honest(members, last, frontier, n)
+        expanded.append((members, [len(child[0]) for child in children]))
+        return children
 
     monkeypatch.setattr(solver_mod, "_children", counted)
     return expanded
 
 
-@pytest.mark.parametrize("n,k", [(7, 3), (9, 3), (8, 4), (10, 3)])
+@pytest.mark.parametrize("n,k", [(7, 3), (9, 3), (8, 4), (8, 3), (10, 3)])
 def test_exact_A_expands_each_visited_filter_but_the_answer(n, k, monkeypatch):
-    """Children are built only when the search asks for its next node: every
-    visited filter is expanded once, except the feasible one."""
+    """Children are built only where they are smaller than A: every visited
+    filter of size below A - 1 is expanded once, no other, and every child
+    is visited. (7,3), (9,3) and (8,4) visit none."""
     expanded = count_expansions(monkeypatch)
     res = exact_A(n, k)
     assert not res.upper_bound_only
-    assert len(expanded) == res.nodes_explored - 1
-    assert len(set(expanded)) == len(expanded)
+    members = [m for m, _ in expanded]
+    assert len(set(members)) == len(members)
+    visited = [1] + [size for _, sizes in expanded for size in sizes] if res.nodes_explored else []
+    assert len(visited) == res.nodes_explored
+    assert len(expanded) == sum(size < res.A_value - 1 for size in visited)
+    assert all(len(m) < res.A_value - 1 for m in members)
 
 
 def test_exact_A_expands_no_filter_past_the_budget(monkeypatch):
-    """A budget of 30 at (7,3) visits 30 nodes and expands the first 29."""
+    """A budget of 30 at (8,3) visits 30 nodes and expands the 22 of them
+    smaller than A - 1 = 15; no child past them is visited."""
     expanded = count_expansions(monkeypatch)
-    res = exact_A(7, 3, budget=30)
+    res = exact_A(8, 3, budget=30)
     assert (res.upper_bound_only, res.nodes_explored) == (True, 30)
-    assert len(expanded) == 29
+    assert len(expanded) == 22
+    assert all(len(m) < 15 for m, _ in expanded)
 
 
 def test_exact_A_computes_each_frontier_once(monkeypatch):
@@ -445,20 +473,20 @@ def test_exact_A_computes_each_frontier_once(monkeypatch):
     monkeypatch.setattr(solver_mod, "maximal_nonmembers_of", counted_frontier)
     monkeypatch.setattr(solver_mod, "child_frontier", checked_child)
     monkeypatch.setattr(solver_mod, "solve_feasibility", counted_lp)
-    res = exact_A(7, 3)
-    assert res.nodes_explored == 48
+    res = exact_A(8, 3)
+    assert res.nodes_explored == 216
     # Only the root's frontier is a scan over all k-sets; every other one
     # grows from its parent's and equals that scan.
     assert frontier_calls == [1]
     assert len(steps) >= res.nodes_explored - 1
-    assert len(lp_calls) == 12
+    assert len(lp_calls) == 168
 
 
 @pytest.mark.parametrize("n,k", [(4, 2), (6, 2), (8, 2), (10, 2), (6, 3), (9, 3), (8, 4)])
 def test_exact_A_walks_straight_to_the_star_when_k_divides_n(n, k, monkeypatch):
-    """When k | n the averaging cut is C(n-1,k-1): the walk expands one
-    filter of each smaller size, and the first filter of the cut's size,
-    the star, is realisable."""
+    """When k | n the averaging cut is C(n-1,k-1), the star's count, which
+    the grid returns: no node is visited, no LP is solved, and the answer
+    is the star."""
     calls = []
     honest = solver_mod.solve_feasibility
 
@@ -469,17 +497,18 @@ def test_exact_A_walks_straight_to_the_star_when_k_divides_n(n, k, monkeypatch):
     monkeypatch.setattr(solver_mod, "solve_feasibility", counted)
     star = binomial(n - 1, k - 1)
     res = exact_A(n, k)
-    assert (res.A_value, res.nodes_explored, len(calls)) == (star, star, 1)
+    assert (res.A_value, res.nodes_explored, len(calls)) == (star, 0, 0)
     assert res.minimal_elements == ((1, *range(n - k + 2, n + 1)),)
     assert not res.upper_bound_only
 
 
 def test_exact_A_budget_at_9_3():
-    res = exact_A(9, 3, budget=27)
-    assert (res.upper_bound_only, res.A_value, res.nodes_explored) == (True, 28, 27)
-    assert count_nonneg_ksums(res.optimal_config, 3) == 28
-    res = exact_A(9, 3, budget=28)
-    assert (res.upper_bound_only, res.A_value, res.nodes_explored) == (False, 28, 28)
+    """The averaging cut C(8,2) = 28 meets the grid's count: exact at any
+    budget, 0 included."""
+    for budget in (0, 27, 28):
+        res = exact_A(9, 3, budget=budget)
+        assert (res.upper_bound_only, res.A_value, res.nodes_explored) == (False, 28, 0)
+        assert count_nonneg_ksums(res.optimal_config, 3) == 28
 
 
 def test_averaging_lower_bound_below_every_exact_value():
@@ -497,7 +526,11 @@ def test_exact_A_rejects_ranges():
         exact_A(3, 4)
     with pytest.raises(ValueError, match="budget must be non-negative"):
         exact_A(5, 2, budget=-1)
-    assert exact_A(5, 2, budget=0).upper_bound_only  # construction only
+    # A budget of 0 visits no node: exact only where the averaging cut
+    # meets the grid's count, as at (5,2) but not at (7,2).
+    assert not exact_A(5, 2, budget=0).upper_bound_only
+    res = exact_A(7, 2, budget=0)
+    assert (res.upper_bound_only, res.nodes_explored, res.A_value) == (True, 0, 6)
 
 
 @pytest.mark.parametrize("n,k", [(0, 1), (-3, 2), (3, 4), (5, 0)])
@@ -738,8 +771,7 @@ def test_sweep_verdict_is_read_off_the_bounds(k):
                              else "equality" if r.lower == target else "undecided")
         assert r.equals_target == {
             "equality": True, "counterexample": False, "undecided": None}[r.verdict]
-        if r.a_value is not None:
-            assert r.lower == r.upper == r.a_value
+        assert r.a_value == (r.upper if r.lower == r.upper else None)
         assert (r.witness_config is None) == (r.verdict == "equality")
         if r.witness_config is not None:
             assert count_nonneg_ksums(r.witness_config, k) == r.upper
