@@ -9,9 +9,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 
-from .intervals import RatInterval, decide_less, e_interval, ln_interval
+from .intervals import ENCLOSURE_CACHE_SIZE, RatInterval, decide_less, e_interval, ln_interval
 from .numerics import binomial
 
 Rat = Fraction | int
@@ -166,8 +166,10 @@ class FBoundValues:
     new_smaller_than_old: bool
 
 
+@lru_cache(maxsize=ENCLOSURE_CACHE_SIZE)
 def new_f_bound_interval(k: int, terms: int) -> RatInterval:
-    """Enclosure of k (4 e ln k)^k."""
+    """Enclosure of k (4 e ln k)^k, kept per (k, terms): the verdicts that
+    read it (`decide_less`) are not."""
     return (e_interval(terms).scale(4) * ln_interval(k, terms)).power(k).scale(k)
 
 

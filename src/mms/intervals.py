@@ -2,17 +2,23 @@
 
 Every endpoint is an exact Fraction; a comparison is decided only when the
 intervals separate, otherwise the caller refines. Bare floating point is
-never used for a decision.
+never used for a decision. The enclosures of e and ln are kept per
+(argument, terms) in bounded caches; a `RatInterval` is frozen, so one kept
+enclosure can serve every caller.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 
 #: Longest series `decide_less` tries before it gives up.
 MAX_TERMS = 4096
+#: Enclosures kept per function: a run asks for few (argument, terms)
+#: pairs, each again and again (one per threshold or parameter decision).
+ENCLOSURE_CACHE_SIZE = 256
 
 
 class UndecidedComparison(RuntimeError):
@@ -74,6 +80,7 @@ class RatInterval:
         return None
 
 
+@lru_cache(maxsize=ENCLOSURE_CACHE_SIZE)
 def e_interval(terms: int) -> RatInterval:
     """Enclosure of e from the factorial series; tail < 1/(terms! * terms)."""
     lo = sum((Fraction(1, math.factorial(i)) for i in range(terms + 1)), Fraction(0))
@@ -95,6 +102,7 @@ def _atanh_interval(z: Fraction, terms: int) -> RatInterval:
     return RatInterval(s, s + tail)
 
 
+@lru_cache(maxsize=ENCLOSURE_CACHE_SIZE)
 def ln_interval(x, terms: int) -> RatInterval:
     """Enclosure of ln(x) for rational x > 0.
 

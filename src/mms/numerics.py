@@ -139,9 +139,21 @@ class Configuration:
     @classmethod
     def from_counts(cls, counts) -> Configuration:
         """Build from a mapping of distinct Fractions to multiplicities: the
-        distinct values are sorted once and expanded."""
-        return cls(tuple(itertools.chain.from_iterable(
-            itertools.repeat(v, counts[v]) for v in sorted(counts, reverse=True))))
+        distinct values are sorted once, the common denominator and each
+        scaled int are computed once per distinct value, and both are
+        expanded (`scaled` is filled in, not derived per value)."""
+        distinct = sorted((v for v in counts if counts[v] > 0), reverse=True)
+        denom = math.lcm(*(v.denominator for v in distinct))
+        mults = [counts[v] for v in distinct]
+
+        def expand(items):
+            return tuple(itertools.chain.from_iterable(map(itertools.repeat, items, mults)))
+
+        config = cls.__new__(cls)
+        config.__dict__["scaled"] = expand(v.numerator * (denom // v.denominator)
+                                           for v in distinct)
+        config.__init__(expand(distinct))  # checks order on the scaled tuple
+        return config
 
     @property
     def n(self) -> int:

@@ -22,6 +22,7 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .lp import LinRow, solve_feasibility
 from .numerics import (
@@ -35,6 +36,8 @@ from .numerics import (
 #: Default cap on C(n,k) for the exact solver.
 EXACT_SOLVER_CAP = 126
 DEFAULT_NODE_BUDGET = 1_000_000
+#: Grid answers kept, one per (n, k); a sweep asks for each twice.
+GRID_CACHE_SIZE = 128
 
 
 @dataclass(frozen=True)
@@ -273,55 +276,71 @@ def search_upper_bound(
     least f(m) = sum over a >= ceil(k*m/n) of C(m, a) * C(n - m, k - a),
     with equality there, and one scan over m finds the minimum: from the
     star (m = 1), each m = 2..n-1 replaces the best only if f(m) is
-    strictly lower. `anneal` runs 4000 steps of seeded simulated annealing
-    from the star pattern, with values clamped to [-max(n, 8), max(n, 8)].
-    A step edits one value in place and is undone if rejected; a count
-    depends only on the sorted multiset, so each distinct multiset goes
-    through `count_nonneg_scaled` once per call. Either way the answer is
-    recounted by the general kernel before it is returned.
+    strictly lower. The grid's answer is kept per (n, k) (`_grid_scan`), so
+    `verify_conjecture_range` and the `exact_A` it runs share one scan.
+    `anneal` runs 4000 steps of seeded simulated annealing from the star
+    pattern, with values clamped to [-max(n, 8), max(n, 8)]. A step edits
+    one value in place and is undone if rejected; a count depends only on
+    the sorted multiset, so each distinct multiset goes through
+    `count_nonneg_scaled` once per call; anneal is not kept. Either way the
+    answer is recounted by the general kernel before it is returned.
     """
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got n={n}, k={k}")
     if strategy not in ("grid", "anneal"):
         raise ValueError(f"unknown strategy {strategy!r}")
+    if strategy == "grid":
+        return _grid_scan(n, k)
     best_count = binomial(n - 1, k - 1)
     best_values = [n - 1] + [-1] * (n - 1)
-    if strategy == "grid":
-        for m in range(2, n):
-            c = sum(binomial(m, a) * binomial(n - m, k - a) for a in range(-(-k * m // n), k + 1))
+    rng = random.Random(seed)
+    bound = max(n, 8)
+    cur = list(best_values)
+    cur_sum = sum(cur)
+    cur_count = best_count
+    counts: dict[tuple[int, ...], int] = {}
+    temperature = 2.0
+    for step in range(4000):
+        temperature *= 0.999
+        pos = rng.randrange(n)
+        old = cur[pos]
+        new = max(-bound, min(bound, old + rng.choice((-3, -2, -1, 1, 2, 3))))
+        if cur_sum + new - old < 0:
+            continue
+        cur[pos] = new
+        key = tuple(sorted(cur, reverse=True))
+        c = counts.get(key)
+        if c is None:
+            c = counts[key] = count_nonneg_scaled(key, k)
+        if c <= cur_count or rng.random() < pow(2.0, -(c - cur_count) / max(temperature, 1e-9)):
+            cur_sum += new - old
+            cur_count = c
             if c < best_count:
-                best_count, best_values = c, [n - m] * m + [-m] * (n - m)
-    else:
-        rng = random.Random(seed)
-        bound = max(n, 8)
-        cur = list(best_values)
-        cur_sum = sum(cur)
-        cur_count = best_count
-        counts: dict[tuple[int, ...], int] = {}
-        temperature = 2.0
-        for step in range(4000):
-            temperature *= 0.999
-            pos = rng.randrange(n)
-            old = cur[pos]
-            new = max(-bound, min(bound, old + rng.choice((-3, -2, -1, 1, 2, 3))))
-            if cur_sum + new - old < 0:
-                continue
-            cur[pos] = new
-            key = tuple(sorted(cur, reverse=True))
-            c = counts.get(key)
-            if c is None:
-                c = counts[key] = count_nonneg_scaled(key, k)
-            if c <= cur_count or rng.random() < pow(2.0, -(c - cur_count) / max(temperature, 1e-9)):
-                cur_sum += new - old
-                cur_count = c
-                if c < best_count:
-                    best_count, best_values = c, list(cur)
-            else:
-                cur[pos] = old
-    config = Configuration.from_values(best_values)
-    if count_nonneg_ksums(config, k) != best_count:
+                best_count, best_values = c, list(cur)
+        else:
+            cur[pos] = old
+    return _recounted(best_count, best_values, k)
+
+
+@lru_cache(maxsize=GRID_CACHE_SIZE)
+def _grid_scan(n: int, k: int) -> tuple[int, Configuration]:
+    """The grid strategy of `search_upper_bound`: the star, then the scan
+    over m, recounted; for 1 <= k <= n."""
+    best_count = binomial(n - 1, k - 1)
+    best_values = [n - 1] + [-1] * (n - 1)
+    for m in range(2, n):
+        c = sum(binomial(m, a) * binomial(n - m, k - a) for a in range(-(-k * m // n), k + 1))
+        if c < best_count:
+            best_count, best_values = c, [n - m] * m + [-m] * (n - m)
+    return _recounted(best_count, best_values, k)
+
+
+def _recounted(count: int, values: list[int], k: int) -> tuple[int, Configuration]:
+    """(count, the configuration of `values`) once the general kernel agrees."""
+    config = Configuration.from_values(values)
+    if count_nonneg_ksums(config, k) != count:
         raise AssertionError("candidate count disagrees with the recount")
-    return best_count, config
+    return count, config
 
 
 # --- conjecture sweep ------------------------------------------------------

@@ -17,6 +17,7 @@ arises from k^(k/ln k) = e^k, which only holds base-e.
 """
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import operator
@@ -141,9 +142,23 @@ class RangeFamily:
                 yield head + tail
 
     def draw(self, rng: random.Random) -> tuple[int, ...]:
-        """A uniformly random member."""
-        return tuple(
-            i for lo, hi, r in self.parts for i in sorted(rng.sample(range(lo, hi + 1), r)))
+        """A uniformly random member, in O(r) RNG calls per part (lo, hi, r).
+
+        Indices drawn uniformly from the part, repeats rejected, give every
+        ordered r-tuple of distinct indices the same chance, hence every
+        r-subset too. Where r is more than half the part, its complement is
+        drawn that way instead, so a pick is a repeat less than half the
+        time either way.
+        """
+        member: list[int] = []
+        for lo, hi, r in self.parts:
+            m = min(r, hi - lo + 1 - r)  # the subset, or else its complement
+            picks = set()
+            while len(picks) < m:
+                picks.add(rng.randrange(lo, hi + 1))
+            member += sorted(picks) if m == r else (
+                i for i in range(lo, hi + 1) if i not in picks)
+        return tuple(member)
 
     def worst_sum(self, config: Configuration) -> int:
         """Scaled sum of the smallest-sum member (requires count > 0)."""
@@ -298,7 +313,8 @@ def extract_thm1(
         return _report(config, k, threshold_met, "central_at_top",
                        (("central_at_top", top),), mode, rng, sample_size, trace)
 
-    neg_count = sum(1 for v in scaled if v < 0)
+    # the values are non-increasing, so the non-negative ones come first
+    neg_count = n - bisect.bisect_right(scaled, 0, key=operator.neg)
     if neg_count < 2 * k:
         return _report(config, k, threshold_met, "few_negatives",
                        (("few_negatives", RangeFamily(((1, n - neg_count, k),))),),
@@ -404,17 +420,21 @@ def extract_thm2(
     big_t = n // (2 * k)
     trace: list[StageTrace] = []
 
+    scaled, prefix = config.scaled, config.scaled_prefix
     for i in range(1, big_t + 1):
         bottom = n - (i - 1) * (k - 1)
-        if config.scaled_range_sum(i, bottom) < 0:
+        if prefix[bottom] - prefix[i - 1] < 0:
             raise AssertionError(f"working set sum negative at stage {i} -- bug")
-        # one of x_1..x_i plus k-1 of the rest of the stage working set
-        family = RangeFamily.of((1, i, 1), (i + 1, bottom, k - 1))
-        central = family.worst_sum(config) >= 0
+        # the stage family takes one of x_1..x_i plus k-1 of the rest of the
+        # working set [i, bottom]; its worst member, x_i with the k-1
+        # smallest, is read off the prefix sums. The family is built at the
+        # central stage only, where certifying it checks that member again.
+        central = scaled[i - 1] + prefix[bottom] - prefix[bottom - k + 1] >= 0
         trace.append(StageTrace(
             stage_index=i, surviving_top=i, removed_bottom=(i - 1) * (k - 1),
             central=central, stage_set_size=bottom - i + 1))
         if central:
+            family = RangeFamily.of((1, i, 1), (i + 1, bottom, k - 1))
             return _report(config, k, threshold_met, "central_at_stage_i",
                            (("central_at_stage_i", family),), mode, rng, sample_size,
                            tuple(trace))

@@ -317,6 +317,34 @@ def test_thm2_threshold_exceeded_matches_float():
         assert not thm2_threshold_exceeded(int(approx * 0.99), k)
 
 
+def test_enclosures_are_kept_per_k_and_terms_and_verdicts_are_not(monkeypatch):
+    """Repeated threshold and two-range decisions derive each series once;
+    `decide_less` still runs on every call."""
+    import mms.bounds as bounds_mod
+    import mms.witness as witness_mod
+    from mms.witness import two_range_parameters
+
+    decided = []
+
+    def counting(owner):
+        honest = owner.decide_less
+        return lambda *args, **kwargs: decided.append(owner) or honest(*args, **kwargs)
+
+    for owner in (bounds_mod, witness_mod):
+        monkeypatch.setattr(owner, "decide_less", counting(owner))
+    for cached in (new_f_bound_interval, e_interval, ln_interval):
+        cached.cache_clear()
+    verdicts = {(thm2_threshold_exceeded(5200, 4), two_range_parameters(5200, 4))
+                for _ in range(4)}
+    assert verdicts == {(False, (3, 1875))}
+    assert decided.count(bounds_mod) == 4 and decided.count(witness_mod) >= 8
+    # one (k, terms) pair: built once, then read three times
+    assert new_f_bound_interval.cache_info()[:2] == (3, 1)
+    assert e_interval.cache_info().misses == 1
+    assert ln_interval.cache_info().misses == 1 and ln_interval.cache_info().hits > 8
+    assert new_f_bound_interval(4, 16) == new_f_bound_interval.__wrapped__(4, 16)
+
+
 # --- propagation -----------------------------------------------------------------
 
 def test_propagation_examples():

@@ -635,8 +635,9 @@ def test_reproduce_fault_injection(tmp_path, capsys, monkeypatch):
 
 
 #: Configurations for the `witness` digests: the first route's trim branch
-#: (k = 3), its partition part above the size limit (k = 3), and the second
-#: route's stage 2 (k = 3).
+#: (k = 3), its partition part above the size limit (k = 3), the second
+#: route's stage 2 (k = 3), and its two-range family after 866 non-central
+#: stages (the half-split, k = 3).
 TRIM_30 = "2\n" * 20 + "-7\n" * 8 + "5\n11\n"
 HALF_SPLIT_5200 = "1\n" * 2600 + "-1\n" * 2600
 STAGE2_30 = "5\n" * 29 + "-100\n"
@@ -677,6 +678,10 @@ GOLDEN_DIGESTS = {
         ["witness", "--theorem", "2", "--config", "{config}", "--k", "3"],
         STAGE2_30, 0,
         "6e12557d2ad0598b7de0c66db033770caa87323a2a9a639a0739ba336513d619"),
+    "witness_thm2_two_range_counted": (
+        ["witness", "--theorem", "2", "--config", "{config}", "--k", "3", "--mode", "counted"],
+        HALF_SPLIT_5200, 0,
+        "b52021d48d306a8d5fbeb6f85165428d305cf453e3caad018eacff3cb9308d8a"),
 }
 
 

@@ -4,6 +4,7 @@ import pickle
 import random
 import re
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -27,7 +28,7 @@ from mms.numerics import (
     trusted_ksubset,
 )
 
-from genconfig import nonneg_members, random_configuration
+from genconfig import PATTERNS, nonneg_members, random_configuration
 
 
 # --- binomial ---------------------------------------------------------------
@@ -421,6 +422,35 @@ def test_parser_matches_the_fraction_per_line_oracle(text):
     assert c.values == expected
     denom = math.lcm(*(v.denominator for v in expected))
     assert c.scaled == tuple(int(v * denom) for v in expected)
+
+
+@pytest.mark.parametrize("pattern", PATTERNS)
+def test_scaled_ints_per_distinct_value_match_the_per_value_formula(pattern):
+    """`from_counts` (behind `from_values` and `parse_config_text`) fills in
+    `scaled` from one int per distinct value; `Configuration(values)`
+    derives it value by value."""
+    rng = random.Random(PATTERNS.index(pattern))
+    for _ in range(20):
+        built = random_configuration(rng, rng.randint(1, 60), pattern)
+        lines = format_config(built).splitlines(keepends=True)
+        rng.shuffle(lines)
+        for c in (built, parse_config_text("".join(lines))):
+            oracle = Configuration(c.values)
+            assert c == oracle and c.scaled == oracle.scaled
+            assert c.scaled_prefix == oracle.scaled_prefix
+
+
+def test_merged_values_are_scaled_once():
+    for c in (parse_config_text("2/4\n1/2\n-3/6\n1/3\n2/6\n-1\n"),
+              Configuration.from_values(["2/4", Fraction(1, 2), "-3/6", "1/3", "2/6", -1])):
+        assert c.values == (Fraction(1, 2),) * 2 + (Fraction(1, 3),) * 2 + (
+            Fraction(-1, 2), Fraction(-1))
+        assert c.scaled == Configuration(c.values).scaled == (3, 3, 2, 2, -3, -6)
+    # a value counted zero times adds nothing, its denominator included
+    c = Configuration.from_counts(
+        Counter({Fraction(1, 2): 2, Fraction(1, 7): 0, Fraction(-1): 1, Fraction(5, 3): -1}))
+    assert c.values == (Fraction(1, 2), Fraction(1, 2), Fraction(-1))
+    assert c.scaled == Configuration(c.values).scaled == (1, 1, -2)
 
 
 def test_configuration_checks_order_after_scaling():

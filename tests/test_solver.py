@@ -777,6 +777,29 @@ def test_sweep_verdict_is_read_off_the_bounds(k):
             assert count_nonneg_ksums(r.witness_config, k) == r.upper
 
 
+def test_sweep_scans_the_grid_once_per_row(monkeypatch):
+    """`exact_A` asks the grid for the row's (n, k) again: the scan is kept
+    and runs once per row."""
+    scans, calls = [], []
+    honest_recount, honest_search = solver_mod._recounted, solver_mod.search_upper_bound
+
+    def recounted(count, values, k):
+        scans.append((len(values), k))
+        return honest_recount(count, values, k)
+
+    def search(n, k, *rest):
+        calls.append((n, k))
+        return honest_search(n, k, *rest)
+
+    monkeypatch.setattr(solver_mod, "_recounted", recounted)
+    monkeypatch.setattr(solver_mod, "search_upper_bound", search)
+    solver_mod._grid_scan.cache_clear()
+    rows = verify_conjecture_range(4, 12, 3)
+    assert scans == [(n, 3) for n in range(4, 13)]
+    assert len(calls) == 14 and set(calls) == set(scans)  # exact_A ran on five rows
+    assert verify_conjecture_range(4, 12, 3) == rows and len(scans) == 9
+
+
 def test_verify_conjecture_range_k3():
     rows = verify_conjecture_range(9, 10, 3)
     by_n = {r.n: r for r in rows}

@@ -1,3 +1,4 @@
+import collections
 import gc
 import itertools
 import random
@@ -5,12 +6,14 @@ from fractions import Fraction
 
 import pytest
 
+import mms.witness as witness_mod
 from mms.constructions import mms_counterexample, star_config
 from mms.numerics import Configuration, KSubset, SubsetFamily, binomial, count_nonneg_ksums, ksum
 from mms.partition import partition_lower_bound_witnesses
 from mms.witness import (
     _certify,
     RangeFamily,
+    StageTrace,
     WitnessSoundnessError,
     eq2_bound,
     extract_thm1,
@@ -85,6 +88,38 @@ def test_range_family_matches_brute_force():
             assert fam.draw(rng) in brute
         sums = [sum(config.scaled[i - 1] for i in c) for c in brute]
         assert fam.worst_sum(config) == min(sums)
+
+
+def test_draws_from_whole_and_single_index_parts_are_members():
+    """Parts with lo = hi, with r = hi - lo + 1 (the complement drawn is
+    empty) and with r = 1, beside parts drawn directly and by complement."""
+    families = [
+        RangeFamily(((1, 1, 1), (2, 5, 4), (6, 20, 1), (21, 21, 1))),
+        RangeFamily(((1, 3, 3), (4, 4, 1), (5, 9, 1), (10, 17, 5), (18, 30, 2))),
+        RangeFamily(((3, 3, 1),)),
+        RangeFamily(((1, 7, 7),)),
+    ]
+    rng = random.Random(5)
+    for fam in families:
+        members = set(fam.members())
+        for _ in range(500):
+            assert fam.draw(rng) in members, fam.parts
+
+
+@pytest.mark.parametrize("parts", [
+    ((1, 6, 2),),                         # drawn directly, with repeats rejected
+    ((1, 6, 4),),                         # the complement of 2 drawn instead
+    ((1, 1, 1), (2, 4, 2), (5, 9, 4)),    # 1 * 3 * 5 members
+], ids=["direct", "complement", "three_parts"])
+def test_draws_are_spread_evenly_over_the_members(parts):
+    """3,000 seeded draws from a 15-member family: each member is drawn
+    200 times on average (standard deviation about 14)."""
+    fam = RangeFamily(parts)
+    assert fam.count == 15
+    rng = random.Random(2024)
+    hits = collections.Counter(fam.draw(rng) for _ in range(3000))
+    assert set(hits) == set(fam.members())
+    assert all(150 <= h <= 250 for h in hits.values()), sorted(hits.values())
 
 
 @pytest.mark.parametrize("parts", [
@@ -501,6 +536,94 @@ def test_thm2_witnesses_subset_of_all_nonneg():
         if rep.witnesses.is_explicit:
             assert rep.witnesses.count <= count_nonneg_ksums(config, 3)
             assert rep.witnesses.members <= nonneg_members(config, 3)
+
+
+def stage_scan_oracle(config, k):
+    """The stage loop that `extract_thm2` replaced: a `RangeFamily` built at
+    every stage and its worst member summed. Returns the trace, the branch
+    and the family that the branch certifies."""
+    n = config.n
+    big_t = n // (2 * k)
+    trace = []
+    for i in range(1, big_t + 1):
+        bottom = n - (i - 1) * (k - 1)
+        assert config.scaled_range_sum(i, bottom) >= 0
+        family = RangeFamily.of((1, i, 1), (i + 1, bottom, k - 1))
+        central = family.worst_sum(config) >= 0
+        trace.append(StageTrace(
+            stage_index=i, surviving_top=i, removed_bottom=(i - 1) * (k - 1),
+            central=central, stage_set_size=bottom - i + 1))
+        if central:
+            return tuple(trace), "central_at_stage_i", family
+    a, j = two_range_parameters(n, k)
+    parts = ((1, big_t, a),) + (((big_t + 1, big_t + j, k - a),) if a < k else ())
+    return tuple(trace), "two_range_family", RangeFamily(parts)
+
+
+@pytest.fixture
+def certified_parts(monkeypatch):
+    """The parts of every family that `_certify` is given, in call order."""
+    seen = []
+    honest = witness_mod._certify
+
+    def recording(config, k, parts, *rest):
+        seen.append(parts)
+        return honest(config, k, parts, *rest)
+
+    monkeypatch.setattr(witness_mod, "_certify", recording)
+    return seen
+
+
+def test_stage_scan_matches_the_per_stage_family_oracle(certified_parts):
+    rng = random.Random(61)
+    branches = collections.Counter()
+    for _ in range(300):
+        k = rng.randint(2, 5)
+        n = rng.randint(4 * k, 200)
+        pattern = rng.choice(PATTERNS + ("deep_tail",))
+        if pattern == "deep_tail":  # a few large negatives defeat the first stages
+            heavy = rng.randint(1, 3)
+            config = Configuration.from_values(
+                [rng.randint(1, 5) for _ in range(n - heavy)]
+                + [-rng.randint(n, 3 * n) for _ in range(heavy)])
+            if config.scaled_prefix[-1] < 0:
+                continue
+        else:
+            config = random_configuration(rng, n, pattern)
+        trace, branch, family = stage_scan_oracle(config, k)
+        rep = extract_thm2(config, k, mode="counted", sample_size=20, seed=rng.randint(0, 99))
+        assert (rep.trace, rep.branch) == (trace, branch), (n, k, pattern)
+        assert certified_parts[-1] == ((branch, family),)
+        assert rep.witnesses.count == family.count
+        branches[branch, len(trace) > 1] += 1
+    assert min(branches.values()) >= 20 and len(branches) == 3, branches
+
+
+def test_negatives_are_counted_past_zeros_and_in_all_negative_tails(certified_parts):
+    """The few_negatives branch takes the k-subsets of the non-negative
+    prefix: its part ends at n minus the number of negative values, zeros
+    included in the prefix."""
+    rng = random.Random(67)
+    seen = collections.Counter()
+    for _ in range(600):
+        k = rng.randint(2, 4)
+        n = rng.randint(2 * k + 1, 40)
+        zeros = rng.choice((0, rng.randint(1, n // 3)))  # none, or some
+        negs = rng.randint(1, min(3 * k, n - zeros - 1))
+        tail = [-rng.randint(4, 6) for _ in range(negs)]
+        head = [rng.randint(1, 3) for _ in range(n - zeros - negs)]
+        config = Configuration.from_values(head + [0] * zeros + tail)
+        if config.scaled_prefix[-1] < 0 or config.scaled_range_sum(n - k + 2, n) + config.scaled[0] >= 0:
+            continue  # a negative total, or central at the top
+        rep = extract_thm1(config, k, mode="counted", sample_size=5)
+        neg = sum(1 for v in config.values if v < 0)
+        if neg < 2 * k:
+            assert rep.branch == "few_negatives"
+            assert certified_parts[-1] == (("few_negatives", RangeFamily(((1, n - neg, k),))),)
+        else:
+            assert rep.branch == "trim_and_partition_plus_top_zone"
+        seen[rep.branch, zeros > 0] += 1
+    assert min(seen.values()) >= 10 and len(seen) == 4, seen
 
 
 def test_thm2_rejections():
