@@ -24,7 +24,6 @@ from .numerics import (
     SubsetFamily,
     binomial,
     count_nonneg_ksums,
-    gale_dominates,
     is_central,
     ksum,
 )
@@ -66,7 +65,6 @@ __all__ = [
     "extract_thm1",
     "extract_thm2",
     "f_bound_values",
-    "gale_dominates",
     "is_central",
     "ksum",
     "mirror_config",

@@ -1,4 +1,4 @@
-"""Exact arithmetic core: configurations, k-subsets, dominance order, counting.
+"""Exact arithmetic core: configurations, k-subsets, k-sums, counting.
 
 Everything here is pure and exact. Values are `fractions.Fraction`; counts are
 Python ints (arbitrary precision). No floats anywhere in this module.
@@ -107,17 +107,6 @@ class KSubset(tuple):
 trusted_ksubset = partial(tuple.__new__, KSubset)
 
 
-def gale_dominates(a: KSubset, b: KSubset) -> bool:
-    """True iff a[i] <= b[i] for every position i.
-
-    On a non-increasing configuration, smaller indices mean larger values, so
-    a dominating b implies ksum(config, a) >= ksum(config, b).
-    """
-    if len(a) != len(b):
-        raise ValueError(f"mismatched subset sizes: {len(a)} vs {len(b)}")
-    return all(map(operator.le, a, b))
-
-
 @dataclass(frozen=True)
 class Configuration:
     """A multiset of exact rationals, stored sorted non-increasing."""
@@ -197,6 +186,25 @@ def ksum(config: Configuration, subset: KSubset) -> Fraction:
     if subset[-1] > config.n:
         raise IndexError(f"subset index {subset[-1]} out of range for n={config.n}")
     return sum((config.values[i - 1] for i in subset), Fraction(0))
+
+
+def scaled_ksums(config: Configuration, ksets, k: int):
+    """The exact scaled sum of each k-set in `ksets`, lazily and in order.
+
+    `ksets` is a sequence of index tuples within [1, n]; it is read twice.
+    Every tuple's length is checked against k first: one of another length
+    would shift the grouping of every later sum, so it is a ValueError. Each
+    index is then looked up once, through a list (a list's `__getitem__` is a
+    builtin method, a tuple's a slower slot wrapper), and the looked-up values
+    are summed k at a time, at C level, with no list as long as the family.
+    """
+    if k < 1:
+        raise ValueError(f"need k >= 1, got k={k}")
+    if set(map(len, ksets)) - {k}:
+        bad = next(s for s in ksets if len(s) != k)
+        raise ValueError(f"member {bad} has wrong size (expected k={k})")
+    at = [0, *config.scaled].__getitem__
+    return map(sum, zip(*[map(at, itertools.chain.from_iterable(ksets))] * k))
 
 
 def is_central(config: Configuration, index: int, k: int) -> bool:

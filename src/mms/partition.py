@@ -18,7 +18,14 @@ import itertools
 import random
 from functools import lru_cache
 
-from .numerics import Configuration, KSubset, SubsetFamily, binomial, binomial_at_most
+from .numerics import (
+    Configuration,
+    KSubset,
+    SubsetFamily,
+    binomial,
+    binomial_at_most,
+    scaled_ksums,
+)
 
 #: Instances with C(n,k) above this are refused (desk-scale guard).
 PARTITION_SIZE_LIMIT = 10**4
@@ -204,19 +211,19 @@ def partition_lower_bound_witnesses(
         raise ValueError(f"need k | n, got n={n}, k={k}")
     if config.scaled_prefix[-1] < 0:
         raise ValueError(f"total sum must be non-negative, got {config.total_sum()}")
-    at = (0, *config.scaled).__getitem__
-
-    def block_sum(block: tuple[int, ...]) -> int:
-        return sum(map(at, block))
-
-    # each class is sorted, and max keeps the first of equal keys: the
-    # lexicographically smallest block wins a tie
-    chosen = [max(cls, key=block_sum) for cls in baranyai_partition(n, k, seed)]
-    for block in chosen:
-        if block_sum(block) < 0:
-            raise AssertionError(
-                f"class maximum-sum block {block} is negative -- "
-                "impossible for a configuration with non-negative total sum")
+    classes = baranyai_partition(n, k, seed)
+    q = n // k
+    blocks = list(itertools.chain.from_iterable(classes))
+    sums = list(scaled_ksums(config, blocks, k))
+    # class c is blocks[c:c + q], sorted, and max keeps the first of equal
+    # keys: the lexicographically smallest block wins a tie
+    best = [max(range(c, c + q), key=sums.__getitem__) for c in range(0, len(blocks), q)]
+    if min(map(sums.__getitem__, best)) < 0:
+        bad = next(blocks[i] for i in best if sums[i] < 0)
+        raise AssertionError(
+            f"class maximum-sum block {bad} is negative -- "
+            "impossible for a configuration with non-negative total sum")
+    chosen = map(blocks.__getitem__, best)
     family = SubsetFamily.explicit(n, k, map(KSubset, chosen))
     if family.count != binomial(n - 1, k - 1):
         raise AssertionError("collided witnesses across classes -- partition invalid")

@@ -31,6 +31,7 @@ from .numerics import (
     binomial_at_most,
     count_nonneg_ksums,
     count_nonneg_scaled,
+    scaled_ksums,
 )
 
 #: Default cap on C(n,k) for the exact solver.
@@ -243,9 +244,8 @@ def exact_A(n: int, k: int, budget: int = DEFAULT_NODE_BUDGET) -> SolverResult:
                     raise AssertionError("LP point realises no filter inside F")
         if len(members) + 1 < best:
             stack.extend(reversed(_children(members, last, frontier, n)))
-    scaled = config.scaled
-    members = frozenset(c for c in itertools.combinations(range(1, n + 1), k)
-                        if sum(scaled[i - 1] for i in c) >= 0)
+    every = list(itertools.combinations(range(1, n + 1), k))
+    members = frozenset(itertools.compress(every, map((0).__le__, scaled_ksums(config, every, k))))
     if len(members) != best:
         raise AssertionError("configuration does not realize the filter exactly")
     return SolverResult(

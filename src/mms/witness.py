@@ -27,7 +27,7 @@ from fractions import Fraction
 
 from .bounds import thm1_threshold, thm2_threshold_exceeded
 from .intervals import decide_less, ln_interval
-from .numerics import Configuration, SortedKSets, SubsetFamily, binomial
+from .numerics import Configuration, SortedKSets, SubsetFamily, binomial, scaled_ksums
 from .partition import PARTITION_SIZE_LIMIT, partition_lower_bound_witnesses
 
 #: Families up to this size are enumerated; larger ones are counted+sampled.
@@ -128,18 +128,17 @@ class RangeFamily:
     def count(self) -> int:
         return math.prod(binomial(hi - lo + 1, r) for lo, hi, r in self.parts)
 
-    def members(self):
-        """Every member as a sorted index tuple: each combination of the
-        first part followed by each entry of a precomputed list of the
-        remaining parts' combinations."""
-        (lo, hi, r), *rest = self.parts
-        tails: list[tuple[int, ...]] = [()]
-        for t_lo, t_hi, t_r in reversed(rest):
-            tails = [c + t for c in itertools.combinations(range(t_lo, t_hi + 1), t_r)
+    def members(self) -> list[tuple[int, ...]]:
+        """Every member as a sorted index tuple, in increasing order: the
+        list of the last part's combinations, then, part by part from the
+        back, each combination of a part followed by each entry of the list
+        of the parts after it."""
+        *heads, (lo, hi, r) = self.parts
+        tails = list(itertools.combinations(range(lo, hi + 1), r))
+        for lo, hi, r in reversed(heads):
+            tails = [c + t for c in itertools.combinations(range(lo, hi + 1), r)
                      for t in tails]
-        for head in itertools.combinations(range(lo, hi + 1), r):
-            for tail in tails:
-                yield head + tail
+        return tails
 
     def draw(self, rng: random.Random) -> tuple[int, ...]:
         """A uniformly random member, in O(r) RNG calls per part (lo, hi, r).
@@ -165,13 +164,12 @@ class RangeFamily:
         return sum(config.scaled_range_sum(hi - r + 1, hi) for _, hi, r in self.parts)
 
 
-def _check_sums(config: Configuration, tuples: list[tuple[int, ...]]) -> None:
-    """Re-check every index tuple's exact scaled sum >= 0, in one pass, and
-    name a negative one. The tuples must come from a checked `RangeFamily`
-    (sorted, within [1, n])."""
-    at = (0, *config.scaled).__getitem__
-    if tuples and min(map(sum, map(map, itertools.repeat(at), tuples))) < 0:
-        bad = next(ix for ix in tuples if sum(map(at, ix)) < 0)
+def _check_sums(config: Configuration, k: int, tuples: list[tuple[int, ...]]) -> None:
+    """Re-check every index tuple's exact scaled sum >= 0, in one pass of
+    `scaled_ksums`, and name the first negative one. The tuples must come
+    from a checked `RangeFamily` (sorted, within [1, n])."""
+    if tuples and min(scaled_ksums(config, tuples, k)) < 0:
+        bad = next(itertools.compress(tuples, map((0).__gt__, scaled_ksums(config, tuples, k))))
         raise WitnessSoundnessError(f"witness {bad} has negative sum")
 
 
@@ -208,26 +206,27 @@ def _certify(
     if mode == "explicit" and count > EXPLICIT_LIMIT:
         raise ValueError(f"explicit family of {count} exceeds limit {EXPLICIT_LIMIT}")
     explicit = not on_theorem and mode != "counted" and count <= EXPLICIT_LIMIT
-    provenance, tuples, sampled = [], [], 0
+    provenance, enumerated, sampled = [], [], 0
     for name, part in parts:
         how = "theorem" if isinstance(part, int) else "resummed"
         if isinstance(part, RangeFamily) and part.count:
             if part.worst_sum(config) < 0:
                 raise WitnessSoundnessError(f"worst member of the family {part.parts} is negative")
             if explicit:
-                start = len(tuples)
-                tuples += part.members()
-                _check_sums(config, tuples[start:])
+                members = part.members()
+                _check_sums(config, k, members)
+                enumerated.append(members)
             else:
                 draws = [part.draw(rng) for _ in range(sample_size)]
-                _check_sums(config, draws)
+                _check_sums(config, k, draws)
                 sampled += len(draws)
                 how = "worst_member"
         elif explicit and isinstance(part, list):
-            tuples += part
+            enumerated.append(part)
         provenance.append((name, how))
     if not explicit:
         return SubsetFamily.counted(n, k, count), tuple(provenance), sampled
+    tuples = tuple(itertools.chain.from_iterable(enumerated))
     if not all(map(operator.lt, tuples, itertools.islice(tuples, 1, None))):
         i = next(i for i in range(1, len(tuples)) if tuples[i - 1] >= tuples[i])
         raise AssertionError(
@@ -235,8 +234,7 @@ def _certify(
     if len(tuples) != count:
         raise AssertionError(f"enumerated {len(tuples)} members, expected {count}")
     # sizes and the range [1, n] are checked by SubsetFamily
-    members = SortedKSets.trusted(tuple(tuples))
-    return SubsetFamily(n, k, members, count), tuple(provenance), 0
+    return SubsetFamily(n, k, SortedKSets.trusted(tuples), count), tuple(provenance), 0
 
 
 def _report(
@@ -339,7 +337,7 @@ def extract_thm1(
         # re-summed exactly inside; trimmed position i is position i + 1 here
         trimmed = Configuration(config.values[1:m + 1])
         inner = partition_lower_bound_witnesses(trimmed, k)
-        partition = [tuple(i + 1 for i in s) for s in inner.members.index_tuples]
+        partition = [tuple(map((1).__add__, s)) for s in inner.members.index_tuples]
         if len(partition) != part_count:
             raise AssertionError("partition witness count mismatch")
     else:

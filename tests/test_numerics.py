@@ -20,13 +20,15 @@ from mms.numerics import (
     binomial,
     count_nonneg_ksums,
     format_config,
-    gale_dominates,
     is_central,
     ksum,
     parse_config_text,
     parse_rational,
+    scaled_ksums,
     trusted_ksubset,
 )
+
+from mms.witness import RangeFamily
 
 from genconfig import PATTERNS, nonneg_members, random_configuration
 
@@ -152,28 +154,51 @@ def test_ksubset_is_its_sorted_index_tuple():
     assert type(trusted_ksubset((2, 3))) is KSubset
 
 
-def test_gale_dominates_examples():
-    assert gale_dominates(KSubset((1, 2, 3)), KSubset((2, 4, 5)))
-    a = KSubset((2, 5, 7))
-    assert gale_dominates(a, a)
-    assert not gale_dominates(KSubset((1, 4)), KSubset((2, 3)))
-    with pytest.raises(ValueError):
-        gale_dominates(KSubset((1, 2)), KSubset((1, 2, 3)))
+# --- the k-sum kernel --------------------------------------------------------
+
+def ksum_oracle(config, ksets):
+    """Each k-set's exact Fraction sum (`ksum`), times the common denominator."""
+    denom = math.lcm(*(v.denominator for v in config.values))
+    return [ksum(config, s) * denom for s in ksets]
 
 
-@settings(max_examples=150)
-@given(st.data())
-def test_gale_dominance_implies_larger_sum(data):
-    n = data.draw(st.integers(3, 9))
-    k = data.draw(st.integers(1, n - 1))
-    values = data.draw(st.lists(
-        st.integers(-20, 20), min_size=n, max_size=n))
-    config = Configuration.from_values(values)
-    subsets = list(itertools.combinations(range(1, n + 1), k))
-    a = KSubset(data.draw(st.sampled_from(subsets)))
-    b = KSubset(data.draw(st.sampled_from(subsets)))
-    if gale_dominates(a, b):
-        assert ksum(config, a) >= ksum(config, b)
+def random_ksets(rng, n, k, count):
+    return [tuple(sorted(rng.sample(range(1, n + 1), k))) for _ in range(count)]
+
+
+@pytest.mark.parametrize("pattern", PATTERNS)
+def test_scaled_ksums_match_the_fraction_oracle(pattern):
+    """Range-family enumerations and random k-sets, k = 1..5, on seeded
+    configurations of every pattern (rationals included)."""
+    rng = random.Random(PATTERNS.index(pattern))
+    for _ in range(20):
+        n = rng.randint(6, 14)
+        config = random_configuration(rng, n, pattern)
+        for k in range(1, 6):
+            split = rng.randint(1, n - 1)
+            a = rng.randint(max(0, k - (n - split)), min(k, split))
+            family = RangeFamily.of((1, split, a), (split + 1, n, k - a)).members()
+            for ksets in (family, random_ksets(rng, n, k, 50), family[-1:], []):
+                sums = scaled_ksums(config, ksets, k)
+                assert list(sums) == ksum_oracle(config, ksets), (pattern, k, ksets[:3])
+
+
+@pytest.mark.parametrize("at", [0, 1, 4])
+@pytest.mark.parametrize("k,size", [(1, 2), (2, 1), (2, 3), (3, 2), (3, 4)])
+def test_scaled_ksums_refuse_a_member_of_the_wrong_length(at, k, size):
+    """One member one index short or long would shift the grouping of every
+    later sum; it is named instead, before any sum is taken."""
+    config = Configuration.from_values(range(-5, 7))
+    ksets = random_ksets(random.Random(k), 12, k, 5)
+    bad = tuple(range(1, size + 1))
+    ksets[at] = bad
+    with pytest.raises(ValueError, match=re.escape(f"member {bad} has wrong size (expected k={k})")):
+        scaled_ksums(config, ksets, k)
+
+
+def test_scaled_ksums_rejects_k_below_one():
+    with pytest.raises(ValueError, match="k >= 1"):
+        scaled_ksums(Configuration.from_values([1, 2]), [()], 0)
 
 
 def test_nonneg_family_is_upward_closed():

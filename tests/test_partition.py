@@ -4,7 +4,7 @@ import sys
 import pytest
 
 import mms.partition
-from mms.numerics import Configuration, binomial, ksum
+from mms.numerics import Configuration, SubsetFamily, binomial, ksum
 from mms.partition import (
     PARTITION_SIZE_LIMIT,
     PartitionSizeError,
@@ -14,7 +14,7 @@ from mms.partition import (
     validate_partition,
 )
 
-from genconfig import random_configuration
+from genconfig import PATTERNS, random_configuration
 
 
 def independent_check(n: int, k: int, classes) -> bool:
@@ -214,3 +214,42 @@ def test_max_sum_tie_break_deterministic():
     fam = partition_lower_bound_witnesses(config, 3)
     expected = {min(cls) for cls in baranyai_partition(6, 3, 0)}
     assert {w.indices for w in fam.members} == expected
+
+
+def block_sum_selection(config, k, seed, pick=max):
+    """The per-class selection as first written, kept as the oracle:
+    `pick(cls, key=block_sum)` over each class of the cached partition."""
+    at = (0, *config.scaled).__getitem__
+
+    def block_sum(block):
+        return sum(map(at, block))
+
+    return SubsetFamily.explicit(
+        config.n, k, [pick(cls, key=block_sum) for cls in baranyai_partition(config.n, k, seed)])
+
+
+def last_of_ties(blocks, key):
+    """A mutant argmax that keeps the last of equal sums."""
+    return max(reversed(blocks), key=key)
+
+
+#: Every (n, k) with k | n, n <= 40 and C(n, k) within the partition limit.
+SELECTION_INSTANCES = [(n, k) for k in range(1, 41) for n in range(k, 41, k)
+                       if binomial(n, k) <= PARTITION_SIZE_LIMIT]
+
+
+def test_class_maxima_match_the_block_sum_oracle():
+    """The chosen blocks, read off one flat list of sums, equal the per-class
+    `max(cls, key=block_sum)` on every instance, at seeds 0 and 1, on each
+    pattern; a selection keeping the last of equal sums would differ."""
+    assert len(SELECTION_INSTANCES) == 118
+    rng = random.Random(31)
+    mutant_differs = 0
+    for n, k in SELECTION_INSTANCES:
+        for seed in (0, 1):
+            for pattern in PATTERNS:
+                config = random_configuration(rng, n, pattern)
+                fam = partition_lower_bound_witnesses(config, k, seed)
+                assert fam == block_sum_selection(config, k, seed), (n, k, seed, pattern)
+                mutant_differs += fam != block_sum_selection(config, k, seed, last_of_ties)
+    assert mutant_differs >= 100, mutant_differs

@@ -137,12 +137,10 @@ def test_range_family_of_leaves_out_empty_picks():
 
 
 def _one_negative(original, bad):
-    """A stand-in for `RangeFamily.members` that yields `bad` in place of the
+    """A stand-in for `RangeFamily.members` that lists `bad` in place of the
     last member."""
     def members(self):
-        *good, _ = original(self)
-        yield from good
-        yield bad
+        return original(self)[:-1] + [bad]
 
     return members
 
@@ -161,10 +159,34 @@ def test_a_negative_sample_is_named(monkeypatch):
         extract_thm1(config, 2, mode="counted")
 
 
-def _reordered(original, change):
-    """A stand-in for `RangeFamily.members` that yields `change(members)`."""
+#: Central at the top (40 - 2 >= 0); (2, 3) sums to -2 and (3, 40) to -3.
+FIRST_NEGATIVE_CONFIG = Configuration.from_values([40] + [-1] * 38 + [-2])
+#: Three negative members: the first in order is neither the least, nor the
+#: most negative, nor the last.
+NEGATIVES = [(5, 6), (2, 3), (3, 40)]
+
+
+def test_the_first_negative_member_is_named(monkeypatch):
     def members(self):
-        yield from change(list(original(self)))
+        good = [(1, j) for j in range(2, 41)]
+        return good[:5] + NEGATIVES[:1] + good[5:20] + NEGATIVES[1:2] + good[20:] + NEGATIVES[2:]
+
+    monkeypatch.setattr(RangeFamily, "members", members)
+    with pytest.raises(WitnessSoundnessError, match=r"witness \(5, 6\) has negative sum"):
+        extract_thm1(FIRST_NEGATIVE_CONFIG, 2, mode="explicit")
+
+
+def test_the_first_negative_sample_is_named(monkeypatch):
+    draws = iter([(1, 2), (1, 3), *NEGATIVES[:1], (1, 4), *NEGATIVES[1:]] + [(1, 5)] * 995)
+    monkeypatch.setattr(RangeFamily, "draw", lambda self, rng: next(draws))
+    with pytest.raises(WitnessSoundnessError, match=r"witness \(5, 6\) has negative sum"):
+        extract_thm1(FIRST_NEGATIVE_CONFIG, 2, mode="counted")
+
+
+def _reordered(original, change):
+    """A stand-in for `RangeFamily.members` that lists `change(members)`."""
+    def members(self):
+        return change(original(self))
 
     return members
 
