@@ -226,7 +226,7 @@ def cmd_witness(args) -> int:
     }
     if report.witnesses.is_explicit and args.out:
         buf = io.StringIO()
-        csv.writer(buf).writerows(report.witnesses.members.index_tuples)
+        csv.writer(buf).writerows(report.witnesses.index_tuples)
         name = f"witnesses_thm{args.theorem}_n{config.n}_k{args.k}.csv"
         csv_path = _write_out(Path(args.out), name, buf.getvalue(), newline="")
         obj["witnesses_path"] = str(csv_path)

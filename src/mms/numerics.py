@@ -4,21 +4,19 @@ Everything here is pure and exact. Values are `fractions.Fraction`; counts are
 Python ints (arbitrary precision). No floats anywhere in this module.
 
 A k-set is its sorted index tuple (`KSubset` validates one). An explicit
-`SubsetFamily` is read through `members`, a read-only set view
-(`SortedKSets`) over one sorted tuple of distinct plain index tuples,
-`members.index_tuples`, not `KSubset` objects: the cyclic garbage collector
-stops tracking tuples of ints, but not instances of a tuple subclass, so
-10^5 live `KSubset`s would be traversed again by every full collection.
+`SubsetFamily` holds `index_tuples`, one sorted tuple of distinct plain index
+tuples, not `KSubset` objects: the cyclic garbage collector stops tracking
+tuples of ints, but not instances of a tuple subclass, so 10^5 live
+`KSubset`s would be traversed again by every full collection. Its `members`
+yield one `KSubset` at a time, lazily, from those tuples.
 """
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 import operator
 import re
 from collections import Counter
-from collections.abc import Set
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
@@ -102,8 +100,9 @@ class KSubset(tuple):
 
 
 #: Builds a KSubset without the shape check, for index tuples already known
-#: to be strictly increasing and >= 1 (members of a checked `RangeFamily`,
-#: shifts of validated k-sets).
+#: to be strictly increasing and >= 1: the members of a `SubsetFamily`, each
+#: checked by `SubsetFamily.explicit` or enumerated from a checked
+#: `RangeFamily`.
 trusted_ksubset = partial(tuple.__new__, KSubset)
 
 
@@ -223,83 +222,31 @@ def is_central(config: Configuration, index: int, k: int) -> bool:
     return scaled[index - 1] + sum(tail) >= 0
 
 
-class SortedKSets(Set):
-    """A read-only set of k-sets, stored as one sorted tuple of distinct plain
-    index tuples (`index_tuples`).
-
-    Sized, `in` (a bisect), iteration in sorted order, and the set operators
-    of `collections.abc.Set` (`==`, `<=`, `|`, `-`, ...), which compare by
-    members with any other set, a frozenset of `KSubset`s among them.
-    Iteration yields each member as a `KSubset`, one at a time.
-
-    Held this way, a family adds a few objects to those the cyclic garbage
-    collector tracks, not one per member (see the module docstring).
-    """
-
-    __slots__ = ("index_tuples",)
-
-    def __init__(self, members=()):
-        """Any iterable of k-sets (index tuples); deduplicated, shape-checked
-        and sorted once."""
-        tuples = sorted(set(map(tuple, members)))
-        bad = next((ix for ix in tuples if not _is_kset(ix)), None)
-        if bad is not None:
-            raise ValueError(f"member {bad} is not a k-set (non-empty, strictly increasing, >= 1)")
-        self.index_tuples: tuple[tuple[int, ...], ...] = tuple(tuples)
-
-    @classmethod
-    def trusted(cls, index_tuples: tuple[tuple[int, ...], ...]) -> SortedKSets:
-        """Wrap plain k-sets already known to be valid, distinct and in
-        increasing order (a certified `RangeFamily` enumeration), unchecked."""
-        self = object.__new__(cls)
-        self.index_tuples = index_tuples
-        return self
-
-    def __len__(self) -> int:
-        return len(self.index_tuples)
-
-    def __iter__(self):
-        return map(trusted_ksubset, self.index_tuples)
-
-    def __contains__(self, subset) -> bool:
-        tuples = self.index_tuples
-        try:
-            i = bisect.bisect_left(tuples, subset)
-            return i < len(tuples) and tuples[i] == subset
-        except TypeError:  # not comparable with index tuples: not a member
-            return False
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self.index_tuples))  # equal sets hash alike
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({list(self.index_tuples)!r})"
-
-
 @dataclass(frozen=True)
 class SubsetFamily:
     """A family of k-subsets of [n]: explicit members, or an exact count only.
 
-    Built by `explicit` or `counted`; explicit `members` are a `SortedKSets`.
-    Construction checks, in one pass each, that every member has size k and
-    ends at or below n.
+    An explicit family holds `index_tuples`, one sorted tuple of distinct
+    plain index tuples; a counted one holds None there. Built by `explicit`
+    (which shape-checks each member once) or `counted`. Construction checks,
+    in one pass each, that every member has size k and ends at or below n.
     """
 
     n: int
     k: int
-    members: SortedKSets | None
+    index_tuples: tuple[tuple[int, ...], ...] | None
     count: int
 
     def __post_init__(self):
         if self.count < 0:
             raise ValueError("count must be non-negative")
-        if self.members is None:
+        tuples = self.index_tuples
+        if tuples is None:
             return
-        if not isinstance(self.members, SortedKSets):
-            raise TypeError(f"members must be a SortedKSets or None, not "
-                            f"{type(self.members).__name__}; build a family from k-sets "
+        if not isinstance(tuples, tuple):
+            raise TypeError(f"index_tuples must be a tuple or None, not "
+                            f"{type(tuples).__name__}; build a family from k-sets "
                             "with SubsetFamily.explicit")
-        tuples = self.members.index_tuples
         if len(tuples) != self.count:
             raise ValueError("count must equal number of enumerated members")
         if set(map(len, tuples)) - {self.k}:
@@ -311,17 +258,26 @@ class SubsetFamily:
 
     @classmethod
     def explicit(cls, n: int, k: int, members) -> SubsetFamily:
-        """Any iterable of k-sets, deduplicated and sorted once."""
-        mem = SortedKSets(members)
-        return cls(n=n, k=k, members=mem, count=len(mem))
+        """Any iterable of k-sets, each shape-checked once (as a `KSubset`),
+        then deduplicated and sorted once."""
+        tuples = tuple(sorted(set(map(tuple, map(KSubset, members)))))
+        return cls(n=n, k=k, index_tuples=tuples, count=len(tuples))
 
     @classmethod
     def counted(cls, n: int, k: int, count: int) -> SubsetFamily:
-        return cls(n=n, k=k, members=None, count=count)
+        return cls(n=n, k=k, index_tuples=None, count=count)
 
     @property
     def is_explicit(self) -> bool:
-        return self.members is not None
+        return self.index_tuples is not None
+
+    @property
+    def members(self):
+        """None for a counted family; otherwise each member as a `KSubset`,
+        in increasing order, built lazily one at a time."""
+        if self.index_tuples is None:
+            return None
+        return map(trusted_ksubset, self.index_tuples)
 
 
 def count_nonneg_scaled(values, k: int) -> int:

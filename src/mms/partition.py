@@ -20,7 +20,6 @@ from functools import lru_cache
 
 from .numerics import (
     Configuration,
-    KSubset,
     SubsetFamily,
     binomial,
     binomial_at_most,
@@ -223,8 +222,7 @@ def partition_lower_bound_witnesses(
         raise AssertionError(
             f"class maximum-sum block {bad} is negative -- "
             "impossible for a configuration with non-negative total sum")
-    chosen = map(blocks.__getitem__, best)
-    family = SubsetFamily.explicit(n, k, map(KSubset, chosen))
+    family = SubsetFamily.explicit(n, k, map(blocks.__getitem__, best))
     if family.count != binomial(n - 1, k - 1):
         raise AssertionError("collided witnesses across classes -- partition invalid")
     return family

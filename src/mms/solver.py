@@ -87,7 +87,8 @@ def maximal_nonmembers_of(members: frozenset[tuple[int, ...]], n: int, k: int) -
     """Non-members all of whose dominating covers are members.
 
     Constraining exactly these to be negative forces, via monotonicity, every
-    other non-member negative as well.
+    other non-member negative as well. A scan over all k-sets: `exact_A`
+    grows each frontier with `child_frontier`, and this is its reference.
     """
     out = []
     for combo in itertools.combinations(range(1, n + 1), k):
@@ -196,8 +197,9 @@ def exact_A(n: int, k: int, budget: int = DEFAULT_NODE_BUDGET) -> SolverResult:
     unrealisable and are only expanded; from the cut on, each visited
     filter is LP-tested. A node is a visited filter, and a budget can stop
     the walk at any node. Each child's maximal non-members grow from its
-    parent's (`child_frontier`), so `maximal_nonmembers_of` runs once, at
-    the root.
+    parent's (`child_frontier`), the root's too: {top} is the child of the
+    empty family, whose one maximal non-member is top. So no frontier is a
+    scan over all k-sets.
 
     The relaxed system R(F) (`filter_system`) drops the minimal-member
     rows, so a point of it realises some filter G subset of F that
@@ -228,7 +230,7 @@ def exact_A(n: int, k: int, budget: int = DEFAULT_NODE_BUDGET) -> SolverResult:
     cut = averaging_lower_bound(n, k)
     top = tuple(range(1, k + 1))
     start = frozenset([top])
-    stack = [(start, top, maximal_nonmembers_of(start, n, k))] if cut < best else []
+    stack = [(start, top, child_frontier([top], top, start, n))] if cut < best else []
     nodes = 0
     while stack and nodes < budget:
         members, last, frontier = stack.pop()

@@ -27,7 +27,7 @@ from fractions import Fraction
 
 from .bounds import thm1_threshold, thm2_threshold_exceeded
 from .intervals import decide_less, ln_interval
-from .numerics import Configuration, SortedKSets, SubsetFamily, binomial, scaled_ksums
+from .numerics import Configuration, SubsetFamily, binomial, scaled_ksums
 from .partition import PARTITION_SIZE_LIMIT, partition_lower_bound_witnesses
 
 #: Families up to this size are enumerated; larger ones are counted+sampled.
@@ -234,7 +234,7 @@ def _certify(
     if len(tuples) != count:
         raise AssertionError(f"enumerated {len(tuples)} members, expected {count}")
     # sizes and the range [1, n] are checked by SubsetFamily
-    return SubsetFamily(n, k, SortedKSets.trusted(tuples), count), tuple(provenance), 0
+    return SubsetFamily(n, k, tuples, count), tuple(provenance), 0
 
 
 def _report(
@@ -337,7 +337,7 @@ def extract_thm1(
         # re-summed exactly inside; trimmed position i is position i + 1 here
         trimmed = Configuration(config.values[1:m + 1])
         inner = partition_lower_bound_witnesses(trimmed, k)
-        partition = [tuple(map((1).__add__, s)) for s in inner.members.index_tuples]
+        partition = [tuple(map((1).__add__, s)) for s in inner.index_tuples]
         if len(partition) != part_count:
             raise AssertionError("partition witness count mismatch")
     else:

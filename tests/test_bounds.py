@@ -286,8 +286,11 @@ def test_f_bound_values_builds_the_32_term_enclosure_once(monkeypatch):
         return new_f_bound_interval(k, n_terms)
 
     monkeypatch.setattr("mms.bounds.new_f_bound_interval", recording)
+    new_f_bound_interval.cache_clear()
     assert f_bound_values(41).new_smaller_than_old
-    assert terms == [32]
+    # read for new_bound and for the first round of the verdict, built once
+    assert terms == [32, 32]
+    assert new_f_bound_interval.cache_info()[:2] == (1, 1)
 
 
 def test_f_bound_values_refines_from_64_terms_when_32_are_undecided(monkeypatch):
@@ -302,7 +305,7 @@ def test_f_bound_values_refines_from_64_terms_when_32_are_undecided(monkeypatch)
     monkeypatch.setattr("mms.bounds.new_f_bound_interval", wide_at_32)
     assert f_bound_values(41).new_smaller_than_old
     assert not f_bound_values(40).new_smaller_than_old
-    assert terms == [32, 64, 32, 64]
+    assert terms == [32, 32, 64, 32, 32, 64]
 
 
 def test_f_bound_rejects_small_k():

@@ -10,7 +10,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from mms import __version__, cli, schemas
+from mms import __version__, cli
 from mms.bounds import f_bound_values, thm1_threshold_check
 from mms.cli import main
 from mms.intervals import RatInterval
@@ -18,6 +18,7 @@ from mms.numerics import binomial, parse_config_text
 from mms.partition import PARTITION_SIZE_LIMIT
 from mms.solver import EXACT_SOLVER_CAP
 
+import schemas
 from genconfig import nonneg_members
 
 

@@ -15,7 +15,6 @@ from mms.numerics import (
     ConfigParseError,
     Configuration,
     KSubset,
-    SortedKSets,
     SubsetFamily,
     binomial,
     count_nonneg_ksums,
@@ -333,11 +332,11 @@ def test_is_central_monotone_in_index():
 def test_subset_family_invariants():
     fam = SubsetFamily.explicit(5, 2, [KSubset((1, 2)), KSubset((1, 3))])
     assert fam.count == 2 and fam.is_explicit
-    assert KSubset((1, 2)) in fam.members
+    assert KSubset((1, 2)) in set(fam.members)
     counted = SubsetFamily.counted(100, 3, 10**9)
-    assert not counted.is_explicit
+    assert not counted.is_explicit and counted.members is None
     with pytest.raises(ValueError):
-        SubsetFamily(5, 2, SortedKSets([KSubset((1, 2))]), 2)
+        SubsetFamily(5, 2, ((1, 2),), 2)
     with pytest.raises(ValueError):
         SubsetFamily.explicit(5, 2, [KSubset((1, 2, 3))])
     with pytest.raises(ValueError):
@@ -349,23 +348,27 @@ def test_subset_family_invariants():
     with pytest.raises(ValueError, match=r"member \(3, 7\) out of range"):
         SubsetFamily.explicit(6, 2, good + [KSubset((3, 7))])
     fam = SubsetFamily.explicit(6, 2, reversed(good))
-    assert fam.members.index_tuples == tuple(itertools.combinations(range(1, 7), 2))
+    assert fam.index_tuples == tuple(itertools.combinations(range(1, 7), 2))
 
 
 def test_subset_family_keeps_plain_sorted_tuples():
     fam = SubsetFamily.explicit(6, 2, [(2, 5), KSubset((1, 3)), (2, 5), (1, 2)])
-    assert fam.count == 3 and fam.members.index_tuples == ((1, 2), (1, 3), (2, 5))
-    assert all(type(ix) is tuple for ix in fam.members.index_tuples)
+    assert fam.count == 3 and fam.index_tuples == ((1, 2), (1, 3), (2, 5))
+    assert all(type(ix) is tuple for ix in fam.index_tuples)
     assert [type(s) for s in fam.members] == [KSubset] * 3
-    assert (2, 5) in fam.members and KSubset((2, 5)) in fam.members
-    assert (2, 4) not in fam.members
-    for other in (frozenset(fam.members), list(fam.members.index_tuples)):
+    members = fam.members  # lazy: one KSubset at a time, a fresh pass per read
+    assert iter(members) is members and next(members) == (1, 2)
+    assert list(fam.members)[0] == (1, 2)
+    assert fam == SubsetFamily.explicit(6, 2, [(1, 3), (2, 5), (1, 2)])
+    assert (2, 5) in set(fam.members) and KSubset((2, 5)) in set(fam.members)
+    assert (2, 4) not in set(fam.members)
+    for other in (frozenset(fam.members), list(fam.index_tuples)):
         with pytest.raises(TypeError, match=r"SubsetFamily\.explicit"):
             SubsetFamily(6, 2, other, 3)
     for bad in ((2, 1), (0, 1), (3, 3)):
-        with pytest.raises(ValueError, match=re.escape(f"member {bad} is not a k-set")):
+        with pytest.raises(ValueError, match=re.escape(f"strictly increasing and >= 1: {bad}")):
             SubsetFamily.explicit(6, 2, [(1, 2), bad])
-    with pytest.raises(ValueError, match=r"member \(\) is not a k-set"):
+    with pytest.raises(ValueError, match=r"strictly increasing and >= 1: \(\)"):
         SubsetFamily.explicit(6, 0, [()])
 
 

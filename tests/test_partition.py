@@ -3,6 +3,7 @@ import sys
 
 import pytest
 
+import mms.numerics
 import mms.partition
 from mms.numerics import Configuration, SubsetFamily, binomial, ksum
 from mms.partition import (
@@ -205,6 +206,26 @@ def test_witness_family_properties_random_sweep():
             assert ksum(config, w) >= 0
         cases += 1
     assert cases >= 250
+
+
+def test_each_witness_is_shape_checked_once(monkeypatch):
+    """The chosen blocks are plain tuples: `SubsetFamily.explicit` checks each
+    one's shape once, as a `KSubset`, and nothing checks it again."""
+    calls = []
+    honest = mms.numerics._is_kset
+
+    def counted(indices):
+        calls.append(indices)
+        return honest(indices)
+
+    monkeypatch.setattr(mms.numerics, "_is_kset", counted)
+    rng = random.Random(5)
+    for n, k in ((6, 2), (9, 3), (12, 4), (10, 5), (12, 6)):
+        config = random_configuration(rng, n)
+        calls.clear()
+        fam = partition_lower_bound_witnesses(config, k)
+        assert fam.count == binomial(n - 1, k - 1)
+        assert sorted(calls) == list(fam.index_tuples), (n, k)
 
 
 def test_max_sum_tie_break_deterministic():

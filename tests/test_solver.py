@@ -204,9 +204,9 @@ def test_child_frontier_matches_recomputation(n, k):
 @pytest.mark.parametrize("n,k", [(5, 2), (7, 2), (6, 3), (7, 3), (6, 4), (7, 4)])
 def test_exact_A_builds_each_filter_once_in_order(n, k, monkeypatch):
     """Against the filter graph, not the LP: where the averaging cut is below
-    A, exact_A builds every filter of each size 2 .. A - 1 once, in
-    sorted-member order, each with the frontier a full scan would give, and
-    no other filter. Where the cut is A it builds none."""
+    A, exact_A builds every filter of each size 1 .. A - 1 once (the root
+    {top} among them), in sorted-member order, each with the frontier a full
+    scan would give, and no other filter. Where the cut is A it builds none."""
     built = []
     honest_child = solver_mod.child_frontier
 
@@ -228,8 +228,9 @@ def test_exact_A_builds_each_filter_once_in_order(n, k, monkeypatch):
         grown = members | {cand}
         reachable.setdefault(len(grown), set()).add(grown)
     every = {size: sorted(sorted(g) for g in filters) for size, filters in reachable.items()}
+    every[1] = [[tuple(range(1, k + 1))]]
     walked = averaging_lower_bound(n, k) < res.A_value
-    assert by_size == {size: every[size] for size in range(2, res.A_value) if walked}
+    assert by_size == {size: every[size] for size in range(1, res.A_value) if walked}
     for grown, child in built:
         assert child == maximal_nonmembers_of(grown, n, k)
 
@@ -475,9 +476,9 @@ def test_exact_A_computes_each_frontier_once(monkeypatch):
     monkeypatch.setattr(solver_mod, "solve_feasibility", counted_lp)
     res = exact_A(8, 3)
     assert res.nodes_explored == 216
-    # Only the root's frontier is a scan over all k-sets; every other one
-    # grows from its parent's and equals that scan.
-    assert frontier_calls == [1]
+    # No frontier is a scan over all k-sets: each one, the root's too, grows
+    # from its parent's and equals that scan.
+    assert frontier_calls == []
     assert len(steps) >= res.nodes_explored - 1
     assert len(lp_calls) == 168
 
