@@ -17,7 +17,7 @@ from .numerics import binomial
 Rat = Fraction | int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoundReport:
     name: str
     parameters: dict = field(default_factory=dict)
@@ -101,6 +101,18 @@ def thm1_threshold_check(n: int, k: int) -> BoundReport:
     )
 
 
+@lru_cache(maxsize=16)
+def _thm2_stage_terms(n: int, k: int) -> tuple:
+    """The terms of `thm2_stage_check` that depend on (n, k) alone:
+    n^(k-1), (k-1) k n^(k-2), k(k-1), and the large regime's floor bound,
+    chain verdict and threshold verdict."""
+    rhs = n ** (k - 1)
+    divisor = 2 ** (k - 1) * k**2
+    chain_holds = n**k > rhs * divisor
+    return (rhs, (k - 1) * k * n ** (k - 2), k * (k - 1),
+            Fraction(n**k, divisor), chain_holds, chain_holds == (n > divisor))
+
+
 def thm2_stage_check(n: int, k: int, p: int) -> BoundReport:
     """(p+1) (n - k(p+1))^(k-1) > n^(k-1), plus the regime conditions.
 
@@ -112,33 +124,24 @@ def thm2_stage_check(n: int, k: int, p: int) -> BoundReport:
     p k^2 < n; the small-regime chain, multiplied through by p k(k-1) > 0,
     as n p > k(k-1)(p+1)^2; the large-regime chain as
     n^k > n^(k-1) 2^(k-1) k^2. Only the reported floor bound is a Fraction.
+    The terms free of p are computed once per (n, k).
     """
     if k < 2:
         raise ValueError(f"need k >= 2, got k={k}")
     if not 1 <= p <= n // (2 * k):
         raise ValueError(f"p={p} outside [1, {n // (2 * k)}]")
+    rhs, first_term, kk1, floor_bound, chain_holds, threshold_ok = _thm2_stage_terms(n, k)
     lhs = (p + 1) * (n - k * (p + 1)) ** (k - 1)
-    rhs = n ** (k - 1)
-    params: dict = {"n": n, "k": k, "p": p}
     if p * k * k < n:
-        params["regime"] = "p_below_n_over_k2"
-        params["first_term_condition"] = rhs > (k - 1) * k * (p + 1) * n ** (k - 2)
-        params["sufficient_chain_holds"] = n * p > k * (k - 1) * (p + 1) ** 2
+        params = {"n": n, "k": k, "p": p, "regime": "p_below_n_over_k2",
+                  "first_term_condition": rhs > first_term * (p + 1),
+                  "sufficient_chain_holds": n * p > kk1 * (p + 1) ** 2}
     else:
-        params["regime"] = "p_above_n_over_k2"
-        divisor = 2 ** (k - 1) * k**2
-        chain_holds = n**k > rhs * divisor
-        params["floor_bound"] = Fraction(n**k, divisor)
-        params["sufficient_chain_holds"] = chain_holds
-        params["sufficient_threshold_ok"] = chain_holds == (n > divisor)
-    return BoundReport(
-        name="thm2_stage_check",
-        parameters=params,
-        holds=lhs > rhs,
-        lhs=lhs,
-        rhs=rhs,
-        strict=True,
-    )
+        params = {"n": n, "k": k, "p": p, "regime": "p_above_n_over_k2",
+                  "floor_bound": floor_bound,
+                  "sufficient_chain_holds": chain_holds,
+                  "sufficient_threshold_ok": threshold_ok}
+    return BoundReport("thm2_stage_check", params, lhs > rhs, lhs, rhs, True)
 
 
 def stage_count_beats_target(n: int, k: int, p: int) -> BoundReport:

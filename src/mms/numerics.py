@@ -229,7 +229,8 @@ class SubsetFamily:
     An explicit family holds `index_tuples`, one sorted tuple of distinct
     plain index tuples; a counted one holds None there. Built by `explicit`
     (which shape-checks each member once) or `counted`. Construction checks,
-    in one pass each, that every member has size k and ends at or below n.
+    in one pass each, that every member has size k and ends at or below n,
+    and that the members strictly increase (so they are distinct).
     """
 
     n: int
@@ -255,6 +256,10 @@ class SubsetFamily:
         if max(map(operator.itemgetter(-1), tuples), default=0) > self.n:
             bad = next(ix for ix in tuples if ix[-1] > self.n)
             raise ValueError(f"member {bad} out of range for n={self.n}")
+        if not all(map(operator.lt, tuples, itertools.islice(tuples, 1, None))):
+            i = next(i for i in range(1, len(tuples)) if tuples[i - 1] >= tuples[i])
+            raise ValueError(
+                f"member {tuples[i]} does not follow {tuples[i - 1]} in increasing order")
 
     @classmethod
     def explicit(cls, n: int, k: int, members) -> SubsetFamily:

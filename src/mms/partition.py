@@ -86,16 +86,21 @@ def _assign(types: list[list[int]], rem: list[int], order: list[int]) -> list[in
     holds.
     """
     assign = [-1] * len(types)
-    holders: list[list[int]] = [[] for _ in rem]
     pending = []
     for ci in order:
         best = max(types[ci], key=rem.__getitem__)
         if rem[best]:
             rem[best] -= 1
             assign[ci] = best
-            holders[best].append(ci)
         else:
             pending.append(ci)
+    if not pending:
+        return assign
+    # each type's holders, in greedy order
+    holders: list[list[int]] = [[] for _ in rem]
+    for ci in order:
+        if assign[ci] >= 0:
+            holders[assign[ci]].append(ci)
     for ci in pending:
         if not _augment(ci, types, rem, assign, holders):
             raise AssertionError(
@@ -214,10 +219,11 @@ def partition_lower_bound_witnesses(
     q = n // k
     blocks = list(itertools.chain.from_iterable(classes))
     sums = list(scaled_ksums(config, blocks, k))
-    # class c is blocks[c:c + q], sorted, and max keeps the first of equal
-    # keys: the lexicographically smallest block wins a tie
-    best = [max(range(c, c + q), key=sums.__getitem__) for c in range(0, len(blocks), q)]
-    if min(map(sums.__getitem__, best)) < 0:
+    # class c is blocks[c:c + q], sorted, and index finds the first of equal
+    # sums: the lexicographically smallest block wins a tie
+    tops = list(map(max, zip(*[iter(sums)] * q)))
+    best = list(map(sums.index, tops, range(0, len(blocks), q)))
+    if min(tops) < 0:
         bad = next(blocks[i] for i in best if sums[i] < 0)
         raise AssertionError(
             f"class maximum-sum block {bad} is negative -- "

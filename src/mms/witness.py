@@ -45,7 +45,7 @@ class WitnessSoundnessError(AssertionError):
     tolerated silently."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StageTrace:
     stage_index: int
     surviving_top: int        # original index of the working set's maximum
@@ -140,24 +140,36 @@ class RangeFamily:
                      for t in tails]
         return tails
 
-    def draw(self, rng: random.Random) -> tuple[int, ...]:
-        """A uniformly random member, in O(r) RNG calls per part (lo, hi, r).
+    def sample(self, rng: random.Random, count: int) -> list[tuple[int, ...]]:
+        """`count` uniformly random members, in O(r) RNG calls per part
+        (lo, hi, r) of each.
 
         Indices drawn uniformly from the part, repeats rejected, give every
         ordered r-tuple of distinct indices the same chance, hence every
         r-subset too. Where r is more than half the part, its complement is
         drawn that way instead, so a pick is a repeat less than half the
-        time either way.
+        time either way. A part with r = hi - lo + 1 is taken whole, with no
+        RNG call. Members are drawn one after another, each part in order.
         """
-        member: list[int] = []
+        randrange = rng.randrange
+        plan = []
         for lo, hi, r in self.parts:
             m = min(r, hi - lo + 1 - r)  # the subset, or else its complement
-            picks = set()
-            while len(picks) < m:
-                picks.add(rng.randrange(lo, hi + 1))
-            member += sorted(picks) if m == r else (
-                i for i in range(lo, hi + 1) if i not in picks)
-        return tuple(member)
+            plan.append((lo, hi + 1, r, m, () if m else tuple(range(lo, hi + 1))))
+        members = []
+        for _ in range(count):
+            member: list[int] = []
+            for lo, stop, r, m, whole in plan:
+                if not m:
+                    member += whole
+                    continue
+                picks = set()
+                while len(picks) < m:
+                    picks.add(randrange(lo, stop))
+                member += sorted(picks) if m == r else (
+                    i for i in range(lo, stop) if i not in picks)
+            members.append(tuple(member))
+        return members
 
     def worst_sum(self, config: Configuration) -> int:
         """Scaled sum of the smallest-sum member (requires count > 0)."""
@@ -192,9 +204,9 @@ def _certify(
     worst member is checked exactly, which alone proves it on a sorted
     configuration; enumerated, every member is re-summed, and counted,
     `sample_size` uniform members are. The parts' enumerations, concatenated
-    in order, must be strictly increasing (so the members are distinct) and
-    as long as the total count; the family keeps those plain tuples as they
-    are.
+    in order, must be as long as the total count, and `SubsetFamily` checks
+    that they are strictly increasing (so the members are distinct); the
+    family keeps those plain tuples as they are.
     """
     n = config.n
     count = sum(part if isinstance(part, int) else
@@ -217,7 +229,7 @@ def _certify(
                 _check_sums(config, k, members)
                 enumerated.append(members)
             else:
-                draws = [part.draw(rng) for _ in range(sample_size)]
+                draws = part.sample(rng, sample_size)
                 _check_sums(config, k, draws)
                 sampled += len(draws)
                 how = "worst_member"
@@ -227,13 +239,9 @@ def _certify(
     if not explicit:
         return SubsetFamily.counted(n, k, count), tuple(provenance), sampled
     tuples = tuple(itertools.chain.from_iterable(enumerated))
-    if not all(map(operator.lt, tuples, itertools.islice(tuples, 1, None))):
-        i = next(i for i in range(1, len(tuples)) if tuples[i - 1] >= tuples[i])
-        raise AssertionError(
-            f"enumerated member {tuples[i]} does not follow {tuples[i - 1]} in increasing order")
     if len(tuples) != count:
         raise AssertionError(f"enumerated {len(tuples)} members, expected {count}")
-    # sizes and the range [1, n] are checked by SubsetFamily
+    # order, sizes and the range [1, n] are checked by SubsetFamily
     return SubsetFamily(n, k, tuples, count), tuple(provenance), 0
 
 
@@ -337,7 +345,8 @@ def extract_thm1(
         # re-summed exactly inside; trimmed position i is position i + 1 here
         trimmed = Configuration(config.values[1:m + 1])
         inner = partition_lower_bound_witnesses(trimmed, k)
-        partition = [tuple(map((1).__add__, s)) for s in inner.index_tuples]
+        shifted = map((1).__add__, itertools.chain.from_iterable(inner.index_tuples))
+        partition = list(zip(*[shifted] * k))
         if len(partition) != part_count:
             raise AssertionError("partition witness count mismatch")
     else:
@@ -428,9 +437,7 @@ def extract_thm2(
         # smallest, is read off the prefix sums. The family is built at the
         # central stage only, where certifying it checks that member again.
         central = scaled[i - 1] + prefix[bottom] - prefix[bottom - k + 1] >= 0
-        trace.append(StageTrace(
-            stage_index=i, surviving_top=i, removed_bottom=(i - 1) * (k - 1),
-            central=central, stage_set_size=bottom - i + 1))
+        trace.append(StageTrace(i, i, (i - 1) * (k - 1), central, bottom - i + 1))
         if central:
             family = RangeFamily.of((1, i, 1), (i + 1, bottom, k - 1))
             return _report(config, k, threshold_met, "central_at_stage_i",

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 import random
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mms.bounds import (
+    BoundReport,
     f_bound_values,
     new_f_bound_interval,
     propagate_equality,
@@ -247,6 +249,66 @@ def test_thm2_stage_matches_the_fraction_oracle():
     assert {("p_below_n_over_k2", False, False), ("p_above_n_over_k2", True, False),
             ("p_above_n_over_k2", False, True)} <= seen
     assert ("p_below_n_over_k2", False, True) in seen  # small n: p = n // 2k below n/k^2
+
+
+def stage_report_oracle(n: int, k: int, p: int) -> BoundReport:
+    """`thm2_stage_check` as it was before its (n, k) terms were cached:
+    every term rebuilt on each call, parameters added key by key."""
+    if k < 2:
+        raise ValueError(f"need k >= 2, got k={k}")
+    if not 1 <= p <= n // (2 * k):
+        raise ValueError(f"p={p} outside [1, {n // (2 * k)}]")
+    lhs = (p + 1) * (n - k * (p + 1)) ** (k - 1)
+    rhs = n ** (k - 1)
+    params: dict = {"n": n, "k": k, "p": p}
+    if p * k * k < n:
+        params["regime"] = "p_below_n_over_k2"
+        params["first_term_condition"] = rhs > (k - 1) * k * (p + 1) * n ** (k - 2)
+        params["sufficient_chain_holds"] = n * p > k * (k - 1) * (p + 1) ** 2
+    else:
+        params["regime"] = "p_above_n_over_k2"
+        divisor = 2 ** (k - 1) * k**2
+        chain_holds = n**k > rhs * divisor
+        params["floor_bound"] = Fraction(n**k, divisor)
+        params["sufficient_chain_holds"] = chain_holds
+        params["sufficient_threshold_ok"] = chain_holds == (n > divisor)
+    return BoundReport(
+        name="thm2_stage_check",
+        parameters=params,
+        holds=lhs > rhs,
+        lhs=lhs,
+        rhs=rhs,
+        strict=True,
+    )
+
+
+def test_thm2_stage_matches_the_uncached_report():
+    """Equal reports, key order and value types included, at every p, for
+    k = 2..6 and n on both sides of the large-regime threshold 2^(k-1) k^2,
+    with p k^2 = n met exactly."""
+    boundary_hits = 0
+    for k in range(2, 7):
+        threshold = 2 ** (k - 1) * k**2
+        for n in (2 * k, 5 * k - 1, 2 * k * k, 3 * k * k, threshold - 1, threshold,
+                  threshold + 1, 2 * threshold + 3):
+            for p in range(1, n // (2 * k) + 1):
+                got, want = thm2_stage_check(n, k, p), stage_report_oracle(n, k, p)
+                assert got == want, (n, k, p)
+                assert list(got.parameters.items()) == list(want.parameters.items())
+                assert [type(v) for v in got.parameters.values()] == [
+                    type(v) for v in want.parameters.values()]
+                assert (type(got.lhs), type(got.rhs)) == (int, int)
+                boundary_hits += p * k * k == n
+    assert boundary_hits >= 10
+
+
+def test_bound_reports_are_slotted_and_replaceable():
+    r = thm2_stage_check(5200, 3, 7)
+    assert not hasattr(r, "__dict__")
+    changed = dataclasses.replace(r, holds=False)
+    assert not changed.holds and changed.parameters == r.parameters
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        r.holds = False
 
 
 def test_stage_p1_binomial_form():

@@ -664,6 +664,9 @@ GOLDEN_DIGESTS = {
     "check_thm2_stage": (
         ["check", "--inequality", "thm2_stage", "--params", "n=5200", "k=3", "p=7"], None, 0,
         "00143f1f8a8197f0bb2d310445fcf0079671a1026ba86db8fb784b97d6f7397d"),
+    "check_suite_thm2_5200": (
+        ["check", "--suite", "thm2", "--n", "5200", "--k", "3"], None, 0,
+        "bb534cf6fb626e5b016b65067542acc1936f87a107913d1321ec062f8443fe65"),
     "fbounds_41": (
         ["fbounds", "--k", "41"], None, 0,
         "5bbe0ecbf25cdc4b4d2dc1163fdbc9d1439802fd23f2882ca0d2086843ebff90"),

@@ -372,6 +372,16 @@ def test_subset_family_keeps_plain_sorted_tuples():
         SubsetFamily.explicit(6, 0, [()])
 
 
+def test_members_out_of_order_or_repeated_are_refused():
+    """Built directly, a family checks that its tuples strictly increase;
+    the shape of each tuple is left to `explicit` and the range families."""
+    with pytest.raises(ValueError, match=r"\(2, 1\) does not follow \(2, 1\) in increasing order"):
+        SubsetFamily(3, 2, ((2, 1), (2, 1)), 2)
+    with pytest.raises(ValueError, match=r"\(1, 2\) does not follow \(1, 3\) in increasing order"):
+        SubsetFamily(3, 2, ((1, 3), (1, 2)), 2)
+    assert SubsetFamily(3, 2, ((1, 2), (1, 3), (2, 3)), 3).count == 3
+
+
 # --- text format ----------------------------------------------------------------
 
 def test_config_text_round_trip():

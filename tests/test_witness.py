@@ -71,6 +71,21 @@ def random_parts(rng, n):
     return tuple(parts)
 
 
+def draw_oracle(fam, rng):
+    """One uniform member of `fam`, drawn the way `RangeFamily.sample` draws
+    each of its members: part by part, r distinct indices by rejection (or
+    the complement's, when r is more than half the part)."""
+    member = []
+    for lo, hi, r in fam.parts:
+        m = min(r, hi - lo + 1 - r)
+        picks = set()
+        while len(picks) < m:
+            picks.add(rng.randrange(lo, hi + 1))
+        member += sorted(picks) if m == r else (
+            i for i in range(lo, hi + 1) if i not in picks)
+    return tuple(member)
+
+
 def test_range_family_matches_brute_force():
     rng = random.Random(7)
     for _ in range(300):
@@ -84,10 +99,27 @@ def test_range_family_matches_brute_force():
         members = list(fam.members())
         assert members == brute  # same members, each sorted, in lexicographic order
         assert len(members) == fam.count
-        for _ in range(5):
-            assert fam.draw(rng) in brute
+        assert set(fam.sample(rng, 5)) <= set(brute)
         sums = [sum(config.scaled[i - 1] for i in c) for c in brute]
         assert fam.worst_sum(config) == min(sums)
+
+
+@pytest.mark.parametrize("parts", [
+    ((3, 3, 1),),                          # a single index
+    ((1, 7, 7),),                          # a whole part
+    ((1, 9, 7),),                          # drawn by complement
+    ((1, 50, 3),),                         # drawn directly
+    ((1, 1, 1), (2, 5, 4), (6, 20, 1), (21, 40, 15), (41, 60, 2)),
+], ids=["single_index", "whole", "complement", "direct", "multi_part"])
+def test_sample_matches_one_draw_per_member(parts):
+    """`sample` returns, for the same seed, the members that drawing them one
+    at a time returns, and leaves the generator in the same state."""
+    fam = RangeFamily(parts)
+    for seed in range(20):
+        rng, oracle_rng = random.Random(seed), random.Random(seed)
+        assert fam.sample(rng, 50) == [draw_oracle(fam, oracle_rng) for _ in range(50)]
+        assert rng.getstate() == oracle_rng.getstate()
+    assert fam.sample(random.Random(0), 0) == []
 
 
 def test_draws_from_whole_and_single_index_parts_are_members():
@@ -102,8 +134,7 @@ def test_draws_from_whole_and_single_index_parts_are_members():
     rng = random.Random(5)
     for fam in families:
         members = set(fam.members())
-        for _ in range(500):
-            assert fam.draw(rng) in members, fam.parts
+        assert set(fam.sample(rng, 500)) <= members, fam.parts
 
 
 @pytest.mark.parametrize("parts", [
@@ -117,7 +148,7 @@ def test_draws_are_spread_evenly_over_the_members(parts):
     fam = RangeFamily(parts)
     assert fam.count == 15
     rng = random.Random(2024)
-    hits = collections.Counter(fam.draw(rng) for _ in range(3000))
+    hits = collections.Counter(fam.sample(rng, 3000))
     assert set(hits) == set(fam.members())
     assert all(150 <= h <= 250 for h in hits.values()), sorted(hits.values())
 
@@ -154,7 +185,7 @@ def test_a_negative_member_is_named(monkeypatch):
 
 def test_a_negative_sample_is_named(monkeypatch):
     config = star_config(40, 2).config
-    monkeypatch.setattr(RangeFamily, "draw", lambda self, rng: (3, 4))
+    monkeypatch.setattr(RangeFamily, "sample", lambda self, rng, count: [(3, 4)] * count)
     with pytest.raises(WitnessSoundnessError, match=r"witness \(3, 4\) has negative sum"):
         extract_thm1(config, 2, mode="counted")
 
@@ -178,7 +209,8 @@ def test_the_first_negative_member_is_named(monkeypatch):
 
 def test_the_first_negative_sample_is_named(monkeypatch):
     draws = iter([(1, 2), (1, 3), *NEGATIVES[:1], (1, 4), *NEGATIVES[1:]] + [(1, 5)] * 995)
-    monkeypatch.setattr(RangeFamily, "draw", lambda self, rng: next(draws))
+    monkeypatch.setattr(RangeFamily, "sample",
+                        lambda self, rng, count: [next(draws) for _ in range(count)])
     with pytest.raises(WitnessSoundnessError, match=r"witness \(5, 6\) has negative sum"):
         extract_thm1(FIRST_NEGATIVE_CONFIG, 2, mode="counted")
 
@@ -191,15 +223,15 @@ def _reordered(original, change):
     return members
 
 
-@pytest.mark.parametrize("change,message", [
-    (lambda ms: ms[:-1] + [ms[-2]], r"\(1, 39\) does not follow \(1, 39\)"),
-    (lambda ms: ms[:-2] + [ms[-1], ms[-2]], r"\(1, 39\) does not follow \(1, 40\)"),
-    (lambda ms: ms[:-1], r"enumerated 38 members, expected 39"),
+@pytest.mark.parametrize("change,error,message", [
+    (lambda ms: ms[:-1] + [ms[-2]], ValueError, r"\(1, 39\) does not follow \(1, 39\)"),
+    (lambda ms: ms[:-2] + [ms[-1], ms[-2]], ValueError, r"\(1, 39\) does not follow \(1, 40\)"),
+    (lambda ms: ms[:-1], AssertionError, r"enumerated 38 members, expected 39"),
 ], ids=["duplicate", "out_of_order", "one_short"])
-def test_an_enumeration_that_is_not_the_family_is_refused(monkeypatch, change, message):
+def test_an_enumeration_that_is_not_the_family_is_refused(monkeypatch, change, error, message):
     config = star_config(40, 2).config  # central at the top: every member is non-negative
     monkeypatch.setattr(RangeFamily, "members", _reordered(RangeFamily.members, change))
-    with pytest.raises(AssertionError, match=message):
+    with pytest.raises(error, match=message):
         extract_thm1(config, 2, mode="explicit")
 
 
@@ -210,9 +242,9 @@ def test_parts_out_of_order_or_overlapping_are_refused():
     family, provenance, _ = _certify(ones, 2, (("zone", zone), ("rest", rest)), "auto", None, 0)
     assert family.index_tuples == (*zone.members(), *rest)
     assert provenance == (("zone", "resummed"), ("rest", "resummed"))
-    with pytest.raises(AssertionError, match=r"\(1, 2\) does not follow \(2, 4\)"):
+    with pytest.raises(ValueError, match=r"\(1, 2\) does not follow \(2, 4\)"):
         _certify(ones, 2, (("rest", rest), ("zone", zone)), "auto", None, 0)
-    with pytest.raises(AssertionError, match=r"\(1, 2\) does not follow \(1, 6\)"):
+    with pytest.raises(ValueError, match=r"\(1, 2\) does not follow \(1, 6\)"):
         _certify(ones, 2, (("zone", zone), ("again", zone)), "auto", None, 0)
 
 
