@@ -211,8 +211,8 @@ def partition_lower_bound_witnesses(
     every configuration of the same (n, k) shares one cached build.
     """
     n = config.n
-    if n % k != 0:
-        raise ValueError(f"need k | n, got n={n}, k={k}")
+    if k < 1 or n % k != 0:
+        raise ValueError(f"need k | n with k >= 1, got n={n}, k={k}")
     if config.scaled_prefix[-1] < 0:
         raise ValueError(f"total sum must be non-negative, got {config.total_sum()}")
     classes = baranyai_partition(n, k, seed)

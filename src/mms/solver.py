@@ -148,6 +148,8 @@ def values_of_differences(point: tuple[int, ...], den: int) -> tuple[Fraction, .
 
 def averaging_lower_bound(n: int, k: int) -> int:
     """A(n,k) >= C(m-1,k-1) for m = n - (n mod k), as the top m values sum to >= 0."""
+    if k < 1:
+        raise ValueError(f"need k >= 1, got k={k}")
     return binomial(n - n % k - 1, k - 1)
 
 

@@ -47,6 +47,8 @@ class WitnessSoundnessError(AssertionError):
 
 @dataclass(frozen=True, slots=True)
 class StageTrace:
+    """One stage of a scan, as `WitnessReport.trace` reads it off the stage count."""
+
     stage_index: int
     surviving_top: int        # original index of the working set's maximum
     removed_bottom: int       # total count of removed smallest elements
@@ -56,21 +58,52 @@ class StageTrace:
 
 @dataclass(frozen=True)
 class WitnessReport:
+    """What an extraction decided: the branch, the certified family, the
+    number of stages scanned and how each part was certified. Every other
+    field is read off these."""
+
     branch: str
     witnesses: SubsetFamily
-    guaranteed_count: int
-    trace: tuple[StageTrace, ...]
+    stages: int                            # stages scanned (1 on the first route)
     provenance: tuple[tuple[str, str], ...]  # (sub-family, how it was certified)
-    mode: str                              # "explicit" | "counted"
     sample_size: int                       # members re-checked in counted mode
-    below_guarantee: bool                  # count < C(n-1, k-1)
-    meets_threshold_target: bool | None    # None when below the theorem threshold
+    threshold_met: bool                    # n is inside the route's theorem range
     notes: tuple[str, ...] = ()
 
     @property
     def certified(self) -> bool:
         """True unless some sub-family rests on the theorem alone."""
         return all(how != "theorem" for _, how in self.provenance)
+
+    @property
+    def guaranteed_count(self) -> int:
+        return self.witnesses.count
+
+    @property
+    def mode(self) -> str:
+        return "explicit" if self.witnesses.is_explicit else "counted"
+
+    @property
+    def below_guarantee(self) -> bool:
+        """count < C(n-1, k-1)."""
+        fam = self.witnesses
+        return fam.count < binomial(fam.n - 1, fam.k - 1)
+
+    @property
+    def meets_threshold_target(self) -> bool | None:
+        """True inside the theorem range, where extraction checks that the
+        count reaches C(n-1, k-1); None below it."""
+        return True if self.threshold_met else None
+
+    @property
+    def trace(self) -> tuple[StageTrace, ...]:
+        """One record per stage scanned. Stage i keeps x_1..x_i and drops the
+        (i-1)(k-1) smallest values; only the last stage can be central, and
+        it is on the branches that end at a central stage."""
+        n, k, last = self.witnesses.n, self.witnesses.k, self.stages
+        central = self.branch in ("central_at_top", "central_at_stage_i")
+        return tuple(StageTrace(i, i, (i - 1) * (k - 1), central and i == last, n - (i - 1) * k)
+                     for i in range(1, last + 1))
 
 
 def eq2_bound(config: Configuration, j: int) -> Fraction:
@@ -246,29 +279,13 @@ def _certify(
 
 
 def _report(
-    config, k, threshold_met, branch, parts, mode, rng, sample_size, trace, notes=()
+    config, k, threshold_met, branch, parts, mode, rng, sample_size, stages, notes=()
 ) -> WitnessReport:
-    """Certify the parts of `branch` and report them."""
+    """Certify the parts of `branch`, reached after `stages` stages, and report them."""
     witnesses, provenance, sampled = _certify(config, k, parts, mode, rng, sample_size)
-    target = binomial(config.n - 1, k - 1)
-    meets = None
-    if threshold_met:
-        if witnesses.count < target:
-            raise AssertionError(
-                "count fell below the target inside the theorem range -- bug")
-        meets = True
-    return WitnessReport(
-        branch=branch,
-        witnesses=witnesses,
-        guaranteed_count=witnesses.count,
-        trace=trace,
-        provenance=provenance,
-        mode="explicit" if witnesses.is_explicit else "counted",
-        sample_size=sampled,
-        below_guarantee=witnesses.count < target,
-        meets_threshold_target=meets,
-        notes=notes,
-    )
+    if threshold_met and witnesses.count < binomial(config.n - 1, k - 1):
+        raise AssertionError("count fell below the target inside the theorem range -- bug")
+    return WitnessReport(branch, witnesses, stages, provenance, sampled, threshold_met, notes)
 
 
 def _check_options(mode: str, sample_size: int) -> None:
@@ -311,20 +328,16 @@ def extract_thm1(
     scaled = config.scaled
     threshold_met = n >= thm1_threshold(k)
     top = RangeFamily.of((1, 1, 1), (2, n, k - 1))
-    central = top.worst_sum(config) >= 0
-    trace = (StageTrace(
-        stage_index=1, surviving_top=1, removed_bottom=0,
-        central=central, stage_set_size=n),)
-    if central:
+    if top.worst_sum(config) >= 0:
         return _report(config, k, threshold_met, "central_at_top",
-                       (("central_at_top", top),), mode, rng, sample_size, trace)
+                       (("central_at_top", top),), mode, rng, sample_size, 1)
 
     # the values are non-increasing, so the non-negative ones come first
     neg_count = n - bisect.bisect_right(scaled, 0, key=operator.neg)
     if neg_count < 2 * k:
         return _report(config, k, threshold_met, "few_negatives",
                        (("few_negatives", RangeFamily(((1, n - neg_count, k),))),),
-                       mode, rng, sample_size, trace)
+                       mode, rng, sample_size, 1)
 
     # branch (c): trim to the largest multiple of k exceeding n - 2k
     r = n % k
@@ -361,7 +374,7 @@ def extract_thm1(
     # parts are disjoint, and in increasing order zone first
     return _report(config, k, threshold_met, "trim_and_partition_plus_top_zone",
                    (("top_zone", zone), ("partition", partition)),
-                   mode, rng, sample_size, trace, notes)
+                   mode, rng, sample_size, 1, notes)
 
 
 # --- second extraction route (threshold k (4e ln k)^k) ----------------------
@@ -425,7 +438,6 @@ def extract_thm2(
     rng = random.Random(seed)
     threshold_met = thm2_threshold_exceeded(n, k)
     big_t = n // (2 * k)
-    trace: list[StageTrace] = []
 
     scaled, prefix = config.scaled, config.scaled_prefix
     for i in range(1, big_t + 1):
@@ -436,13 +448,10 @@ def extract_thm2(
         # working set [i, bottom]; its worst member, x_i with the k-1
         # smallest, is read off the prefix sums. The family is built at the
         # central stage only, where certifying it checks that member again.
-        central = scaled[i - 1] + prefix[bottom] - prefix[bottom - k + 1] >= 0
-        trace.append(StageTrace(i, i, (i - 1) * (k - 1), central, bottom - i + 1))
-        if central:
+        if scaled[i - 1] + prefix[bottom] - prefix[bottom - k + 1] >= 0:
             family = RangeFamily.of((1, i, 1), (i + 1, bottom, k - 1))
             return _report(config, k, threshold_met, "central_at_stage_i",
-                           (("central_at_stage_i", family),), mode, rng, sample_size,
-                           tuple(trace))
+                           (("central_at_stage_i", family),), mode, rng, sample_size, i)
 
     # no central stage: two-range family inside X_T
     a, j = two_range_parameters(n, k)
@@ -456,5 +465,5 @@ def extract_thm2(
         parts += ((big_t + 1, big_t + j, k - a),)
     return _report(config, k, threshold_met, "two_range_family",
                    (("two_range_family", RangeFamily(parts)),), mode, rng, sample_size,
-                   tuple(trace), notes=(f"a={a}, j={j}",))
+                   big_t, notes=(f"a={a}, j={j}",))
 

@@ -187,6 +187,9 @@ def test_witnesses_rejections():
         partition_lower_bound_witnesses(Configuration.from_values([1, -2]), 2)
     with pytest.raises(ValueError):  # total -1/6
         partition_lower_bound_witnesses(Configuration.from_values(["1/2", "-2/3"]), 2)
+    for k in (0, -1):  # k is checked before n % k
+        with pytest.raises(ValueError, match=f"k >= 1, got n=6, k={k}"):
+            partition_lower_bound_witnesses(Configuration.from_values([1] * 6), k)
 
 
 def test_witness_family_properties_random_sweep():

@@ -520,6 +520,12 @@ def test_averaging_lower_bound_below_every_exact_value():
         assert averaging_lower_bound(n, k) <= exact_A(n, k).A_value == a_value
 
 
+def test_averaging_lower_bound_refuses_k_below_one():
+    for k in (0, -1):
+        with pytest.raises(ValueError, match=f"k={k}"):
+            averaging_lower_bound(6, k)
+
+
 def test_exact_A_rejects_ranges():
     with pytest.raises(ValueError):
         exact_A(30, 5)

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 import mms.witness as witness_mod
+from mms.bounds import thm1_threshold, thm2_threshold_exceeded
 from mms.constructions import mms_counterexample, star_config
 from mms.numerics import Configuration, KSubset, SubsetFamily, binomial, count_nonneg_ksums, ksum
 from mms.partition import partition_lower_bound_witnesses
@@ -536,11 +537,16 @@ def test_thm2_second_stage_central():
     assert len(set(rep.witnesses.members)) == rep.witnesses.count
 
 
-def test_thm2_two_range_half_split():
+def test_thm2_two_range_half_split(monkeypatch):
     config = Configuration.from_values([1] * 2600 + [-1] * 2600)
+    built = []  # the 866 non-central stages are counted, not kept
+    monkeypatch.setattr(witness_mod, "StageTrace", lambda *args: built.append(args))
     rep = extract_thm2(config, 3)
+    monkeypatch.undo()
+    assert built == [] and rep.stages == 866
     assert rep.branch == "two_range_family"
     assert len(rep.trace) == 866 and not any(t.central for t in rep.trace)
+    assert rep.trace == stage_scan_oracle(config, 3)[0]
     assert rep.guaranteed_count == binomial(866, 3)
     assert rep.guaranteed_count >= binomial(5199, 2)
     assert rep.certified and rep.meets_threshold_target is True
@@ -610,6 +616,58 @@ def stage_scan_oracle(config, k):
     a, j = two_range_parameters(n, k)
     parts = ((1, big_t, a),) + (((big_t + 1, big_t + j, k - a),) if a < k else ())
     return tuple(trace), "two_range_family", RangeFamily(parts)
+
+
+def stored_report_fields(config, k, theorem, witnesses):
+    """The fields that `_report` stored before they were read off the family
+    and the stage count: the count, the mode, the guarantee verdicts and
+    the stage trace (for the first route, its one top stage)."""
+    n = config.n
+    target = binomial(n - 1, k - 1)
+    if theorem == 1:
+        threshold_met = n >= thm1_threshold(k)
+        central = RangeFamily.of((1, 1, 1), (2, n, k - 1)).worst_sum(config) >= 0
+        trace = (StageTrace(stage_index=1, surviving_top=1, removed_bottom=0,
+                            central=central, stage_set_size=n),)
+    else:
+        threshold_met = thm2_threshold_exceeded(n, k)
+        trace = stage_scan_oracle(config, k)[0]
+    meets = None
+    if threshold_met:
+        assert witnesses.count >= target
+        meets = True
+    return {
+        "guaranteed_count": witnesses.count,
+        "mode": "explicit" if witnesses.is_explicit else "counted",
+        "below_guarantee": witnesses.count < target,
+        "meets_threshold_target": meets,
+        "trace": trace,
+    }
+
+
+@pytest.mark.parametrize("mode", ("auto", "explicit", "counted"))
+@pytest.mark.parametrize("pattern", PATTERNS)
+def test_report_fields_read_off_the_family_match_the_stored_ones(pattern, mode):
+    """Both routes, on both sides of each theorem's threshold at k = 2."""
+    rng = random.Random(71 + 7 * PATTERNS.index(pattern))
+    seen = collections.Counter()
+    for k, sizes in ((2, (5, 9, 16, 31, 32, 60, 113, 114, 140)), (3, (7, 12, 20, 33)),
+                     (4, (9, 16, 25))):
+        for n in sizes:
+            config = random_configuration(rng, n, pattern)
+            reports = [(1, extract_thm1(config, k, mode=mode, sample_size=30))]
+            if n >= 4 * k:
+                reports.append((2, extract_thm2(config, k, mode=mode, sample_size=30)))
+            for theorem, rep in reports:
+                want = stored_report_fields(config, k, theorem, rep.witnesses)
+                got = {name: getattr(rep, name) for name in want}
+                assert got == want, (n, k, theorem, rep.branch)
+                assert rep.stages == len(want["trace"])
+                seen[got["mode"], got["below_guarantee"], got["meets_threshold_target"]] += 1
+    assert {mode_ for mode_, _, _ in seen} == {"explicit" if mode == "auto" else mode}, seen
+    if pattern != "near_star":  # a near star is central at the top, never below
+        assert {below for _, below, _ in seen} == {True, False}, seen
+    assert {meets for _, _, meets in seen} == {True, None}, seen
 
 
 @pytest.fixture
