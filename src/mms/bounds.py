@@ -1,9 +1,8 @@
 """Exact verification of the inequality chains, thresholds, and propagation.
 
-Each report carries both sides of its inequality as exact rationals and
-whether it is strict; `holds` and `margin` (lhs - rhs) are read off them.
-Transcendental quantities (e, ln k) enter only through rational interval
-enclosures so comparisons are decided rigorously.
+Each report carries both sides of its inequality as exact rationals; the
+`margin` field is lhs - rhs. Transcendental quantities (e, ln k) enter only
+through rational interval enclosures so comparisons are decided rigorously.
 """
 from __future__ import annotations
 
@@ -22,14 +21,10 @@ Rat = Fraction | int
 class BoundReport:
     name: str
     parameters: dict = field(default_factory=dict)
+    holds: bool = False
     lhs: Rat = 0
     rhs: Rat = 0
     strict: bool = False
-
-    @property
-    def holds(self) -> bool:
-        """lhs > rhs for a strict inequality, lhs >= rhs otherwise."""
-        return self.lhs > self.rhs if self.strict else self.lhs >= self.rhs
 
     @property
     def margin(self) -> Fraction:
@@ -57,6 +52,7 @@ def unimodal_gap_lb(p: Fraction, q: Fraction, m: int) -> BoundReport:
             "m": m,
             "precondition_met": p > m * q,
         },
+        holds=lhs >= rhs,
         lhs=lhs,
         rhs=rhs,
     )
@@ -99,6 +95,7 @@ def thm1_threshold_check(n: int, k: int) -> BoundReport:
             "first_term_condition": Fraction(n) ** (k - 1) > (k - 1) * Fraction(n) ** (k - 2) * 3 * k,
             "second_term_condition": nk ** (k - 1) > (k - 1) * nk ** (k - 2) * k,
         },
+        holds=lhs >= rhs,
         lhs=lhs,
         rhs=rhs,
     )
@@ -144,7 +141,7 @@ def thm2_stage_check(n: int, k: int, p: int) -> BoundReport:
                   "floor_bound": floor_bound,
                   "sufficient_chain_holds": chain_holds,
                   "sufficient_threshold_ok": threshold_ok}
-    return BoundReport("thm2_stage_check", params, lhs, rhs, True)
+    return BoundReport("thm2_stage_check", params, lhs > rhs, lhs, rhs, True)
 
 
 def stage_count_beats_target(n: int, k: int, p: int) -> BoundReport:
@@ -156,6 +153,7 @@ def stage_count_beats_target(n: int, k: int, p: int) -> BoundReport:
     return BoundReport(
         name="stage_count_beats_target",
         parameters={"n": n, "k": k, "p": p},
+        holds=lhs > rhs,
         lhs=lhs,
         rhs=rhs,
         strict=True,

@@ -45,6 +45,10 @@ class WitnessSoundnessError(AssertionError):
     tolerated silently."""
 
 
+# the branches whose last stage is central; `WitnessReport.trace` marks it
+CENTRAL_AT_TOP, CENTRAL_AT_STAGE_I = CENTRAL_BRANCHES = ("central_at_top", "central_at_stage_i")
+
+
 @dataclass(frozen=True, slots=True)
 class StageTrace:
     """One stage of a scan, as `WitnessReport.trace` reads it off the stage count."""
@@ -59,13 +63,17 @@ class StageTrace:
 @dataclass(frozen=True)
 class WitnessReport:
     """What an extraction decided: the branch, the certified family, the
-    number of stages scanned and how each part was certified. Every other
-    field is read off these."""
+    number of stages scanned and how each part was certified.
+    `below_guarantee`, `meets_threshold_target` and `trace` are read off
+    these. `guaranteed_count` and `mode` repeat the family but stay stored
+    fields: the benchmark harness tests set them with `dataclasses.replace`."""
 
     branch: str
     witnesses: SubsetFamily
+    guaranteed_count: int                  # the family's count
     stages: int                            # stages scanned (1 on the first route)
     provenance: tuple[tuple[str, str], ...]  # (sub-family, how it was certified)
+    mode: str                              # "explicit" | "counted", as the family is
     sample_size: int                       # members re-checked in counted mode
     threshold_met: bool                    # n is inside the route's theorem range
     notes: tuple[str, ...] = ()
@@ -74,14 +82,6 @@ class WitnessReport:
     def certified(self) -> bool:
         """True unless some sub-family rests on the theorem alone."""
         return all(how != "theorem" for _, how in self.provenance)
-
-    @property
-    def guaranteed_count(self) -> int:
-        return self.witnesses.count
-
-    @property
-    def mode(self) -> str:
-        return "explicit" if self.witnesses.is_explicit else "counted"
 
     @property
     def below_guarantee(self) -> bool:
@@ -99,9 +99,9 @@ class WitnessReport:
     def trace(self) -> tuple[StageTrace, ...]:
         """One record per stage scanned. Stage i keeps x_1..x_i and drops the
         (i-1)(k-1) smallest values; only the last stage can be central, and
-        it is on the branches that end at a central stage."""
+        it is on the `CENTRAL_BRANCHES`."""
         n, k, last = self.witnesses.n, self.witnesses.k, self.stages
-        central = self.branch in ("central_at_top", "central_at_stage_i")
+        central = self.branch in CENTRAL_BRANCHES
         return tuple(StageTrace(i, i, (i - 1) * (k - 1), central and i == last, n - (i - 1) * k)
                      for i in range(1, last + 1))
 
@@ -285,7 +285,9 @@ def _report(
     witnesses, provenance, sampled = _certify(config, k, parts, mode, rng, sample_size)
     if threshold_met and witnesses.count < binomial(config.n - 1, k - 1):
         raise AssertionError("count fell below the target inside the theorem range -- bug")
-    return WitnessReport(branch, witnesses, stages, provenance, sampled, threshold_met, notes)
+    return WitnessReport(branch, witnesses, witnesses.count, stages, provenance,
+                         "explicit" if witnesses.is_explicit else "counted",
+                         sampled, threshold_met, notes)
 
 
 def _check_options(mode: str, sample_size: int) -> None:
@@ -329,8 +331,8 @@ def extract_thm1(
     threshold_met = n >= thm1_threshold(k)
     top = RangeFamily.of((1, 1, 1), (2, n, k - 1))
     if top.worst_sum(config) >= 0:
-        return _report(config, k, threshold_met, "central_at_top",
-                       (("central_at_top", top),), mode, rng, sample_size, 1)
+        return _report(config, k, threshold_met, CENTRAL_AT_TOP,
+                       ((CENTRAL_AT_TOP, top),), mode, rng, sample_size, 1)
 
     # the values are non-increasing, so the non-negative ones come first
     neg_count = n - bisect.bisect_right(scaled, 0, key=operator.neg)
@@ -450,8 +452,8 @@ def extract_thm2(
         # central stage only, where certifying it checks that member again.
         if scaled[i - 1] + prefix[bottom] - prefix[bottom - k + 1] >= 0:
             family = RangeFamily.of((1, i, 1), (i + 1, bottom, k - 1))
-            return _report(config, k, threshold_met, "central_at_stage_i",
-                           (("central_at_stage_i", family),), mode, rng, sample_size, i)
+            return _report(config, k, threshold_met, CENTRAL_AT_STAGE_I,
+                           ((CENTRAL_AT_STAGE_I, family),), mode, rng, sample_size, i)
 
     # no central stage: two-range family inside X_T
     a, j = two_range_parameters(n, k)

@@ -275,6 +275,7 @@ def stage_report_oracle(n: int, k: int, p: int) -> BoundReport:
     return BoundReport(
         name="thm2_stage_check",
         parameters=params,
+        holds=lhs > rhs,
         lhs=lhs,
         rhs=rhs,
         strict=True,
@@ -305,14 +306,14 @@ def test_thm2_stage_matches_the_uncached_report():
 def test_bound_reports_are_slotted_and_replaceable():
     r = thm2_stage_check(5200, 3, 7)
     assert not hasattr(r, "__dict__")
-    changed = dataclasses.replace(r, lhs=r.rhs)
+    changed = dataclasses.replace(r, holds=False)
     assert not changed.holds and changed.parameters == r.parameters
     with pytest.raises(dataclasses.FrozenInstanceError):
-        r.lhs = 0
-    # holds is read off the sides: at lhs = rhs only a non-strict report holds
+        r.holds = False
+    # every builder stores holds as its sides decide it
     for r in (stage_count_beats_target(19, 3, 1), thm1_threshold_check(270, 3),
               unimodal_gap_lb(Fraction(10), Fraction(1), 3)):
-        assert r.holds and dataclasses.replace(r, lhs=r.rhs).holds is (not r.strict), r.name
+        assert r.holds is (r.lhs > r.rhs if r.strict else r.lhs >= r.rhs), r.name
 
 
 def test_stage_p1_binomial_form():

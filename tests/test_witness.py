@@ -619,9 +619,9 @@ def stage_scan_oracle(config, k):
 
 
 def stored_report_fields(config, k, theorem, witnesses):
-    """The fields that `_report` stored before they were read off the family
-    and the stage count: the count, the mode, the guarantee verdicts and
-    the stage trace (for the first route, its one top stage)."""
+    """The report fields as `_report` once built them, from the family and a
+    record per stage: the count, the mode, the guarantee verdicts and the
+    stage trace (for the first route, its one top stage)."""
     n = config.n
     target = binomial(n - 1, k - 1)
     if theorem == 1:
