@@ -2,15 +2,17 @@
 non-negative k-subsets with guaranteed cardinalities.
 
 The two extraction routes, `extract_thm1` and `extract_thm2`, are the only
-producers of certified families. Both re-check every branch condition in exact
-arithmetic before any witness is emitted, and certify every emitted family in
-one pass over its disjoint parts. A part is a `RangeFamily`, whose minimum-sum
-member is checked exactly; the first route's partition witnesses, re-summed
-where they are built; or, for that partition part above the partition size
-limit, a count that rests on the theorem alone. Explicit families are
-re-summed member by member; counted ones are spot-checked on a seeded uniform
-sample. Each report lists how every part was certified. A violated check
-raises instead of emitting unsound output.
+producers of certified families. Each route only picks its branch, re-checking
+every branch condition in exact arithmetic, and names the branch's disjoint
+parts; one front door checks the input, certifies the parts in one pass and
+builds the report. Every part is a family. A `RangeFamily` is certified by
+`_certify`: its minimum-sum member is checked exactly, then its members are
+re-summed (explicit) or a seeded uniform sample of them is (counted). A
+`SubsetFamily` was certified where it was built: the first route's partition
+witnesses are re-summed there (explicit), and above the partition size limit
+that part is a count that rests on the theorem alone (counted). Each report
+lists how every part was certified. A violated check raises instead of
+emitting unsound output.
 
 `log` means the natural logarithm throughout; the k(4e ln k)^k threshold
 arises from k^(k/ln k) = e^k, which only holds base-e.
@@ -221,7 +223,7 @@ def _check_sums(config: Configuration, k: int, tuples: list[tuple[int, ...]]) ->
 def _certify(
     config: Configuration,
     k: int,
-    parts: tuple[tuple[str, RangeFamily | list[tuple[int, ...]] | int], ...],
+    parts: tuple[tuple[str, RangeFamily | SubsetFamily], ...],
     mode: str,
     rng: random.Random | None,
     sample_size: int,
@@ -229,23 +231,22 @@ def _certify(
     """Certify the family made of the named disjoint `parts`; return it with
     how each part was certified and the number of sampled members.
 
-    A part is a `RangeFamily`; a list of increasing index tuples re-summed
-    where they were built (the shifted partition witnesses); or a count that
-    rests on the theorem alone. The family is enumerated when no part rests
-    on the theorem, `mode` is not "counted" and it has at most EXPLICIT_LIMIT
-    members; otherwise it is counted, also when it is empty. A range part's
-    worst member is checked exactly, which alone proves it on a sorted
-    configuration; enumerated, every member is re-summed, and counted,
-    `sample_size` uniform members are. The parts' enumerations, concatenated
-    in order, must be as long as the total count, and `SubsetFamily` checks
-    that they are strictly increasing (so the members are distinct); the
-    family keeps those plain tuples as they are.
+    A part is a family. A `RangeFamily` is certified here: its worst member
+    is checked exactly, which alone proves it on a sorted configuration;
+    enumerated, every member is re-summed, and counted, `sample_size`
+    uniform members are. A `SubsetFamily` was certified where it was built:
+    an explicit one was re-summed, and a counted one rests on the theorem
+    alone. The family is enumerated when no part rests on the theorem,
+    `mode` is not "counted" and it has at most EXPLICIT_LIMIT members;
+    otherwise it is counted, also when it is empty. The parts' enumerations,
+    concatenated in order, must be as long as the total count, and
+    `SubsetFamily` checks that they are strictly increasing (so the members
+    are distinct); the family keeps those plain tuples as they are.
     """
     n = config.n
-    count = sum(part if isinstance(part, int) else
-                part.count if isinstance(part, RangeFamily) else len(part)
-                for _, part in parts)
-    on_theorem = any(isinstance(part, int) for _, part in parts)
+    count = sum(part.count for _, part in parts)
+    on_theorem = any(isinstance(part, SubsetFamily) and not part.is_explicit
+                     for _, part in parts)
     if mode == "explicit" and on_theorem:
         raise ValueError("explicit mode impossible: partition instance above the size limit")
     if mode == "explicit" and count > EXPLICIT_LIMIT:
@@ -253,8 +254,13 @@ def _certify(
     explicit = not on_theorem and mode != "counted" and count <= EXPLICIT_LIMIT
     provenance, enumerated, sampled = [], [], 0
     for name, part in parts:
-        how = "theorem" if isinstance(part, int) else "resummed"
-        if isinstance(part, RangeFamily) and part.count:
+        how = "resummed"
+        if isinstance(part, SubsetFamily):
+            if not part.is_explicit:
+                how = "theorem"
+            elif explicit:
+                enumerated.append(part.index_tuples)
+        elif part.count:
             if part.worst_sum(config) < 0:
                 raise WitnessSoundnessError(f"worst member of the family {part.parts} is negative")
             if explicit:
@@ -266,8 +272,6 @@ def _certify(
                 _check_sums(config, k, draws)
                 sampled += len(draws)
                 how = "worst_member"
-        elif explicit and isinstance(part, list):
-            enumerated.append(part)
         provenance.append((name, how))
     if not explicit:
         return SubsetFamily.counted(n, k, count), tuple(provenance), sampled
@@ -278,23 +282,28 @@ def _certify(
     return SubsetFamily(n, k, tuples, count), tuple(provenance), 0
 
 
-def _report(
-    config, k, threshold_met, branch, parts, mode, rng, sample_size, stages, notes=()
-) -> WitnessReport:
-    """Certify the parts of `branch`, reached after `stages` stages, and report them."""
-    witnesses, provenance, sampled = _certify(config, k, parts, mode, rng, sample_size)
+def _check_input(config: Configuration, mode: str, sample_size: int) -> None:
+    """The checks both routes share: a non-negative total, a known mode and
+    a non-negative sample size."""
+    if config.scaled_prefix[-1] < 0:
+        raise ValueError(f"total sum must be non-negative, got {config.total_sum()}")
+    if mode not in ("auto", "explicit", "counted"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if sample_size < 0:
+        raise ValueError(f"sample_size must be non-negative, got {sample_size}")
+
+
+def _report(config, k, mode, sample_size, seed, decided) -> WitnessReport:
+    """Certify the parts of the branch a route `decided` on, given as
+    (threshold_met, branch, parts, stages scanned, notes), and report them."""
+    threshold_met, branch, parts, stages, notes = decided
+    witnesses, provenance, sampled = _certify(
+        config, k, parts, mode, random.Random(seed), sample_size)
     if threshold_met and witnesses.count < binomial(config.n - 1, k - 1):
         raise AssertionError("count fell below the target inside the theorem range -- bug")
     return WitnessReport(branch, witnesses, witnesses.count, stages, provenance,
                          "explicit" if witnesses.is_explicit else "counted",
                          sampled, threshold_met, notes)
-
-
-def _check_options(mode: str, sample_size: int) -> None:
-    if mode not in ("auto", "explicit", "counted"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if sample_size < 0:
-        raise ValueError(f"sample_size must be non-negative, got {sample_size}")
 
 
 # --- first extraction route (threshold 3 k^(k+1) + k^3) --------------------
@@ -318,28 +327,28 @@ def extract_thm1(
         (index 1 membership differs). Above PARTITION_SIZE_LIMIT the partition
         part is counted on the strength of the theorem alone.
     """
+    _check_input(config, mode, sample_size)
+    return _report(config, k, mode, sample_size, seed, _thm1_branch(config, k))
+
+
+def _thm1_branch(config: Configuration, k: int) -> tuple[bool, str, tuple, int, tuple[str, ...]]:
+    """`extract_thm1`'s (threshold_met, branch, parts, stages, notes)."""
     n = config.n
-    if config.scaled_prefix[-1] < 0:
-        raise ValueError(f"total sum must be non-negative, got {config.total_sum()}")
     if k < 1:
         raise ValueError(f"need k >= 1, got k={k}")
     if n < 2 * k + 1:
         raise ValueError(f"need n >= 2k+1, got n={n}, k={k}")
-    _check_options(mode, sample_size)
-    rng = random.Random(seed)
     scaled = config.scaled
     threshold_met = n >= thm1_threshold(k)
     top = RangeFamily.of((1, 1, 1), (2, n, k - 1))
     if top.worst_sum(config) >= 0:
-        return _report(config, k, threshold_met, CENTRAL_AT_TOP,
-                       ((CENTRAL_AT_TOP, top),), mode, rng, sample_size, 1)
+        return threshold_met, CENTRAL_AT_TOP, ((CENTRAL_AT_TOP, top),), 1, ()
 
     # the values are non-increasing, so the non-negative ones come first
     neg_count = n - bisect.bisect_right(scaled, 0, key=operator.neg)
     if neg_count < 2 * k:
-        return _report(config, k, threshold_met, "few_negatives",
-                       (("few_negatives", RangeFamily(((1, n - neg_count, k),))),),
-                       mode, rng, sample_size, 1)
+        return (threshold_met, "few_negatives",
+                (("few_negatives", RangeFamily(((1, n - neg_count, k),))),), 1, ())
 
     # branch (c): trim to the largest multiple of k exceeding n - 2k
     r = n % k
@@ -354,18 +363,14 @@ def extract_thm1(
     if trimmed_sum < 0:
         raise AssertionError("trimmed configuration has negative sum -- aborting")
 
-    part_count = binomial(m - 1, k - 1)
     notes: tuple[str, ...] = ()
     if binomial(m, k) <= PARTITION_SIZE_LIMIT:
         # re-summed exactly inside; trimmed position i is position i + 1 here
-        trimmed = Configuration(config.values[1:m + 1])
-        inner = partition_lower_bound_witnesses(trimmed, k)
+        inner = partition_lower_bound_witnesses(Configuration(config.values[1:m + 1]), k)
         shifted = map((1).__add__, itertools.chain.from_iterable(inner.index_tuples))
-        partition = list(zip(*[shifted] * k))
-        if len(partition) != part_count:
-            raise AssertionError("partition witness count mismatch")
+        partition = SubsetFamily(n, k, tuple(zip(*[shifted] * k)), inner.count)
     else:
-        partition = part_count  # rests on the theorem alone
+        partition = SubsetFamily.counted(n, k, binomial(m - 1, k - 1))  # the theorem alone
         notes = ("partition family counted by the multiple-of-k bound "
                  "(instance above the partition size limit)",)
 
@@ -374,9 +379,8 @@ def extract_thm1(
     zone = RangeFamily.of((1, 1, 1), (2, z + 1, k - 1))
     # the zone's members contain index 1 and the partition's do not: the
     # parts are disjoint, and in increasing order zone first
-    return _report(config, k, threshold_met, "trim_and_partition_plus_top_zone",
-                   (("top_zone", zone), ("partition", partition)),
-                   mode, rng, sample_size, 1, notes)
+    return (threshold_met, "trim_and_partition_plus_top_zone",
+            (("top_zone", zone), ("partition", partition)), 1, notes)
 
 
 # --- second extraction route (threshold k (4e ln k)^k) ----------------------
@@ -429,15 +433,17 @@ def extract_thm2(
     every input meeting the preconditions because a >= k j / |X_T| always
     holds with this choice of a and j.
     """
+    _check_input(config, mode, sample_size)
+    return _report(config, k, mode, sample_size, seed, _thm2_branch(config, k))
+
+
+def _thm2_branch(config: Configuration, k: int) -> tuple[bool, str, tuple, int, tuple[str, ...]]:
+    """`extract_thm2`'s (threshold_met, branch, parts, stages, notes)."""
     n = config.n
-    if config.scaled_prefix[-1] < 0:
-        raise ValueError(f"total sum must be non-negative, got {config.total_sum()}")
     if k < 2:
         raise ValueError(f"need k >= 2, got k={k}")
     if n < 4 * k:
         raise ValueError(f"need n >= 4k, got n={n}, k={k}")
-    _check_options(mode, sample_size)
-    rng = random.Random(seed)
     threshold_met = thm2_threshold_exceeded(n, k)
     big_t = n // (2 * k)
 
@@ -452,8 +458,7 @@ def extract_thm2(
         # central stage only, where certifying it checks that member again.
         if scaled[i - 1] + prefix[bottom] - prefix[bottom - k + 1] >= 0:
             family = RangeFamily.of((1, i, 1), (i + 1, bottom, k - 1))
-            return _report(config, k, threshold_met, CENTRAL_AT_STAGE_I,
-                           ((CENTRAL_AT_STAGE_I, family),), mode, rng, sample_size, i)
+            return threshold_met, CENTRAL_AT_STAGE_I, ((CENTRAL_AT_STAGE_I, family),), i, ()
 
     # no central stage: two-range family inside X_T
     a, j = two_range_parameters(n, k)
@@ -465,7 +470,5 @@ def extract_thm2(
     parts = ((1, big_t, a),)
     if a < k:
         parts += ((big_t + 1, big_t + j, k - a),)
-    return _report(config, k, threshold_met, "two_range_family",
-                   (("two_range_family", RangeFamily(parts)),), mode, rng, sample_size,
-                   big_t, notes=(f"a={a}, j={j}",))
-
+    return (threshold_met, "two_range_family",
+            (("two_range_family", RangeFamily(parts)),), big_t, (f"a={a}, j={j}",))

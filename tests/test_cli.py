@@ -258,6 +258,14 @@ DIRECTORY = object()
 #: A file that is not UTF-8.
 NOT_UTF8 = b"\xff\xfe1\n"
 WITNESS_THM2 = ["witness", "--theorem", "2", "--config", "{file}", "--k", "2"]
+#: The messages of the rows that the witness routes' own checks refuse.
+WITNESS_ERRORS = {
+    "witness_thm1_negative_total": "total sum must be non-negative, got -1",
+    "witness_thm2_negative_total": "total sum must be non-negative, got -1",
+    "witness_thm1_n_below_2k_plus_1": "need n >= 2k+1, got n=6, k=3",
+    "witness_thm2_n_below_4k": "need n >= 4k, got n=11, k=3",
+    "witness_thm2_k1": "need k >= 2, got k=1",
+}
 #: A 4,000-digit integer, short of Python's 4,300-digit conversion limit.
 HUGE = "9" * 4000
 #: A 4-point partition file around the given classes.
@@ -322,6 +330,11 @@ PARTITION_6_3 = json.dumps({"n": 6, "k": 3, "classes": [
                 "--mode", "counted", "--sample", "-5"], 2),
     (CONFIG_9, ["witness", "--theorem", "2", "--config", "{file}", "--k", "2",
                 "--mode", "counted", "--sample", "-5"], 2),
+    ("1\n1\n1\n1\n-5\n", ["witness", "--theorem", "1", "--config", "{file}", "--k", "2"], 2),
+    ("1\n1\n1\n1\n-5\n", WITNESS_THM2, 2),
+    ("1\n" * 6, ["witness", "--theorem", "1", "--config", "{file}", "--k", "3"], 2),
+    ("1\n" * 11, ["witness", "--theorem", "2", "--config", "{file}", "--k", "3"], 2),
+    (CONFIG_9, ["witness", "--theorem", "2", "--config", "{file}", "--k", "1"], 2),
     (None, ["sweep", "--k", "2", "--n-lo", "10", "--n-hi", "4"], 2),
     (None, ["sweep", "--k", "5", "--n-lo", "2", "--n-hi", "3"], 2),
     (None, ["search", "--n", "0", "--k", "1"], 2),
@@ -381,7 +394,10 @@ PARTITION_6_3 = json.dumps({"n": 6, "k": 3, "classes": [
         "check_stage_count_n_too_small", "check_stage_count_negative_p",
         "check_unknown_param", "check_repeated_param",
         "check_suite_thm2_k0", "witness_thm1_k0", "witness_thm1_negative_sample",
-        "witness_thm2_negative_sample", "sweep_n_lo_above_n_hi", "sweep_n_hi_below_k",
+        "witness_thm2_negative_sample", "witness_thm1_negative_total",
+        "witness_thm2_negative_total", "witness_thm1_n_below_2k_plus_1",
+        "witness_thm2_n_below_4k", "witness_thm2_k1", "sweep_n_lo_above_n_hi",
+        "sweep_n_hi_below_k",
         "search_n0", "search_negative_n", "solve_negative_budget",
         "construct_counterexample_k1", "construct_star_without_n",
         "construct_star_k_above_n", "construct_mirror_k_equals_n",
@@ -398,7 +414,7 @@ PARTITION_6_3 = json.dumps({"n": 6, "k": 3, "classes": [
         "solve_huge_binomial", "baranyai_huge_binomial",
         "check_huge_param", "check_suite_huge_k", "sweep_huge_n_hi", "fbounds_huge_k",
         "search_huge_k", "construct_huge_k"])
-def test_malformed_input_exit_codes(tmp_path, capsys, file_text, args, code):
+def test_malformed_input_exit_codes(request, tmp_path, capsys, file_text, args, code):
     path = tmp_path / "input.json"
     if file_text is DIRECTORY:
         path.mkdir()
@@ -412,6 +428,8 @@ def test_malformed_input_exit_codes(tmp_path, capsys, file_text, args, code):
         assert json.loads(out)["valid"] is False
     else:
         assert err.startswith("error:") and err.count("\n") == 1
+    if request.node.callspec.id in WITNESS_ERRORS:
+        assert err == f"error: {WITNESS_ERRORS[request.node.callspec.id]}\n"
     assert len(err.encode()) <= 500, err[:1000]  # bounded, however large the input
 
 

@@ -239,14 +239,28 @@ def test_an_enumeration_that_is_not_the_family_is_refused(monkeypatch, change, e
 def test_parts_out_of_order_or_overlapping_are_refused():
     ones = Configuration.from_values([1] * 6)
     zone = RangeFamily(((1, 1, 1), (2, 6, 1)))
-    rest = [(2, 3), (2, 4)]  # re-summed where they were built
+    rest = SubsetFamily(6, 2, ((2, 3), (2, 4)), 2)  # re-summed where it was built
     family, provenance, _ = _certify(ones, 2, (("zone", zone), ("rest", rest)), "auto", None, 0)
-    assert family.index_tuples == (*zone.members(), *rest)
+    assert family.index_tuples == (*zone.members(), *rest.index_tuples)
     assert provenance == (("zone", "resummed"), ("rest", "resummed"))
     with pytest.raises(ValueError, match=r"\(1, 2\) does not follow \(2, 4\)"):
         _certify(ones, 2, (("rest", rest), ("zone", zone)), "auto", None, 0)
     with pytest.raises(ValueError, match=r"\(1, 2\) does not follow \(1, 6\)"):
         _certify(ones, 2, (("zone", zone), ("again", zone)), "auto", None, 0)
+
+
+@pytest.mark.parametrize("mode", ("auto", "counted"))
+def test_a_counted_subset_part_rests_on_the_theorem(mode):
+    ones = Configuration.from_values([1] * 6)
+    zone = RangeFamily(((1, 1, 1), (2, 6, 1)))
+    rest = SubsetFamily.counted(6, 2, 10)
+    family, provenance, sampled = _certify(
+        ones, 2, (("zone", zone), ("rest", rest)), mode, random.Random(0), 7)
+    assert not family.is_explicit and family.count == 15
+    assert provenance == (("zone", "worst_member"), ("rest", "theorem")) and sampled == 7
+    with pytest.raises(ValueError, match="^explicit mode impossible: partition instance "
+                                         "above the size limit$"):
+        _certify(ones, 2, (("zone", zone), ("rest", rest)), "explicit", random.Random(0), 7)
 
 
 def _assert_view_matches(family, oracle):
@@ -734,6 +748,45 @@ def test_negatives_are_counted_past_zeros_and_in_all_negative_tails(certified_pa
             assert rep.branch == "trim_and_partition_plus_top_zone"
         seen[rep.branch, zeros > 0] += 1
     assert min(seen.values()) >= 10 and len(seen) == 4, seen
+
+
+def test_the_trim_branch_hands_over_its_partition_as_a_family(certified_parts):
+    """Below the partition size limit the part is the trimmed instance's
+    explicit witness family, each index shifted by one; above it, a count."""
+    config = Configuration.from_values([2] * 20 + [-7] * 8 + [5, 11])
+    m = 30 - 3 - 30 % 3
+    for mode in ("auto", "counted", "explicit"):
+        extract_thm1(config, 3, mode=mode)
+        part = dict(certified_parts[-1])["partition"]
+        inner = partition_lower_bound_witnesses(Configuration(config.values[1:m + 1]), 3)
+        assert type(part) is SubsetFamily and part.is_explicit
+        assert part.index_tuples == tuple(tuple(i + 1 for i in ix) for ix in inner.index_tuples)
+        assert (part.n, part.k, part.count) == (30, 3, binomial(m - 1, 2))
+
+    half = Configuration.from_values([1] * 2600 + [-1] * 2600)
+    rep = extract_thm1(half, 3, mode="counted", sample_size=10)
+    part = dict(certified_parts[-1])["partition"]
+    m = 5200 - 3 - 5200 % 3
+    assert rep.branch == "trim_and_partition_plus_top_zone"
+    assert type(part) is SubsetFamily and not part.is_explicit
+    assert (part.n, part.k, part.count) == (5200, 3, binomial(m - 1, 2))
+    assert dict(rep.provenance)["partition"] == "theorem" and not rep.certified
+
+
+def test_the_parts_add_up_to_the_reported_count(certified_parts):
+    rng = random.Random(73)
+    branches = collections.Counter()
+    for _ in range(120):
+        k = rng.randint(2, 4)
+        n = rng.randint(4 * k, 40)
+        config = random_configuration(rng, n, rng.choice(PATTERNS))
+        mode = rng.choice(("auto", "counted"))
+        for extract in (extract_thm1, extract_thm2):
+            rep = extract(config, k, mode=mode, sample_size=5)
+            assert sum(part.count for _, part in certified_parts[-1]) == rep.witnesses.count
+            branches[rep.branch] += 1
+    assert len(certified_parts) == 240
+    assert len(branches) == 5, branches
 
 
 def test_thm2_rejections():
