@@ -172,8 +172,10 @@ class FBoundValues:
 @lru_cache(maxsize=ENCLOSURE_CACHE_SIZE)
 def new_f_bound_interval(k: int, terms: int) -> RatInterval:
     """Enclosure of k (4 e ln k)^k, kept per (k, terms): the verdicts that
-    read it (`decide_less`) are not."""
-    return (e_interval(terms).scale(4) * ln_interval(k, terms)).power(k).scale(k)
+    read it (`decide_less`) are not. It increases in e and ln k, both
+    positive, so its ends come from the ends of theirs."""
+    e, ln = e_interval(terms), ln_interval(k, terms)
+    return RatInterval(k * (4 * e.lo * ln.lo) ** k, k * (4 * e.hi * ln.hi) ** k)
 
 
 def f_bound_values(k: int) -> FBoundValues:

@@ -1,7 +1,11 @@
-"""Rational interval enclosures for e and ln, with rigorous comparisons.
+"""Rational enclosures of e and ln k, with rigorous comparisons.
 
-Every endpoint is an exact Fraction; a comparison is decided only when the
-intervals separate, otherwise the caller refines. Bare floating point is
+Every endpoint is an exact Fraction. The quantities enclosed here (e, ln k,
+and the threshold k (4e ln k)^k) are positive and increasing in each
+positive input, so an enclosure of an expression is built from the lower
+ends of its inputs and from their upper ends, with no general interval
+arithmetic. A comparison with a rational is decided only when the enclosure
+lies on one side of it, otherwise the caller refines. Floating point is
 never used for a decision. The enclosures of e and ln are kept per
 (argument, terms) in bounded caches; a `RatInterval` is frozen, so one kept
 enclosure can serve every caller.
@@ -34,35 +38,6 @@ class RatInterval:
         if self.lo > self.hi:
             raise ValueError(f"empty interval [{self.lo}, {self.hi}]")
 
-    @classmethod
-    def point(cls, x) -> RatInterval:
-        f = Fraction(x)
-        return cls(f, f)
-
-    def __add__(self, other: RatInterval) -> RatInterval:
-        return RatInterval(self.lo + other.lo, self.hi + other.hi)
-
-    def __mul__(self, other: RatInterval) -> RatInterval:
-        products = (
-            self.lo * other.lo, self.lo * other.hi,
-            self.hi * other.lo, self.hi * other.hi,
-        )
-        return RatInterval(min(products), max(products))
-
-    def scale(self, c) -> RatInterval:
-        c = Fraction(c)
-        if c >= 0:
-            return RatInterval(self.lo * c, self.hi * c)
-        return RatInterval(self.hi * c, self.lo * c)
-
-    def power(self, m: int) -> RatInterval:
-        """Integer power; requires a non-negative interval for m >= 1."""
-        if m == 0:
-            return RatInterval.point(1)
-        if self.lo < 0:
-            raise ValueError("power only supported on non-negative intervals")
-        return RatInterval(self.lo**m, self.hi**m)
-
     def midpoint_float(self) -> float | None:
         """The midpoint as a float, or None beyond the float range."""
         try:
@@ -70,12 +45,12 @@ class RatInterval:
         except OverflowError:
             return None
 
-    def strictly_less_than(self, other) -> bool | None:
-        """True/False when decided, None when the intervals overlap."""
-        o = other if isinstance(other, RatInterval) else RatInterval.point(other)
-        if self.hi < o.lo:
+    def strictly_less_than(self, x) -> bool | None:
+        """Is the enclosed value below the rational x? None when x lies
+        in the interval."""
+        if self.hi < x:
             return True
-        if self.lo > o.hi:
+        if self.lo > x:
             return False
         return None
 
@@ -89,8 +64,6 @@ def e_interval(terms: int) -> RatInterval:
 
 def _atanh_interval(z: Fraction, terms: int) -> RatInterval:
     """Enclosure of atanh(z) for 0 <= z < 1 via the odd power series."""
-    if z == 0:
-        return RatInterval.point(0)
     s = Fraction(0)
     zpow = z
     z2 = z * z
@@ -103,26 +76,19 @@ def _atanh_interval(z: Fraction, terms: int) -> RatInterval:
 
 
 @lru_cache(maxsize=ENCLOSURE_CACHE_SIZE)
-def ln_interval(x, terms: int) -> RatInterval:
-    """Enclosure of ln(x) for rational x > 0.
+def ln_interval(x: int, terms: int) -> RatInterval:
+    """Enclosure of ln(x) for an integer x >= 1.
 
-    The argument is reduced to [1, 2) by powers of two, then
-    ln r = 2 atanh((r-1)/(r+1)) converges geometrically (ratio <= 1/9).
+    With x = 2^h r, 1 <= r < 2: ln x = 2 (h atanh(1/3) + atanh((r-1)/(r+1))),
+    and both series converge geometrically (ratio <= 1/9).
     """
-    x = Fraction(x)
     if x <= 0:
         raise ValueError(f"ln requires x > 0, got {x}")
-    if x < 1:
-        inner = ln_interval(1 / x, terms)
-        return RatInterval(-inner.hi, -inner.lo)
-    halvings = 0
-    r = x
-    while r >= 2:
-        r /= 2
-        halvings += 1
-    ln2 = _atanh_interval(Fraction(1, 3), terms).scale(2)
-    ln_r = _atanh_interval((r - 1) / (r + 1), terms).scale(2)
-    return ln2.scale(halvings) + ln_r
+    h = x.bit_length() - 1
+    r = Fraction(x, 2**h)
+    a = _atanh_interval(Fraction(1, 3), terms)
+    b = _atanh_interval((r - 1) / (r + 1), terms)
+    return RatInterval(2 * (h * a.lo + b.lo), 2 * (h * a.hi + b.hi))
 
 
 def decide_less(make_lhs, rhs, start_terms: int = 16) -> bool:

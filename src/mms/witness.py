@@ -26,6 +26,7 @@ import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from .bounds import thm1_threshold, thm2_threshold_exceeded
 from .intervals import decide_less, ln_interval
@@ -389,16 +390,11 @@ def _floor_over_ln(x: Fraction, k: int) -> int:
     """floor(x / ln k) for rational x > 0 and k >= 2, decided rigorously.
 
     j ln k = x never holds for j >= 1: e^x = k^j would make e algebraic.
+    The upper end of an enclosure of ln k gives a j with j ln k < x; j is
+    raised while (j + 1) ln k < x.
     """
-    j = max(0, int(x / math.log(k)))
-
-    def below(c: int) -> bool:
-        # is c ln k < x ?
-        return decide_less(lambda terms: ln_interval(k, terms).scale(c), x)
-
-    while j > 0 and not below(j):
-        j -= 1
-    while below(j + 1):
+    j = x // ln_interval(k, 16).hi
+    while decide_less(partial(ln_interval, k), x / (j + 1)):
         j += 1
     return j
 

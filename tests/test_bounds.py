@@ -23,6 +23,8 @@ from mms.intervals import RatInterval, decide_less, e_interval, ln_interval
 from mms.numerics import binomial
 from mms.solver import exact_A, verify_conjecture_range
 
+from intervaloracle import f_bound_oracle, ln_oracle
+
 
 # --- interval plumbing -------------------------------------------------------
 
@@ -33,7 +35,7 @@ def test_e_interval_brackets_float():
     assert iv.hi - iv.lo < Fraction(1, 10**15)
 
 
-@pytest.mark.parametrize("x", [2, 3, 10, Fraction(5, 3), Fraction(1, 7), 100])
+@pytest.mark.parametrize("x", [2, 3, 10, 41, 100, 1370])
 def test_ln_interval_brackets_float(x):
     iv = ln_interval(x, 24)
     approx = Fraction(math.log(x))
@@ -42,22 +44,33 @@ def test_ln_interval_brackets_float(x):
 
 
 def test_ln_interval_edge_cases():
-    assert ln_interval(1, 8) == RatInterval.point(0)
+    assert ln_interval(1, 8) == RatInterval(0, 0)
     iv = ln_interval(8, 16)  # exact power of two: pure ln2 multiples
-    three_ln2 = ln_interval(2, 16).scale(3)
-    assert iv.lo == three_ln2.lo and iv.hi == three_ln2.hi
-    with pytest.raises(ValueError):
+    ln2 = ln_interval(2, 16)
+    assert iv.lo == 3 * ln2.lo and iv.hi == 3 * ln2.hi
+    with pytest.raises(ValueError, match="got 0"):
         ln_interval(0, 8)
 
 
 def test_interval_arithmetic_sanity():
     a = RatInterval(Fraction(1), Fraction(2))
-    b = RatInterval(Fraction(-3), Fraction(4))
-    assert (a * b).lo == -6 and (a * b).hi == 8
-    assert (a + b).lo == -2 and (a + b).hi == 6
-    assert a.power(3).hi == 8
-    assert a.strictly_less_than(RatInterval.point(3)) is True
-    assert a.strictly_less_than(RatInterval.point(Fraction(3, 2))) is None
+    assert a.strictly_less_than(3) is True
+    assert a.strictly_less_than(Fraction(3, 2)) is None
+    assert a.strictly_less_than(Fraction(1, 2)) is False
+    with pytest.raises(ValueError, match="empty interval"):
+        RatInterval(Fraction(2), Fraction(1))
+
+
+@pytest.mark.parametrize("terms", [8, 16, 32])
+def test_ln_interval_ends_match_the_interval_arithmetic_oracle(terms):
+    for x in range(1, 301):
+        assert ln_interval.__wrapped__(x, terms) == ln_oracle(x, terms), x
+
+
+@pytest.mark.parametrize("terms", [16, 32, 64])
+def test_f_bound_ends_match_the_interval_arithmetic_oracle(terms):
+    for k in range(2, 51):
+        assert new_f_bound_interval.__wrapped__(k, terms) == f_bound_oracle(k, terms), k
 
 
 def test_decide_less_compares_an_enclosure_with_a_plain_rational():

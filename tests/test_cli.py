@@ -258,13 +258,21 @@ DIRECTORY = object()
 #: A file that is not UTF-8.
 NOT_UTF8 = b"\xff\xfe1\n"
 WITNESS_THM2 = ["witness", "--theorem", "2", "--config", "{file}", "--k", "2"]
-#: The messages of the rows that the witness routes' own checks refuse.
-WITNESS_ERRORS = {
+#: The exact messages of the rows refused by the library's own range checks.
+EXACT_ERRORS = {
     "witness_thm1_negative_total": "total sum must be non-negative, got -1",
     "witness_thm2_negative_total": "total sum must be non-negative, got -1",
     "witness_thm1_n_below_2k_plus_1": "need n >= 2k+1, got n=6, k=3",
     "witness_thm2_n_below_4k": "need n >= 4k, got n=11, k=3",
     "witness_thm2_k1": "need k >= 2, got k=1",
+    "check_unimodal_p0": "need p, q > 0 and m >= 1, got p=0, q=1, m=1",
+    "check_unimodal_m0": "need p, q > 0 and m >= 1, got p=1, q=1, m=0",
+    "check_thm2_stage_p0": "p=0 outside [1, 5]",
+    "check_thm2_stage_p_above_range": "p=6 outside [1, 5]",
+    "check_thm1_threshold_n1": "need n, k >= 2, got n=1, k=3",
+    "check_suite_thm1_k1": "need n, k >= 2, got n=270, k=1",
+    "solve_k0": "need 1 <= k <= n, got n=3, k=0",
+    "baranyai_k0": "need k | n with k, n >= 1, got n=4, k=0",
 }
 #: A 4,000-digit integer, short of Python's 4,300-digit conversion limit.
 HUGE = "9" * 4000
@@ -380,6 +388,14 @@ PARTITION_6_3 = json.dumps({"n": 6, "k": 3, "classes": [
     (None, ["fbounds", "--k", f"-{HUGE}"], 2),
     (None, ["search", "--n", "5", "--k", f"-{HUGE}"], 2),
     (None, ["construct", "--name", "star", "--n", "5", "--k", f"-{HUGE}"], 2),
+    (None, ["check", "--inequality", "unimodal_gap_lb", "--params", "p=0", "q=1", "m=1"], 2),
+    (None, ["check", "--inequality", "unimodal_gap_lb", "--params", "p=1", "q=1", "m=0"], 2),
+    (None, ["check", "--inequality", "thm2_stage", "--params", "n=30", "k=3", "p=0"], 2),
+    (None, ["check", "--inequality", "thm2_stage", "--params", "n=30", "k=3", "p=6"], 2),
+    (None, ["check", "--inequality", "thm1_threshold", "--params", "n=1", "k=3"], 2),
+    (None, ["check", "--suite", "thm1", "--n", "270", "--k", "1"], 2),
+    (None, ["solve", "--n", "3", "--k", "0"], 2),
+    (None, ["baranyai", "--n", "4", "--k", "0"], 2),
 ], ids=["validate_without_classes", "validate_bad_json", "validate_unsorted_block_in_class",
         "validate_unsorted_block", "validate_index_zero", "validate_duplicated_class",
         "validate_huge_n", "validate_huge_binomial", "validate_bool_n", "validate_bool_k",
@@ -413,7 +429,10 @@ PARTITION_6_3 = json.dumps({"n": 6, "k": 3, "classes": [
         "reproduce_workers_0", "reproduce_negative_workers",
         "solve_huge_binomial", "baranyai_huge_binomial",
         "check_huge_param", "check_suite_huge_k", "sweep_huge_n_hi", "fbounds_huge_k",
-        "search_huge_k", "construct_huge_k"])
+        "search_huge_k", "construct_huge_k",
+        "check_unimodal_p0", "check_unimodal_m0", "check_thm2_stage_p0",
+        "check_thm2_stage_p_above_range", "check_thm1_threshold_n1", "check_suite_thm1_k1",
+        "solve_k0", "baranyai_k0"])
 def test_malformed_input_exit_codes(request, tmp_path, capsys, file_text, args, code):
     path = tmp_path / "input.json"
     if file_text is DIRECTORY:
@@ -428,8 +447,8 @@ def test_malformed_input_exit_codes(request, tmp_path, capsys, file_text, args, 
         assert json.loads(out)["valid"] is False
     else:
         assert err.startswith("error:") and err.count("\n") == 1
-    if request.node.callspec.id in WITNESS_ERRORS:
-        assert err == f"error: {WITNESS_ERRORS[request.node.callspec.id]}\n"
+    if request.node.callspec.id in EXACT_ERRORS:
+        assert err == f"error: {EXACT_ERRORS[request.node.callspec.id]}\n"
     assert len(err.encode()) <= 500, err[:1000]  # bounded, however large the input
 
 

@@ -23,6 +23,7 @@ from mms.witness import (
 )
 
 from genconfig import PATTERNS, nonneg_members, random_configuration
+from intervaloracle import floor_over_ln_oracle
 
 
 def recheck_family(config, family):
@@ -809,6 +810,30 @@ def test_two_range_parameters_rigorous():
         assert a == min(math.ceil(k / math.log(k)), k)
         assert j == int(5200 / (2 * math.log(k)))
         assert 1 <= a < k
+
+
+def test_two_range_parameters_match_the_float_seeded_floor(monkeypatch):
+    pairs = [(n, k) for k in range(2, 60)
+             for n in (*range(4 * k, 4 * k + 197, 7), 5200, 52_000, 10**5, 10**7)]
+    assert len(pairs) == 1914
+    found = [two_range_parameters(n, k) for n, k in pairs]
+    monkeypatch.setattr(witness_mod, "_floor_over_ln", floor_over_ln_oracle)
+    assert found == [two_range_parameters(n, k) for n, k in pairs]
+
+
+@pytest.mark.parametrize("n", [5200, 52_000, 10**7, 10**15])
+def test_two_range_parameters_decide_each_floor_once(monkeypatch, n):
+    """Here the upper end of the 16-term enclosure already gives each floor,
+    and one comparison confirms it: none for k = 2 (ln 2 < 1), one for
+    k = 3 (where a = k and no j is needed), two from k = 4 on."""
+    calls = []
+    honest = witness_mod.decide_less
+    monkeypatch.setattr(witness_mod, "decide_less",
+                        lambda *args, **kwargs: calls.append(args) or honest(*args, **kwargs))
+    for k, expected in ((2, 0), (3, 1), *((k, 2) for k in range(4, 30))):
+        calls.clear()
+        two_range_parameters(n, k)
+        assert len(calls) == expected, k
 
 
 # --- soundness sweep (the smaller in-module version) -------------------------------
