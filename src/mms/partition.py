@@ -219,8 +219,9 @@ def partition_lower_bound_witnesses(
     q = n // k
     blocks = list(itertools.chain.from_iterable(classes))
     sums = list(scaled_ksums(config, blocks, k))
-    # class c is blocks[c:c + q], sorted, and index finds the first of equal
-    # sums: the lexicographically smallest block wins a tie
+    # class c is blocks[c*q:c*q + q], sorted; its top is attained there, so
+    # index from c*q finds it inside class c, at the first of equal sums: the
+    # lexicographically smallest block wins a tie
     tops = list(map(max, zip(*[iter(sums)] * q)))
     best = list(map(sums.index, tops, range(0, len(blocks), q)))
     if min(tops) < 0:

@@ -213,9 +213,10 @@ class RangeFamily:
 
 
 def _check_sums(config: Configuration, k: int, tuples: list[tuple[int, ...]]) -> None:
-    """Re-check every index tuple's exact scaled sum >= 0, in one pass of
-    `scaled_ksums`, and name the first negative one. The tuples must come
-    from a checked `RangeFamily` (sorted, within [1, n])."""
+    """Re-check every index tuple's exact scaled sum >= 0 with one call of
+    `scaled_ksums`, and name the first negative one from a second. The
+    tuples must be a list from a checked `RangeFamily` (sorted, within
+    [1, n])."""
     if tuples and min(scaled_ksums(config, tuples, k)) < 0:
         bad = next(itertools.compress(tuples, map((0).__gt__, scaled_ksums(config, tuples, k))))
         raise WitnessSoundnessError(f"witness {bad} has negative sum")

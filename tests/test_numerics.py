@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mms.numerics import (
+    COLUMN_SUM_MAX_K,
     ConfigParseError,
     Configuration,
     KSubset,
@@ -167,13 +168,15 @@ def random_ksets(rng, n, k, count):
 
 @pytest.mark.parametrize("pattern", PATTERNS)
 def test_scaled_ksums_match_the_fraction_oracle(pattern):
-    """Range-family enumerations and random k-sets, k = 1..5, on seeded
-    configurations of every pattern (rationals included)."""
+    """Range-family enumerations and random k-sets on seeded configurations
+    of every pattern (rationals included), for every k summed by columns
+    (k <= COLUMN_SUM_MAX_K) and the first four summed by rows."""
+    top_k = COLUMN_SUM_MAX_K + 4
     rng = random.Random(PATTERNS.index(pattern))
     for _ in range(20):
-        n = rng.randint(6, 14)
+        n = rng.randint(top_k, 14)
         config = random_configuration(rng, n, pattern)
-        for k in range(1, 6):
+        for k in range(1, top_k + 1):
             split = rng.randint(1, n - 1)
             a = rng.randint(max(0, k - (n - split)), min(k, split))
             family = RangeFamily.of((1, split, a), (split + 1, n, k - a)).members()
@@ -183,7 +186,8 @@ def test_scaled_ksums_match_the_fraction_oracle(pattern):
 
 
 @pytest.mark.parametrize("at", [0, 1, 4])
-@pytest.mark.parametrize("k,size", [(1, 2), (2, 1), (2, 3), (3, 2), (3, 4)])
+@pytest.mark.parametrize("k,size", [(1, 2), (2, 1), (2, 3), (3, 2), (3, 4),
+                                    (4, 3), (4, 5), (5, 4), (5, 6)])
 def test_scaled_ksums_refuse_a_member_of_the_wrong_length(at, k, size):
     """One member one index short or long would shift the grouping of every
     later sum; it is named instead, before any sum is taken."""
@@ -193,6 +197,19 @@ def test_scaled_ksums_refuse_a_member_of_the_wrong_length(at, k, size):
     ksets[at] = bad
     with pytest.raises(ValueError, match=re.escape(f"member {bad} has wrong size (expected k={k})")):
         scaled_ksums(config, ksets, k)
+
+
+@pytest.mark.parametrize("k", [2, COLUMN_SUM_MAX_K + 1])
+@pytest.mark.parametrize("one_shot", [iter, lambda ksets: (s for s in ksets)],
+                         ids=["iter", "generator"])
+def test_scaled_ksums_refuse_a_one_shot_iterator(one_shot, k):
+    """The length check would use up an iterator and leave no sum to take;
+    it is refused instead of giving no sums."""
+    config = Configuration.from_values(range(-5, 7))
+    ksets = random_ksets(random.Random(k), 12, k, 5)
+    with pytest.raises(TypeError, match="sequence, not a one-shot iterator"):
+        scaled_ksums(config, one_shot(ksets), k)
+    assert list(scaled_ksums(config, tuple(ksets), k)) == ksum_oracle(config, ksets)
 
 
 def test_scaled_ksums_rejects_k_below_one():
